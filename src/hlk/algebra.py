@@ -73,6 +73,9 @@ class BigradedAlgebra:
             self.by_bidegree.setdefault((p, q), []).append(idx)
         self._name_index = {nm: k for k, nm in enumerate(self.names)}
         self._unit = None
+        # Lefschetz data per (class, mode), kept here so that it is freed
+        # together with the algebra
+        self.lefschetz_contexts = {}
 
     # -- basic access -------------------------------------------------
 

@@ -28,8 +28,6 @@ __all__ = [
     "sl2_adjoint_module",
     "sl2_discrete_series_module",
     "genus2_spectrum",
-    "algebra_catalog_names",
-    "build_algebra",
 ]
 
 
@@ -321,25 +319,3 @@ def genus2_spectrum():
         {"module": "sl2-ds-plus", "multiplicity": 2, "k2_inv_dim": 1},
         {"module": "sl2-ds-minus", "multiplicity": 2, "k2_inv_dim": 1},
     ]
-
-
-# -- name-based dispatch for the CLI ----------------------------------------
-
-
-def algebra_catalog_names():
-    return ("torus", "abelian-surface", "k3-mock", "g2-family", "s1s2")
-
-
-def build_algebra(name: str, **params):
-    if name == "torus":
-        return torus_algebra()
-    if name == "abelian-surface":
-        return abelian_surface_algebra()
-    if name == "k3-mock":
-        return k3_algebra()
-    if name == "g2-family":
-        return g2_family_algebra(int(params.get("k", 3)))
-    if name == "s1s2":
-        alg, _ = s1s2_model(int(params.get("n", 3)))
-        return alg
-    raise KeyError(f"unknown catalog algebra {name!r}")

@@ -343,9 +343,9 @@ def cmd_llgen(args) -> int:
                         f"ambient dimension {ambient} > {LARGE_EVEN_PART}; "
                         "pass --force-large to run")
             continue
+        triples = [lz.dual_lefschetz(alg, w, mode=mode) for w in family]
         gens = []
-        for w in family:
-            tri = lz.dual_lefschetz(alg, w, mode=mode)
+        for tri in triples:
             gens.extend([tri.L, tri.Lambda])
         lie = llgen.lie_closure(gens, cap=args.cap)
         report.check(f"{base}:closure", lie.closed,
@@ -381,8 +381,7 @@ def cmd_llgen(args) -> int:
             report.check(f"{base}:killing-nondegenerate",
                          llgen.killing_nondegenerate(lie), "")
             kernels_ok = True
-            for w in family:
-                tri = lz.dual_lefschetz(alg, w, mode=mode)
+            for tri in triples:
                 deg2 = [t for t, gidx in enumerate(tri.indices)
                         if alg.degree_of_index(gidx) == 2]
                 lker, _ = kernel_image(tri.L.submatrix(

@@ -31,7 +31,6 @@ __all__ = [
     "module_from_doc",
     "spectrum_to_doc",
     "spectrum_from_doc",
-    "scalar_str",
 ]
 
 
@@ -89,10 +88,6 @@ def _matrix_parse(doc, rows=None, cols=None) -> DenseMatrix:
     if not data:
         return DenseMatrix.zero(rows or 0, cols or 0)
     return DenseMatrix.from_rows(data)
-
-
-def scalar_str(s: Scalar) -> str:
-    return str(s)
 
 
 # -- algebra -----------------------------------------------------------------

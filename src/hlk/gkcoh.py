@@ -418,13 +418,6 @@ def _invert_or_none(m: DenseMatrix):
     return DenseMatrix.from_rows([row[m.rows:] for row in rows])
 
 
-def _span_coords(vectors, target):
-    sb = SpanBuilder(len(target))
-    for v in vectors:
-        sb.add(v)
-    return sb
-
-
 def validate_module(pair: ReductivePair, split: PSplit,
                     module: AdmissibleModule) -> ValidationReport:
     """Exact checks: purity and span of the generators, presence and
@@ -441,8 +434,12 @@ def validate_module(pair: ReductivePair, split: PSplit,
     k_span = SpanBuilder(n)
     for i in pair.k_indices:
         k_span.add(pair.basis_vector(i))
-    plus_span = _span_coords(split.plus, zero_vector(n))
-    minus_span = _span_coords(split.minus, zero_vector(n))
+    plus_span = SpanBuilder(n)
+    for v in split.plus:
+        plus_span.add(v)
+    minus_span = SpanBuilder(n)
+    for v in split.minus:
+        minus_span.add(v)
 
     for g in module.generators:
         in_k = k_span.contains(g.coords)

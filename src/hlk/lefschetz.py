@@ -237,15 +237,12 @@ class _Context:
         return out
 
 
-_CONTEXTS: dict = {}
-
-
 def _context(a: BigradedAlgebra, w, mode: str = "full") -> _Context:
-    key = (id(a), tuple(Scalar.of(x) for x in w), mode)
-    ctx = _CONTEXTS.get(key)
+    key = (tuple(Scalar.of(x) for x in w), mode)
+    ctx = a.lefschetz_contexts.get(key)
     if ctx is None:
         ctx = _Context(a, w, mode)
-        _CONTEXTS[key] = ctx
+        a.lefschetz_contexts[key] = ctx
     return ctx
 
 

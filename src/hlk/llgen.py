@@ -8,17 +8,24 @@ product-foliation phenomenon (N commuting sl2 blocks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .algebra import BigradedAlgebra
 from .exactlin import (
     DenseMatrix,
     Scalar,
     SpanBuilder,
+    Subspace,
     ZERO,
     ONE,
     kernel_image,
     rref,
+    unit_vector,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    zero_vector,
 )
 from .lefschetz import counting_operator  # noqa: F401  (re-exported here)
 
@@ -44,7 +51,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorLieAlgebra:
-    """A span of endomorphisms with echelon-canonical basis."""
+    """A span of endomorphisms with echelon-canonical basis.
+
+    ``basis`` is the reduced row echelon basis of the span (flattened
+    matrices as rows), so the coordinates of a member are its entries at
+    the pivot columns.  The echelon span, the structure constants and
+    the adjoint matrices are computed once, on first use.
+    """
 
     ambient: int
     basis: tuple            # DenseMatrix members, canonical order
@@ -55,13 +68,46 @@ class OperatorLieAlgebra:
         return len(self.basis)
 
     def span(self) -> SpanBuilder:
+        """A fresh echelon span of the basis, free for the caller to grow."""
         sb = SpanBuilder(self.ambient * self.ambient)
         for m in self.basis:
             sb.add(m.entries)
         return sb
 
+    @cached_property
+    def _echelon(self) -> SpanBuilder:
+        return self.span()
+
     def contains(self, mat: DenseMatrix) -> bool:
-        return self.span().contains(mat.entries)
+        return self._echelon.contains(mat.entries)
+
+    def coordinates(self, mat: DenseMatrix):
+        """Coordinates of ``mat`` in ``basis``, or None outside the span."""
+        return self._echelon.coordinates(mat.entries)
+
+    @cached_property
+    def _table(self) -> dict:
+        # [b_j, b_i] = -[b_i, b_j]: one commutator per unordered pair
+        dim = self.dim
+        table = {}
+        for i in range(dim):
+            table[(i, i)] = zero_vector(dim)
+            for j in range(i + 1, dim):
+                coords = self.coordinates(self.basis[i].commutator(self.basis[j]))
+                if coords is None:
+                    raise ValueError("algebra is not bracket closed")
+                table[(i, j)] = coords
+                table[(j, i)] = vec_neg(coords)
+        return table
+
+    @cached_property
+    def _ad(self) -> tuple:
+        """ad(b_i) as dim x dim matrices acting on coordinate columns."""
+        table = structure_constants(self)
+        return tuple(
+            DenseMatrix.from_columns([table[(i, j)] for j in range(self.dim)],
+                                     rows=self.dim)
+            for i in range(self.dim))
 
 
 def lie_closure(generators, cap: int = 2000) -> OperatorLieAlgebra:
@@ -106,65 +152,88 @@ def lie_closure(generators, cap: int = 2000) -> OperatorLieAlgebra:
         closed=True)
 
 
+# -- ideals in structure-constant coordinates ------------------------------
+
+
+def _ideal_coords(lie: OperatorLieAlgebra, seed) -> tuple:
+    """Echelon coordinate basis of the smallest ideal containing ``seed``.
+
+    Grows the ad-invariant span of the seed's coordinate vector and
+    stops as soon as it is all of ``lie``.
+    """
+    dim = lie.dim
+    sb = SpanBuilder(dim)
+    todo = [seed] if sb.add(seed) else []
+    while todo and sb.dim < dim:
+        x = todo.pop()
+        for ad in lie._ad:
+            y = ad.apply(x)
+            if sb.add(y):
+                todo.append(y)
+                if sb.dim == dim:
+                    break
+    return sb.basis
+
+
+def _as_ideal(lie: OperatorLieAlgebra, rows) -> OperatorLieAlgebra:
+    """The ideal with echelon coordinate basis ``rows``, as matrices."""
+    if len(rows) == lie.dim:
+        return lie if lie.closed else replace(lie, closed=True)
+    # lie.basis is reduced echelon with an identity block at its pivot
+    # columns, so the images of reduced echelon coordinate rows are
+    # already the reduced echelon basis of the ideal
+    n = lie.ambient
+    basis = []
+    for row in rows:
+        entries = zero_vector(n * n)
+        for c, b in zip(row, lie.basis):
+            if not c.is_zero():
+                entries = vec_add(entries, vec_scale(c, b.entries))
+        basis.append(DenseMatrix(n, n, entries))
+    return OperatorLieAlgebra(ambient=n, basis=tuple(basis), closed=True)
+
+
 def ideal_probe(lie: OperatorLieAlgebra, seed: DenseMatrix) -> OperatorLieAlgebra:
     """Smallest ideal of ``lie`` containing ``seed``."""
     if seed.rows != lie.ambient or seed.cols != lie.ambient:
         raise ValueError("seed has the wrong shape")
-    if not lie.contains(seed):
+    coords = lie.coordinates(seed)
+    if coords is None:
         raise ValueError("seed is not in the span of the algebra")
-    n = lie.ambient
-    sb = SpanBuilder(n * n)
-    frontier = []
-    if sb.add(seed.entries):
-        frontier.append(seed)
-    members = list(frontier)
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for b in lie.basis:
-                c = x.commutator(b)
-                if sb.add(c.entries):
-                    members.append(c)
-                    new_frontier.append(c)
-        frontier = new_frontier
-    return OperatorLieAlgebra(
-        ambient=n,
-        basis=tuple(DenseMatrix(n, n, row) for row in sb.basis),
-        closed=True)
+    return _as_ideal(lie, _ideal_coords(lie, coords))
 
 
 # -- structure constants, Killing form, ideals -----------------------------
 
 
 def structure_constants(lie: OperatorLieAlgebra):
-    """c[i][j] = coordinates of [b_i, b_j] in the canonical basis."""
-    sb = lie.span()
-    dim = lie.dim
-    table = {}
-    for i in range(dim):
-        for j in range(dim):
-            coords = sb.coordinates(lie.basis[i].commutator(lie.basis[j]).entries)
-            if coords is None:
-                raise ValueError("algebra is not bracket closed")
-            table[(i, j)] = coords
-    return table
+    """c[i][j] = coordinates of [b_i, b_j] in the canonical basis.
+
+    The table is computed once per algebra and shared by every caller.
+    """
+    return lie._table
 
 
 def killing_form(lie: OperatorLieAlgebra) -> DenseMatrix:
+    """K[i][j] = tr(ad b_i ad b_j), summed from the structure constants.
+
+    (ad b_i)[k][l] = c(i, l)_k, so tr(ad b_i ad b_j) is the sum of
+    c(i, l)_k c(j, k)_l over k and l: dim^4 products, no matrix products.
+    """
     dim = lie.dim
     table = structure_constants(lie)
-    ad = []
+    nonzero = [[(k, l, x) for l in range(dim)
+                for k, x in enumerate(table[(i, l)]) if not x.is_zero()]
+               for i in range(dim)]
+    entries = [ZERO] * (dim * dim)
     for i in range(dim):
-        ad.append(DenseMatrix.from_columns(
-            [table[(i, j)] for j in range(dim)], rows=dim))
-    entries = []
-    for i in range(dim):
-        for j in range(dim):
-            prod = ad[i].mul(ad[j])
+        for j in range(i, dim):
             tr = ZERO
-            for k in range(dim):
-                tr = tr + prod.at(k, k)
-            entries.append(tr)
+            for k, l, x in nonzero[i]:
+                y = table[(j, k)][l]
+                if not y.is_zero():
+                    tr = tr + x * y
+            entries[i * dim + j] = entries[j * dim + i] = tr
     return DenseMatrix(dim, dim, entries)
 
 
@@ -190,21 +259,18 @@ def center_dimension(lie: OperatorLieAlgebra) -> int:
 
 def minimal_ideals(lie: OperatorLieAlgebra):
     """Distinct minimal ideals among those generated by basis seeds."""
-    probed = {}
-    for b in lie.basis:
-        ideal = ideal_probe(lie, b)
-        probed[ideal.basis] = ideal
-    ideals = list(probed.values())
+    dim = lie.dim
+    ideals = list(dict.fromkeys(
+        _ideal_coords(lie, unit_vector(dim, k)) for k in range(dim)))
     minimal = []
     for cand in ideals:
-        sb = cand.span()
+        space = Subspace(dim, cand)
         proper_sub = any(
-            other.dim < cand.dim and all(sb.contains(m.entries)
-                                         for m in other.basis)
+            len(other) < len(cand) and all(space.contains(v) for v in other)
             for other in ideals)
         if not proper_sub:
             minimal.append(cand)
-    return minimal
+    return [_as_ideal(lie, rows) for rows in minimal]
 
 
 def is_sl2_block(sub: OperatorLieAlgebra) -> bool:

@@ -105,6 +105,27 @@ def test_llgen_product_model(catalog_dir, tmp_path):
     assert doc["summary"]["s1s2-N3:minimal-ideals"] == [3, 3, 3]
 
 
+@pytest.mark.parametrize("catalog_args,model,expected", [
+    (["g2-family", "--k", "3"], "g2-k3",
+     (10, "380bbab048cb44b60bf33612fa14ea84c0d320319d389aa3085fc7940167a66f",
+      [10])),
+    (["s1s2", "--n", "3"], "s1s2-N3",
+     (9, "8c29963752c4079bb6af7ca2d552909fa2b29924e1684d63734eafdeac18edd2",
+      [3, 3, 3])),
+])
+def test_llgen_golden_summary(tmp_path, catalog_args, model, expected):
+    # dimension, bracket digest and census recorded from the matrix-space
+    # implementation of the Lie layer
+    assert run(["catalog", *catalog_args, "--out-dir", str(tmp_path)]) == 0
+    report = tmp_path / "llgen.json"
+    assert run(["llgen", "--input", str(tmp_path / f"{model}.algebra.json"),
+                "--report", str(report)]) == 0
+    summary = json.loads(report.read_text())["summary"]
+    assert (summary[f"{model}:dimension"],
+            summary[f"{model}:bracket-digest"],
+            summary[f"{model}:minimal-ideals"]) == expected
+
+
 def test_llgen_large_even_part_skips(catalog_dir):
     assert run(["llgen",
                 "--input", str(catalog_dir / "k3-mock.algebra.json")]) == 0

@@ -1,7 +1,10 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from hlk import catalog
 from hlk import lefschetz as lz
 from hlk.algebra import BigradedAlgebra, validate_algebra
 from hlk.exactlin import (
@@ -82,6 +85,16 @@ def test_cone_matches_square_criterion(g2k3):
     for w in candidates:
         square_nonzero = not vec_is_zero(g2k3.mulvec(w, w))
         assert lz.kahler_cone_membership(g2k3, w, "even") == square_nonzero
+
+
+def test_cone_data_is_freed_with_its_algebra():
+    alg = catalog.torus_algebra()
+    assert lz.kahler_cone_membership(alg, alg.kahler)
+    lz.dual_lefschetz(alg, alg.kahler)
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
 
 
 # -- primitive theory ---------------------------------------------------------

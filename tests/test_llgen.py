@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlk import lefschetz as lz
 from hlk import llgen
-from hlk.exactlin import DenseMatrix, Scalar, kernel_image
+from hlk.exactlin import ZERO, DenseMatrix, Scalar, SpanBuilder, kernel_image
 
 
 def even_triples(alg, mode="even"):
@@ -14,6 +16,100 @@ def even_triples(alg, mode="even"):
         tri = lz.dual_lefschetz(alg, w, mode=mode)
         gens.extend([tri.L, tri.Lambda])
     return family, gens
+
+
+def product_closure(n_factors):
+    alg, family = llgen.product_model(n_factors)
+    gens = []
+    for w in family:
+        tri = lz.dual_lefschetz(alg, w)
+        gens.extend([tri.L, tri.Lambda])
+    return llgen.lie_closure(gens)
+
+
+# -- matrix-space references for the coordinate layer ------------------------
+
+
+def reference_probe(lie, seed):
+    """Echelon basis of the smallest ideal containing seed, grown by
+    n x n commutators with the basis."""
+    sb = SpanBuilder(lie.ambient * lie.ambient)
+    frontier = [seed] if sb.add(seed.entries) else []
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            for b in lie.basis:
+                c = x.commutator(b)
+                if sb.add(c.entries):
+                    new_frontier.append(c)
+        frontier = new_frontier
+    n = lie.ambient
+    return tuple(DenseMatrix(n, n, row) for row in sb.basis)
+
+
+def reference_killing(lie):
+    """tr(ad_i ad_j) from dense products of the adjoint matrices."""
+    dim = lie.dim
+    table = llgen.structure_constants(lie)
+    ad = [DenseMatrix.from_columns([table[(i, j)] for j in range(dim)],
+                                   rows=dim) for i in range(dim)]
+    entries = []
+    for i in range(dim):
+        for j in range(dim):
+            prod = ad[i].mul(ad[j])
+            tr = ZERO
+            for k in range(dim):
+                tr = tr + prod.at(k, k)
+            entries.append(tr)
+    return DenseMatrix(dim, dim, entries)
+
+
+def reference_minimal_ideals(lie):
+    """Minimal ideals among the reference probes of the basis members."""
+    ideals = list(dict.fromkeys(reference_probe(lie, b) for b in lie.basis))
+    minimal = []
+    for cand in ideals:
+        sb = SpanBuilder(lie.ambient * lie.ambient)
+        for m in cand:
+            sb.add(m.entries)
+        if not any(len(o) < len(cand) and all(sb.contains(m.entries)
+                                               for m in o)
+                   for o in ideals):
+            minimal.append(cand)
+    return minimal
+
+
+def conjugated_product_closure(n_factors, rng):
+    """product_closure(n_factors) conjugated by a random unitriangular P,
+    so that its echelon basis no longer splits along the factors, and
+    the map M -> P M P^-1."""
+    lie = product_closure(n_factors)
+    n = lie.ambient
+    nil = DenseMatrix.from_rows([[rng.randint(-2, 2) if j > i else 0
+                                  for j in range(n)] for i in range(n)])
+    p = DenseMatrix.identity(n).add(nil)
+    p_inv = DenseMatrix.identity(n)
+    term = DenseMatrix.identity(n)
+    for _ in range(n - 1):
+        term = term.mul(nil.scale(-1))
+        p_inv = p_inv.add(term)
+    assert p.mul(p_inv) == DenseMatrix.identity(n)
+
+    def conj(m):
+        return p.mul(m).mul(p_inv)
+
+    return lie, llgen.lie_closure([conj(b) for b in lie.basis]), conj
+
+
+def random_member(lie, rng):
+    """A member of lie with random coefficients, about half of them zero."""
+    n = lie.ambient
+    out = DenseMatrix.zero(n, n)
+    for b in lie.basis:
+        if rng.random() < 0.5:
+            c = Scalar(rng.randint(-3, 3), rng.randint(-2, 2))
+            out = out.add(b.scale(c))
+    return out
 
 
 def test_counting_operator_values(torus):
@@ -121,12 +217,63 @@ def test_ideal_probe_zero_seed(g2k2):
 
 
 def test_ideal_probe_rejects_outside_span(g2k2):
-    _, gens = even_triples(g2k2)
-    closed = llgen.lie_closure(gens)
-    outside = DenseMatrix.identity(closed.ambient)
-    if not closed.contains(outside):
+    for closed in (llgen.lie_closure(even_triples(g2k2)[1]),
+                   product_closure(2)):
+        outside = DenseMatrix.identity(closed.ambient)
+        assert not closed.contains(outside)
         with pytest.raises(ValueError):
             llgen.ideal_probe(closed, outside)
+        with pytest.raises(ValueError):
+            llgen.ideal_probe(closed, DenseMatrix.zero(1, 1))
+
+
+def test_ideal_probe_matches_commutator_closure(g2k2):
+    rng = random.Random(20020411)
+    closed = llgen.lie_closure(even_triples(g2k2)[1])
+    cases = [(closed, random_member(closed, rng)) for _ in range(8)]
+    # proper ideals whose echelon bases mix several basis members of
+    # the algebra: members of one factor of a conjugated product model
+    product, conjugated, conj = conjugated_product_closure(2, rng)
+    factors = llgen.minimal_ideals(product)
+    assert len(factors) == 2
+    for _ in range(4):
+        for factor in factors:
+            cases.append((conjugated, conj(random_member(factor, rng))))
+        cases.append((product, random_member(product, rng)))
+    proper = 0
+    for lie, seed in cases:
+        ideal = llgen.ideal_probe(lie, seed)
+        assert ideal.closed
+        assert ideal.basis == reference_probe(lie, seed)
+        proper += 0 < ideal.dim < lie.dim
+    assert proper >= 8
+
+
+def test_minimal_ideals_match_reference(g2k2, g2k3):
+    # the conjugated product model shows the basis-dependent census: the
+    # coordinate census must give the same answer as the matrix one
+    for closed in (llgen.lie_closure(even_triples(g2k2)[1]),
+                   llgen.lie_closure(even_triples(g2k3)[1]),
+                   product_closure(2),
+                   conjugated_product_closure(2, random.Random(7))[1]):
+        got = [i.basis for i in llgen.minimal_ideals(closed)]
+        assert got == reference_minimal_ideals(closed)
+
+
+def test_killing_form_matches_ad_products(g2k2, g2k3):
+    for closed in (llgen.lie_closure(even_triples(g2k2)[1]),
+                   llgen.lie_closure(even_triples(g2k3)[1]),
+                   product_closure(2)):
+        assert llgen.killing_form(closed) == reference_killing(closed)
+
+
+def test_structure_constants_are_cached(g2k2):
+    closed = llgen.lie_closure(even_triples(g2k2)[1])
+    table = llgen.structure_constants(closed)
+    assert llgen.structure_constants(closed) is table
+    for (i, j), coords in table.items():
+        bracket = closed.basis[i].commutator(closed.basis[j])
+        assert closed.coordinates(bracket) == coords
 
 
 def test_killing_nondegenerate_dense_models(g2k2, g2k3):
@@ -161,12 +308,7 @@ def test_lambda_kernel_property(g2k3):
 
 def test_product_model_dimensions():
     for n in (1, 2, 3):
-        alg, family = llgen.product_model(n)
-        gens = []
-        for w in family:
-            tri = lz.dual_lefschetz(alg, w)
-            gens.extend([tri.L, tri.Lambda])
-        closed = llgen.lie_closure(gens)
+        closed = product_closure(n)
         assert closed.closed and closed.dim == 3 * n
         ideals = llgen.minimal_ideals(closed)
         assert len(ideals) == n
@@ -175,12 +317,7 @@ def test_product_model_dimensions():
 
 
 def test_product_model_factor_ideal_is_proper():
-    alg, family = llgen.product_model(3)
-    gens = []
-    for w in family:
-        tri = lz.dual_lefschetz(alg, w)
-        gens.extend([tri.L, tri.Lambda])
-    closed = llgen.lie_closure(gens)
+    closed = product_closure(3)
     ideals = llgen.minimal_ideals(closed)
     assert all(i.dim == 3 for i in ideals)
     assert all(i.dim < closed.dim for i in ideals)
