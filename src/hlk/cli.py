@@ -25,7 +25,7 @@ from . import gkcoh
 from . import lefschetz as lz
 from . import llgen
 from .algebra import validate_algebra
-from .exactlin import Scalar, hermitian_definiteness, kernel_image
+from .exactlin import Scalar, hermitian_definiteness, kernel
 
 LARGE_EVEN_PART = 12
 
@@ -98,68 +98,71 @@ def _load_inputs(paths, report: Report):
 # -- catalog -----------------------------------------------------------------
 
 
-def _catalog_files(name: str, args):
-    if name == "torus":
-        return [("torus.algebra.json",
-                 fileio.algebra_to_doc(catalog.torus_algebra()))]
-    if name == "abelian-surface":
-        return [("abelian-surface.algebra.json",
-                 fileio.algebra_to_doc(catalog.abelian_surface_algebra()))]
-    if name == "k3-mock":
-        return [("k3-mock.algebra.json",
-                 fileio.algebra_to_doc(catalog.k3_algebra()))]
-    if name == "g2-family":
-        k = args.k
-        return [(f"g2-k{k}.algebra.json",
-                 fileio.algebra_to_doc(catalog.g2_family_algebra(k)))]
-    if name == "s1s2":
-        alg, _ = catalog.s1s2_model(args.n)
-        return [(f"s1s2-N{args.n}.algebra.json", fileio.algebra_to_doc(alg))]
-    if name == "sl2-pair":
-        return [("sl2R.pair.json", fileio.pair_to_doc(catalog.sl2_pair()))]
-    if name == "sl2-product-pair":
-        return [("sl2R-x-sl2R.pair.json",
-                 fileio.pair_to_doc(catalog.sl2_product_pair()))]
-    if name == "sl2-trivial":
-        return [("sl2-trivial.module.json",
-                 fileio.module_to_doc(catalog.sl2_trivial_module(args.window)))]
-    if name == "sl2-adjoint":
-        return [("sl2-adjoint.module.json",
-                 fileio.module_to_doc(catalog.sl2_adjoint_module(args.window)))]
-    if name == "sl2-ds-plus":
-        return [("sl2-ds-plus.module.json",
-                 fileio.module_to_doc(
-                     catalog.sl2_discrete_series_module(1, args.window)))]
-    if name == "sl2-ds-minus":
-        return [("sl2-ds-minus.module.json",
-                 fileio.module_to_doc(
-                     catalog.sl2_discrete_series_module(-1, args.window)))]
-    if name == "genus2-spectrum":
-        from .assembler import SpectrumEntry
+def _module_file(fname, build):
+    return lambda args: [(fname, fileio.module_to_doc(build(args.window)))]
 
-        entries = [SpectrumEntry(**e) for e in catalog.genus2_spectrum()]
-        return [("genus2.spectrum.json", fileio.spectrum_to_doc(entries))]
-    if name == "genus2-suite":
-        files = []
-        for sub in ("sl2-pair", "sl2-trivial", "sl2-ds-plus", "sl2-ds-minus",
-                    "genus2-spectrum"):
-            files.extend(_catalog_files(sub, args))
-        return files
-    raise fileio.InputError(f"unknown catalog name {name!r}")
+
+def _genus2_spectrum_files(args):
+    from .assembler import SpectrumEntry
+
+    entries = [SpectrumEntry(**e) for e in catalog.genus2_spectrum()]
+    return [("genus2.spectrum.json", fileio.spectrum_to_doc(entries))]
+
+
+def _genus2_suite_files(args):
+    return [f for sub in ("sl2-pair", "sl2-trivial", "sl2-ds-plus",
+                          "sl2-ds-minus", "genus2-spectrum")
+            for f in CATALOG[sub](args)]
+
+
+# catalog name -> builder of its (file name, document) list, in --list order
+CATALOG = {
+    "torus": lambda args: [(
+        "torus.algebra.json",
+        fileio.algebra_to_doc(catalog.torus_algebra()))],
+    "abelian-surface": lambda args: [(
+        "abelian-surface.algebra.json",
+        fileio.algebra_to_doc(catalog.abelian_surface_algebra()))],
+    "k3-mock": lambda args: [(
+        "k3-mock.algebra.json",
+        fileio.algebra_to_doc(catalog.k3_algebra()))],
+    "g2-family": lambda args: [(
+        f"g2-k{args.k}.algebra.json",
+        fileio.algebra_to_doc(catalog.g2_family_algebra(args.k)))],
+    "s1s2": lambda args: [(
+        f"s1s2-N{args.n}.algebra.json",
+        fileio.algebra_to_doc(catalog.s1s2_model(args.n)[0]))],
+    "sl2-pair": lambda args: [(
+        "sl2R.pair.json", fileio.pair_to_doc(catalog.sl2_pair()))],
+    "sl2-product-pair": lambda args: [(
+        "sl2R-x-sl2R.pair.json",
+        fileio.pair_to_doc(catalog.sl2_product_pair()))],
+    "sl2-trivial": _module_file("sl2-trivial.module.json",
+                                catalog.sl2_trivial_module),
+    "sl2-adjoint": _module_file("sl2-adjoint.module.json",
+                                catalog.sl2_adjoint_module),
+    "sl2-ds-plus": _module_file(
+        "sl2-ds-plus.module.json",
+        lambda window: catalog.sl2_discrete_series_module(1, window)),
+    "sl2-ds-minus": _module_file(
+        "sl2-ds-minus.module.json",
+        lambda window: catalog.sl2_discrete_series_module(-1, window)),
+    "genus2-spectrum": _genus2_spectrum_files,
+    "genus2-suite": _genus2_suite_files,
+}
 
 
 def cmd_catalog(args) -> int:
     if args.list:
-        for nm in ("torus", "abelian-surface", "k3-mock", "g2-family",
-                   "s1s2", "sl2-pair", "sl2-product-pair", "sl2-trivial",
-                   "sl2-adjoint", "sl2-ds-plus", "sl2-ds-minus",
-                   "genus2-spectrum", "genus2-suite"):
+        for nm in CATALOG:
             print(nm)
         return 0
     if not args.name:
         print("catalog: a name is required (or --list)", file=sys.stderr)
         return 2
-    files = _catalog_files(args.name, args)
+    if args.name not in CATALOG:
+        raise fileio.InputError(f"unknown catalog name {args.name!r}")
+    files = CATALOG[args.name](args)
     os.makedirs(args.out_dir, exist_ok=True)
     for fname, doc in files:
         path = os.path.join(args.out_dir, fname)
@@ -384,9 +387,8 @@ def cmd_llgen(args) -> int:
             for tri in triples:
                 deg2 = [t for t, gidx in enumerate(tri.indices)
                         if alg.degree_of_index(gidx) == 2]
-                lker, _ = kernel_image(tri.L.submatrix(
-                    range(tri.L.rows), deg2))
-                mker, _ = kernel_image(tri.Lambda.submatrix(
+                lker = kernel(tri.L.submatrix(range(tri.L.rows), deg2))
+                mker = kernel(tri.Lambda.submatrix(
                     range(tri.Lambda.rows), deg2))
                 kernels_ok = kernels_ok and lker == mker
             report.check(f"{base}:lambda-kernel",
@@ -441,7 +443,7 @@ def cmd_gkcoh(args) -> int:
         except gkcoh.WindowError as exc:
             report.check(f"{label}:window", False, str(exc))
             continue
-        cx = gkcoh.build_complex(pair, split, module)
+        cx = analysis.cx
         report.check(f"{label}:d-squared", gkcoh.complex_sanity(cx),
                      "d'^2 = d''^2 = d'd''+d''d' = 0")
         report.check(f"{label}:dichotomy", analysis.dichotomy.holds
@@ -484,12 +486,19 @@ def cmd_assemble(args) -> int:
     entries = spectra[0]
     rep = gkcoh.validate_pair(pair)
     report.check(f"pair:{pair.name}", rep.ok, rep.summary())
+    if not rep.ok:
+        report.write(args.report)
+        return 1
     split = gkcoh.split_p(pair)
-    analyses = {}
     for module in modules:
         vrep = gkcoh.validate_module(pair, split, module)
         report.check(f"{module.name}:validate", vrep.ok, vrep.summary())
-        analyses[module.name] = gkcoh.analyze_module(pair, split, module)
+    # diamond verdicts computed from an invalid module would mean nothing
+    if report.failed:
+        report.write(args.report)
+        return 1
+    analyses = {module.name: gkcoh.analyze_module(pair, split, module)
+                for module in modules}
     try:
         assembled = asm.assemble(entries, analyses)
     except KeyError as exc:

@@ -23,6 +23,8 @@ __all__ = [
     "SpanBuilder",
     "rref",
     "solve",
+    "inverse",
+    "kernel",
     "kernel_image",
     "quotient_cohomology",
     "symmetric_signature",
@@ -39,22 +41,27 @@ __all__ = [
 ]
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
+_new = object.__new__
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _mk(re: Fraction, im: Fraction) -> "Scalar":
+    """A Scalar from two Fractions, skipping ``__init__``'s coercion."""
+    s = _new(Scalar)
+    s.re = re
+    s.im = im
+    return s
 
 
 class Scalar:
     """An exact element re + im*i of Q(i).
 
     Instances are immutable by convention: nothing in this package ever
-    writes to ``re``/``im`` after construction.
+    writes to ``re``/``im`` after construction, so the operators may
+    return an operand unchanged.  Both parts are always Fractions.
     """
 
     __slots__ = ("re", "im")
@@ -71,62 +78,86 @@ class Scalar:
 
     def __add__(self, other):
         o = other if isinstance(other, Scalar) else Scalar(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        if not o.re and not o.im:
+            return self
+        if not self.re and not self.im:
+            return o
+        if not o.im:
+            return _mk(self.re + o.re, self.im)
+        if not self.im:
+            return _mk(self.re + o.re, o.im)
+        return _mk(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = other if isinstance(other, Scalar) else Scalar(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        if not o.re and not o.im:
+            return self
+        if not self.re and not self.im:
+            return -o
+        if not o.im:
+            return _mk(self.re - o.re, self.im)
+        return _mk(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         return Scalar(other) - self
 
     def __mul__(self, other):
         o = other if isinstance(other, Scalar) else Scalar(other)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b:
+            if not d:
+                return _mk(a * c, _F0)
+            return _mk(a * c, a * d)
+        if not d:
+            return _mk(a * c, b * c)
+        return _mk(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = other if isinstance(other, Scalar) else Scalar(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return Scalar((self.re * o.re + self.im * o.im) / n,
-                      (self.im * o.re - self.re * o.im) / n)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            return _mk(a / c, b / c if b else _F0)
+        n = c * c + d * d
+        return _mk((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
         return Scalar(other) / self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _mk(-self.re, -self.im if self.im else _F0)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        if not self.im:
+            return self
+        return _mk(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return not self.im and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -187,7 +218,7 @@ def vec_conj(a):
 
 
 def vec_is_zero(a) -> bool:
-    return all(x.is_zero() for x in a)
+    return not any(a)
 
 
 class DenseMatrix:
@@ -379,30 +410,52 @@ def rref(row_vectors):
     for c in range(ncols):
         pivot_row = None
         for k in range(r, len(rows)):
-            if not rows[k][c].is_zero():
+            if rows[k][c]:
                 pivot_row = k
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != ONE:
-            rows[r] = [inv * x for x in rows[r]]
+        rr = rows[r]
+        # entries left of c are zero in the pivot row
+        support = [j for j in range(c, ncols) if rr[j]]
+        if rr[c] != ONE:
+            inv = ONE / rr[c]
+            for j in support:
+                rr[j] = inv * rr[j]
         for k in range(len(rows)):
             if k == r:
                 continue
-            f = rows[k][c]
-            if f.is_zero():
+            rk = rows[k]
+            f = rk[c]
+            if not f:
                 continue
-            rk, rr = rows[k], rows[r]
-            for j in range(c, ncols):
-                if not rr[j].is_zero():
-                    rk[j] = rk[j] - f * rr[j]
+            for j in support:
+                rk[j] = rk[j] - f * rr[j]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return [tuple(row) for row in rows[:r]], pivots
+
+
+def _reduce(vector, echelon):
+    """Reduce ``vector`` against reduced echelon rows.
+
+    ``echelon`` yields (pivot column, row) pairs with ascending pivots.
+    Returns the residual as a list and the coefficient of each row.
+    """
+    v = list(vector)
+    coeffs = []
+    for p, row in echelon:
+        f = v[p]
+        coeffs.append(f)
+        if f:
+            for j in range(p, len(row)):
+                x = row[j]
+                if x:
+                    v[j] = v[j] - f * x
+    return v, coeffs
 
 
 @dataclass(frozen=True)
@@ -430,15 +483,9 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vector) -> bool:
-        v = list(vector)
-        for row in self.basis:
-            p = _leading_index(row)
-            f = v[p]
-            if not f.is_zero():
-                for j in range(p, self.ambient):
-                    if not row[j].is_zero():
-                        v[j] = v[j] - f * row[j]
-        return all(x.is_zero() for x in v)
+        v, _ = _reduce(vector, ((_leading_index(row), row)
+                                for row in self.basis))
+        return vec_is_zero(v)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -451,7 +498,7 @@ class Subspace:
 
 def _leading_index(row) -> int:
     for j, x in enumerate(row):
-        if not x.is_zero():
+        if x:
             return j
     raise ValueError("zero row has no leading index")
 
@@ -467,54 +514,38 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vector):
-        v = list(vector)
-        for p, row in self._rows:
-            f = v[p]
-            if not f.is_zero():
-                for j in range(p, self.ambient):
-                    if not row[j].is_zero():
-                        v[j] = v[j] - f * row[j]
-        return v
-
     def contains(self, vector) -> bool:
-        return all(x.is_zero() for x in self._reduce(vector))
+        v, _ = _reduce(vector, self._rows)
+        return vec_is_zero(v)
 
     def add(self, vector) -> bool:
         """Insert a vector; returns True when the span grew."""
-        v = self._reduce(vector)
+        v, _ = _reduce(vector, self._rows)
         pivot = None
         for j, x in enumerate(v):
-            if not x.is_zero():
+            if x:
                 pivot = j
                 break
         if pivot is None:
             return False
-        inv = ONE / v[pivot]
-        if inv != ONE:
-            v = [inv * x for x in v]
+        support = [j for j in range(pivot, self.ambient) if v[j]]
+        if v[pivot] != ONE:
+            inv = ONE / v[pivot]
+            for j in support:
+                v[j] = inv * v[j]
         for p, row in self._rows:
             f = row[pivot]
-            if not f.is_zero():
-                for j in range(pivot, self.ambient):
-                    if not v[j].is_zero():
-                        row[j] = row[j] - f * v[j]
+            if f:
+                for j in support:
+                    row[j] = row[j] - f * v[j]
         self._rows.append((pivot, v))
         self._rows.sort(key=lambda t: t[0])
         return True
 
     def coordinates(self, vector):
         """Coefficients of ``vector`` in the canonical basis, or None."""
-        v = list(vector)
-        coeffs = [ZERO] * len(self._rows)
-        for k, (p, row) in enumerate(self._rows):
-            f = v[p]
-            if not f.is_zero():
-                coeffs[k] = f
-                for j in range(p, self.ambient):
-                    if not row[j].is_zero():
-                        v[j] = v[j] - f * row[j]
-        if not all(x.is_zero() for x in v):
+        v, coeffs = _reduce(vector, self._rows)
+        if not vec_is_zero(v):
             return None
         return tuple(coeffs)
 
@@ -545,22 +576,44 @@ def solve(a: DenseMatrix, b):
     return tuple(x)
 
 
-def kernel_image(a: DenseMatrix):
-    """Kernel and image of a matrix, both as canonical Subspaces."""
+def inverse(m: DenseMatrix):
+    """The inverse of a square matrix, or None when m is singular or not
+    square."""
+    n = m.rows
+    if m.cols != n:
+        return None
+    aug = []
+    for i in range(n):
+        row = list(m.row(i)) + [ZERO] * n
+        row[n + i] = ONE
+        aug.append(row)
+    rows, pivots = rref(aug)
+    if len(rows) != n or pivots[:n] != list(range(n)):
+        return None
+    return DenseMatrix.from_rows([row[n:] for row in rows])
+
+
+def kernel(a: DenseMatrix) -> Subspace:
+    """Kernel of a matrix as a canonical Subspace."""
     rows, pivots = rref(a.row_lists())
     pivot_set = set(pivots)
-    free = [j for j in range(a.cols) if j not in pivot_set]
     kernel_vectors = []
-    for f in free:
+    for f in range(a.cols):
+        if f in pivot_set:
+            continue
         v = [ZERO] * a.cols
         v[f] = ONE
         for row, p in zip(rows, pivots):
             v[p] = -row[f]
         kernel_vectors.append(tuple(v))
-    kernel = Subspace.from_vectors(a.cols, kernel_vectors)
+    return Subspace.from_vectors(a.cols, kernel_vectors)
+
+
+def kernel_image(a: DenseMatrix):
+    """Kernel and image of a matrix, both as canonical Subspaces."""
     image = Subspace.from_vectors(a.rows,
                                   [a.column(j) for j in range(a.cols)])
-    return kernel, image
+    return kernel(a), image
 
 
 def quotient_cohomology(d_in: DenseMatrix, d_out: DenseMatrix) -> Subspace:
@@ -574,18 +627,12 @@ def quotient_cohomology(d_in: DenseMatrix, d_out: DenseMatrix) -> Subspace:
         raise ValueError("middle dimensions of the complex do not match")
     if d_in.cols and d_out.rows and not d_out.mul(d_in).is_zero_matrix():
         raise ValueError("composition d_out . d_in is nonzero")
-    kernel, _ = kernel_image(d_out)
     image_rows, image_pivots = rref([d_in.column(j) for j in range(d_in.cols)])
+    image = list(zip(image_pivots, image_rows))
     reduced = []
-    for v in kernel.basis:
-        w = list(v)
-        for row, p in zip(image_rows, image_pivots):
-            f = w[p]
-            if not f.is_zero():
-                for j in range(p, len(w)):
-                    if not row[j].is_zero():
-                        w[j] = w[j] - f * row[j]
-        if not all(x.is_zero() for x in w):
+    for v in kernel(d_out).basis:
+        w, _ = _reduce(v, image)
+        if not vec_is_zero(w):
             reduced.append(tuple(w))
     return Subspace.from_vectors(d_in.rows, reduced)
 

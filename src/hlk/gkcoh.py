@@ -27,7 +27,8 @@ from .exactlin import (
     ZERO,
     ONE,
     hermitian_definiteness,
-    kernel_image,
+    inverse,
+    kernel,
     quotient_cohomology,
     rref,
     solve,
@@ -256,8 +257,7 @@ def split_p(pair: ReductivePair) -> PSplit:
     plus, minus = [], []
     for sign, out in ((Scalar(0, 1), plus), (Scalar(0, -1), minus)):
         shifted = block.sub(DenseMatrix.diagonal([sign] * d2))
-        kernel, _ = kernel_image(shifted)
-        for v in kernel.basis:
+        for v in kernel(shifted).basis:
             full = [ZERO] * n
             for val, t in zip(v, p_idx):
                 full[t] = val
@@ -299,6 +299,9 @@ class AdmissibleModule:
             self.offsets[w] = off
             off += self.weights[w]
         self.total_dim = off
+        # weight of each flat coordinate, so sparse vectors find their pieces
+        self.weight_at = tuple(w for w in self.sorted_weights
+                               for _ in range(self.weights[w]))
         self.gen_by_name = {g.name: g for g in self.generators}
 
     def dim_at(self, w: int) -> int:
@@ -331,8 +334,26 @@ class AdmissibleModule:
         return sorted({g.shift for g in self.generators})
 
 
+def _sparse(vec) -> dict:
+    return {t: x for t, x in enumerate(vec) if x}
+
+
+def _sparse_add(a: dict, b: dict, c: Scalar | None = None) -> dict:
+    """a + c*b (a + b without c) for sparse vectors."""
+    out = dict(a)
+    for t, v in b.items():
+        out[t] = out.get(t, ZERO) + (v if c is None else c * v)
+    return {t: v for t, v in out.items() if v}
+
+
 class ModuleOps:
-    """Operator calculus for a module over a fixed pair and split."""
+    """Operator calculus for a module over a fixed pair and split.
+
+    Vectors are flat over the window.  The sparse form {flat index:
+    nonzero Scalar} lets an operator touch only the weights a vector
+    lives on, so a chain of actions on a weight vector costs the same
+    whatever the window.
+    """
 
     def __init__(self, pair: ReductivePair, split: PSplit,
                  module: AdmissibleModule):
@@ -343,7 +364,7 @@ class ModuleOps:
             [g.coords for g in module.generators], rows=pair.dim)
         if gamma.cols != pair.dim:
             raise ValueError("module generators must form a basis of g1_C")
-        self.gamma_inv = _invert_or_none(gamma)
+        self.gamma_inv = inverse(gamma)
         if self.gamma_inv is None:
             raise ValueError("module generators are linearly dependent")
 
@@ -353,13 +374,29 @@ class ModuleOps:
 
     def apply_gen(self, gen: ModuleGenerator, vec):
         """Apply one generator to a flat windowed vector."""
+        return self._dense(self._gen_sparse(gen, _sparse(vec)))
+
+    def apply(self, x, vec):
+        """Apply rho(x) for any x in g1_C to a flat windowed vector."""
+        return self._dense(self.apply_sparse(x, _sparse(vec)))
+
+    def apply_sparse(self, x, sv: dict) -> dict:
+        """rho(x) on a sparse vector {flat index: nonzero Scalar}; the
+        result is sparse in the same sense."""
+        out = {}
+        for c, gen in zip(self.expand(x), self.module.generators):
+            if c:
+                out = _sparse_add(out, self._gen_sparse(gen, sv), c)
+        return out
+
+    def _gen_sparse(self, gen: ModuleGenerator, sv: dict) -> dict:
+        # visits only the weights where sv is nonzero, lowest first, and
+        # raises WindowError for the first of them whose image would leave
+        # the window; a generator maps distinct weights to distinct ones,
+        # so every output index is written once
         m = self.module
-        out = [ZERO] * m.total_dim
-        for w in m.sorted_weights:
-            lo, hi = m.slice_of(w)
-            piece = vec[lo:hi]
-            if all(x.is_zero() for x in piece):
-                continue
+        out = {}
+        for w in dict.fromkeys(m.weight_at[t] for t in sorted(sv)):
             target = w + gen.shift
             if abs(target) > m.window:
                 raise WindowError(
@@ -367,30 +404,23 @@ class ModuleOps:
             if m.weights.get(target, 0) == 0:
                 continue
             block = m.action_block(gen.name, w)
-            tlo, thi = m.slice_of(target)
-            img = block.apply(tuple(piece))
-            for t, val in enumerate(img):
-                if not val.is_zero():
-                    out[tlo + t] = out[tlo + t] + val
-        return tuple(out)
+            lo, hi = m.slice_of(w)
+            tlo, _ = m.slice_of(target)
+            piece = [sv.get(t, ZERO) for t in range(lo, hi)]
+            for t, val in enumerate(block.apply(piece)):
+                if val:
+                    out[tlo + t] = val
+        return out
 
-    def apply(self, x, vec):
-        """Apply rho(x) for any x in g1_C to a flat windowed vector."""
-        coeffs = self.expand(x)
+    def _dense(self, sv: dict) -> tuple:
         out = [ZERO] * self.module.total_dim
-        for c, gen in zip(coeffs, self.module.generators):
-            if c.is_zero():
-                continue
-            img = self.apply_gen(gen, vec)
-            for t, val in enumerate(img):
-                if not val.is_zero():
-                    out[t] = out[t] + c * val
+        for t, v in sv.items():
+            out[t] = v
         return tuple(out)
 
     def matrix(self, x) -> DenseMatrix:
         d = self.module.total_dim
-        cols = [self.apply(x, tuple(ONE if t == j else ZERO for t in range(d)))
-                for j in range(d)]
+        cols = [self._dense(self.apply_sparse(x, {j: ONE})) for j in range(d)]
         return DenseMatrix.from_columns(cols, rows=d)
 
     def gram(self) -> DenseMatrix:
@@ -407,15 +437,14 @@ class ModuleOps:
         return DenseMatrix.from_rows(entries)
 
 
-def _invert_or_none(m: DenseMatrix):
-    if m.rows != m.cols:
-        return None
-    aug = [list(m.row(i)) + list(DenseMatrix.identity(m.rows).row(i))
-           for i in range(m.rows)]
-    rows, pivots = rref(aug)
-    if len(rows) != m.rows or pivots[:m.rows] != list(range(m.rows)):
-        return None
-    return DenseMatrix.from_rows([row[m.rows:] for row in rows])
+def _interior_weights(module: AdmissibleModule) -> list:
+    """Present weights from which every one- and two-step composition of
+    generator shifts stays inside the window."""
+    shifts = [g.shift for g in module.generators]
+    w = module.window
+    return [n for n in module.sorted_weights
+            if all(abs(n + s) <= w for s in shifts)
+            and all(abs(n + s + t) <= w for s in shifts for t in shifts)]
 
 
 def validate_module(pair: ReductivePair, split: PSplit,
@@ -490,13 +519,7 @@ def validate_module(pair: ReductivePair, split: PSplit,
         return rep
 
     ops = ModuleOps(pair, split, module)
-    shifts = [g.shift for g in module.generators]
-
-    def two_step_interior(w):
-        return all(abs(w + s) <= module.window for s in shifts) and \
-            all(abs(w + s + t) <= module.window for s in shifts for t in shifts)
-
-    interior = [w for w in module.sorted_weights if two_step_interior(w)]
+    interior = _interior_weights(module)
 
     # bracket compatibility on interior weights
     for gi in module.generators:
@@ -505,13 +528,13 @@ def validate_module(pair: ReductivePair, split: PSplit,
             for w in interior:
                 lo, hi = module.slice_of(w)
                 for t in range(lo, hi):
-                    basis_vec = tuple(ONE if u == t else ZERO
-                                      for u in range(module.total_dim))
-                    lhs = ops.apply(gi.coords, ops.apply(gj.coords, basis_vec))
-                    rhs = ops.apply(gj.coords, ops.apply(gi.coords, basis_vec))
-                    com = tuple(a - b for a, b in zip(lhs, rhs))
-                    target = ops.apply(lie, basis_vec)
-                    if com != target:
+                    e_t = {t: ONE}
+                    lhs = ops.apply_sparse(gi.coords,
+                                           ops.apply_sparse(gj.coords, e_t))
+                    rhs = ops.apply_sparse(gj.coords,
+                                           ops.apply_sparse(gi.coords, e_t))
+                    # rho(gi) rho(gj) - rho(gj) rho(gi) = rho([gi, gj])
+                    if lhs != _sparse_add(rhs, ops.apply_sparse(lie, e_t)):
                         rep.add("bracket-compatibility",
                                 f"rho([{gi.name},{gj.name}]) mismatch at "
                                 f"weight {w}")
@@ -680,8 +703,7 @@ def build_complex(pair: ReductivePair, split: PSplit,
                         if any(not x.is_zero() for x in row):
                             rows.append(row)
             if rows:
-                kernel, _ = kernel_image(DenseMatrix.from_rows(rows))
-                bases[(p, q)] = kernel.basis
+                bases[(p, q)] = kernel(DenseMatrix.from_rows(rows)).basis
             else:
                 bases[(p, q)] = Subspace.full(ambient).basis
 
@@ -923,20 +945,19 @@ def laplacian_kernel_dims(pair: ReductivePair, split: PSplit,
         d_n = total_differential(cx, n)
         lap = DenseMatrix.zero(d_n.cols, d_n.cols)
         if d_n.rows and d_n.cols:
-            gn_inv = _invert_or_none(total_gram[n])
+            gn_inv = inverse(total_gram[n])
             dn_star = gn_inv.mul(d_n.conj_transpose()).mul(total_gram[n + 1])
             lap = lap.add(dn_star.mul(d_n))
         if n > 0:
             d_prev = total_differential(cx, n - 1)
             if d_prev.rows and d_prev.cols:
-                gp_inv = _invert_or_none(total_gram[n - 1])
+                gp_inv = inverse(total_gram[n - 1])
                 dp_star = gp_inv.mul(d_prev.conj_transpose()).mul(total_gram[n])
                 lap = lap.add(d_prev.mul(dp_star))
         if lap.rows == 0:
             out[n] = 0
         else:
-            kernel, _ = kernel_image(lap)
-            out[n] = kernel.dim
+            out[n] = kernel(lap).dim
     return out
 
 
@@ -972,17 +993,10 @@ def casimir_action(pair: ReductivePair, split: PSplit,
     present weight is interior the window is too small.
     """
     ops = ModuleOps(pair, split, module)
-    b_inv = _invert_or_none(pair.b_form)
+    b_inv = inverse(pair.b_form)
     if b_inv is None:
         raise ValueError("B is degenerate")
-    shifts = [g.shift for g in module.generators]
-    w = module.window
-
-    def interior(n):
-        return all(abs(n + s) <= w for s in shifts) and \
-            all(abs(n + s + t) <= w for s in shifts for t in shifts)
-
-    interior_weights = [n for n in module.sorted_weights if interior(n)]
+    interior_weights = _interior_weights(module)
     if module.sorted_weights and not interior_weights:
         raise WindowError("window too small for any Casimir composition")
     scalars = {}
@@ -993,31 +1007,24 @@ def casimir_action(pair: ReductivePair, split: PSplit,
         dim_n = hi - lo
         cols = []
         for t in range(dim_n):
-            vec = [ZERO] * m.total_dim
-            vec[lo + t] = ONE
-            total = [ZERO] * m.total_dim
+            total = {}
             for i in range(pair.dim):
-                dual = b_inv.column(i)
-                step = ops.apply(dual, tuple(vec))
-                step = ops.apply(pair.basis_vector(i), step)
-                total = [a + bb for a, bb in zip(total, step)]
-            cols.append(tuple(total))
+                step = ops.apply_sparse(b_inv.column(i), {lo + t: ONE})
+                step = ops.apply_sparse(pair.basis_vector(i), step)
+                total = _sparse_add(total, step)
+            cols.append(total)
         # off-weight components must cancel (C is central)
-        ok = True
-        for col in cols:
-            for t, v in enumerate(col):
-                if not v.is_zero() and not (lo <= t < hi):
-                    ok = False
+        ok = all(lo <= t < hi for col in cols for t in col)
         diag = None
         if ok:
             first = None
             for t in range(dim_n):
-                val = cols[t][lo + t]
+                val = cols[t].get(lo + t, ZERO)
                 if first is None:
                     first = val
                 for s in range(dim_n):
                     expected = first if s == t else ZERO
-                    if cols[t][lo + s] != expected:
+                    if cols[t].get(lo + s, ZERO) != expected:
                         ok = False
             diag = first
         if ok and diag is not None:
@@ -1148,6 +1155,7 @@ class ModuleAnalysis:
     casimir: CasimirResult
     dichotomy: DichotomyResult
     lefschetz: dict | None       # (p,q) -> matrix, on the d = 0 branch
+    cx: RelativeComplex          # the complex all of the above was read from
 
     @property
     def contributes(self) -> bool:
@@ -1169,4 +1177,5 @@ def analyze_module(pair: ReductivePair, split: PSplit,
         hodge_dims=cohomology_bigraded(cx),
         casimir=cas,
         dichotomy=dich,
-        lefschetz=lef)
+        lefschetz=lef,
+        cx=cx)

@@ -20,7 +20,8 @@ from .exactlin import (
     ZERO,
     ONE,
     i_power,
-    kernel_image,
+    inverse,
+    kernel,
     rref,
     solve,
     symmetric_signature,
@@ -179,9 +180,8 @@ class _Context:
             return []
         power = self.l_power(g - r + 1)
         block = power.submatrix(list(range(self.dim)), idxs)
-        kernel, _ = kernel_image(block)
         basis = []
-        for v in kernel.basis:
+        for v in kernel(block).basis:
             vec = [ZERO] * self.dim
             for val, loc in zip(v, idxs):
                 vec[loc] = val
@@ -307,19 +307,11 @@ def _lambda_constructive(ctx: _Context) -> DenseMatrix:
     if m_mat.cols != ctx.dim:
         raise ConeError("Lefschetz level basis does not span; class not in cone")
     # Lambda = N M^{-1}, computed by inverting M once.
-    inv = _invert(m_mat)
+    inv = inverse(m_mat)
+    if inv is None:
+        raise ValueError("matrix is singular")
     n_mat = DenseMatrix.from_columns(images, rows=ctx.dim)
     return n_mat.mul(inv)
-
-
-def _invert(m: DenseMatrix) -> DenseMatrix:
-    n = m.rows
-    aug = [list(m.row(i)) + list(DenseMatrix.identity(n).row(i))
-           for i in range(n)]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)) or len(rows) != n:
-        raise ValueError("matrix is singular")
-    return DenseMatrix.from_rows([row[n:] for row in rows])
 
 
 def _lambda_by_solve(ctx: _Context) -> tuple:

@@ -19,7 +19,7 @@ from .exactlin import (
     Subspace,
     ZERO,
     ONE,
-    kernel_image,
+    kernel,
     rref,
     unit_vector,
     vec_add,
@@ -253,8 +253,7 @@ def center_dimension(lie: OperatorLieAlgebra) -> int:
     for j in range(dim):          # bracket against b_j
         for t in range(dim):      # component t of the result
             rows.append([table[(k, j)][t] for k in range(dim)])
-    kernel, _ = kernel_image(DenseMatrix.from_rows(rows))
-    return kernel.dim
+    return kernel(DenseMatrix.from_rows(rows)).dim
 
 
 def minimal_ideals(lie: OperatorLieAlgebra):

@@ -171,6 +171,55 @@ def test_assemble_asymmetric_spectrum_fails(catalog_dir, tmp_path):
     assert code == 1
 
 
+def test_assemble_stops_on_invalid_module(catalog_dir, tmp_path):
+    doc = json.loads((catalog_dir / "sl2-ds-plus.module.json").read_text())
+    for entry in doc["weights"]:
+        entry["form"] = [[{"re": {"num": -1, "den": 1},
+                           "im": {"num": 0, "den": 1}}]]
+        break
+    bad = tmp_path / "sl2-ds-plus.module.json"
+    bad.write_text(fileio.canonical_dumps(doc))
+    report = tmp_path / "asm.json"
+    code = run(["assemble",
+                "--input", str(catalog_dir / "sl2R.pair.json"),
+                "--input", str(catalog_dir / "sl2-trivial.module.json"),
+                "--input", str(bad),
+                "--input", str(catalog_dir / "sl2-ds-minus.module.json"),
+                "--input", str(catalog_dir / "genus2.spectrum.json"),
+                "--report", str(report)])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["sl2-ds-plus:validate"]["status"] == "fail"
+    assert "form-positive" in checks["sl2-ds-plus:validate"]["detail"]
+    assert not [name for name in checks if name.startswith("diamond:")]
+
+
+def test_gkcoh_builds_each_complex_once(catalog_dir, monkeypatch):
+    from hlk import gkcoh
+
+    calls = []
+    build = gkcoh.build_complex
+
+    def counting(*args):
+        calls.append(args[2].name)
+        return build(*args)
+
+    monkeypatch.setattr(gkcoh, "build_complex", counting)
+    assert run(["gkcoh",
+                "--input", str(catalog_dir / "sl2R.pair.json"),
+                "--input", str(catalog_dir / "sl2-trivial.module.json"),
+                "--input", str(catalog_dir / "sl2-adjoint.module.json")]) == 0
+    assert calls == ["sl2-trivial", "sl2-adjoint"]
+
+
+def test_catalog_list_order(capsys):
+    assert run(["catalog", "--list"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "torus", "abelian-surface", "k3-mock", "g2-family", "s1s2",
+        "sl2-pair", "sl2-product-pair", "sl2-trivial", "sl2-adjoint",
+        "sl2-ds-plus", "sl2-ds-minus", "genus2-spectrum", "genus2-suite"]
+
+
 def test_assemble_dangling_module(catalog_dir, tmp_path):
     spectrum = tmp_path / "dangling.spectrum.json"
     spectrum.write_text(fileio.canonical_dumps(

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from hlk.exactlin import (
     DenseMatrix,
     Scalar,
+    SpanBuilder,
     Subspace,
     determinant,
     hermitian_definiteness,
+    inverse,
+    kernel,
     kernel_image,
     quotient_cohomology,
     rref,
@@ -211,3 +214,190 @@ def test_determinant():
     m = DenseMatrix.from_rows([[Scalar(1), Scalar(2)], [Scalar(3), Scalar(4)]])
     assert determinant(m) == Scalar(-2)
     assert determinant(DenseMatrix.zero(2, 2)).is_zero()
+
+
+# -- Scalar against a plain (re, im) pair of Fractions --------------------
+
+F0 = Fraction(0)
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def ref_hash(x):
+    return hash(x[0]) if x[1] == 0 else hash(x)
+
+
+# zero, one, real and non-real parts, with the special values drawn often
+special_parts = st.sampled_from(
+    [(F0, F0), (Fraction(1), F0), (Fraction(-1), F0), (F0, Fraction(1)),
+     (Fraction(3, 2), F0), (F0, Fraction(-2, 3))])
+parts = st.one_of(special_parts, st.tuples(rationals, st.just(F0)),
+                  st.tuples(rationals, rationals))
+# an operand is a Scalar (given by its parts) or a plain int
+operands = st.one_of(parts, st.integers(-3, 3))
+
+
+def as_scalar(op):
+    return Scalar(*op) if isinstance(op, tuple) else op
+
+
+def as_parts(op):
+    return op if isinstance(op, tuple) else (Fraction(op), F0)
+
+
+def assert_parts(value, expected):
+    assert isinstance(value, Scalar)
+    assert type(value.re) is Fraction and type(value.im) is Fraction
+    assert (value.re, value.im) == expected
+
+
+@given(parts, operands)
+@settings(max_examples=250, deadline=None)
+def test_scalar_matches_fraction_pairs(xp, yop):
+    x, y, yp = Scalar(*xp), as_scalar(yop), as_parts(yop)
+    assert_parts(x + y, ref_add(xp, yp))
+    assert_parts(y + x, ref_add(yp, xp))
+    assert_parts(x - y, ref_sub(xp, yp))
+    assert_parts(y - x, ref_sub(yp, xp))
+    assert_parts(x * y, ref_mul(xp, yp))
+    assert_parts(y * x, ref_mul(yp, xp))
+    if yp != (F0, F0):
+        assert_parts(x / y, ref_div(xp, yp))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if xp != (F0, F0):
+        assert_parts(y / x, ref_div(yp, xp))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y / x
+    assert_parts(-x, (-xp[0], -xp[1]))
+    assert_parts(x.conjugate(), (xp[0], -xp[1]))
+    assert bool(x) == (xp != (F0, F0))
+    assert x.is_zero() == (xp == (F0, F0))
+    assert x.is_real() == (xp[1] == 0)
+    assert (x == y) == (xp == yp)
+    assert (x != y) == (xp != yp)
+    assert hash(x) == ref_hash(xp)
+    if xp[1] == 0:
+        assert x == xp[0] and hash(x) == hash(xp[0])
+    # operands come back unchanged from the fast paths
+    assert (x.re, x.im) == xp
+    assert Scalar.of(y) == Scalar(*yp)
+
+
+# -- rref, kernel and inverse against an independent elimination -----------
+
+
+def ref_rref(rows):
+    """Gauss-Jordan on lists of (re, im) Fraction pairs: pivot, divide the
+    whole row, clear the whole column."""
+    m = [list(r) for r in rows]
+    out, pivots = [], []
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        k = next((k for k, r in enumerate(m) if r[c] != (F0, F0)), None)
+        if k is None:
+            continue
+        piv = m.pop(k)
+        piv = [ref_div(x, piv[c]) for x in piv]
+        m = [[ref_sub(x, ref_mul(r[c], p)) for x, p in zip(r, piv)]
+             for r in m]
+        out = [[ref_sub(x, ref_mul(r[c], p)) for x, p in zip(r, piv)]
+               for r in out]
+        out.append(piv)
+        pivots.append(c)
+    return out, pivots
+
+
+def ref_kernel(rows, ncols):
+    red, pivots = ref_rref(rows)
+    vectors = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [(F0, F0)] * ncols
+        v[f] = (Fraction(1), F0)
+        for r, p in zip(red, pivots):
+            v[p] = (-r[f][0], -r[f][1])
+        vectors.append(v)
+    return ref_rref(vectors)[0] if vectors else []
+
+
+def to_parts(rows):
+    return [[(x.re, x.im) for x in r] for r in rows]
+
+
+# mostly zero entries, nonzero ones rarely 1, so pivots need scaling
+sparse_parts = st.one_of(st.just((F0, F0)), st.just((F0, F0)),
+                         st.just((F0, F0)), parts)
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(sparse_parts, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    return DenseMatrix.from_rows([[Scalar(*x) for x in row] for row in rows])
+
+
+@given(sparse_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rref_and_kernel_match_reference(m):
+    rows, pivots = rref(m.row_lists())
+    ref_rows, ref_pivots = ref_rref(to_parts(m.row_lists()))
+    assert (to_parts(rows), pivots) == (ref_rows, ref_pivots)
+    ker = kernel(m)
+    assert to_parts(ker.basis) == ref_kernel(to_parts(m.row_lists()), m.cols)
+    assert ker == kernel_image(m)[0]
+    for v in ker.basis:
+        assert not any(m.apply(v))
+    # the span builder reaches the same echelon basis one row at a time
+    sb = SpanBuilder(m.cols)
+    for row in m.row_lists():
+        sb.add(row)
+    assert to_parts(sb.basis) == ref_rows
+    for row in m.row_lists():
+        coords = sb.coordinates(row)
+        combo = [Scalar(0)] * m.cols
+        for c, b in zip(coords, sb.basis):
+            combo = [x + c * y for x, y in zip(combo, b)]
+        assert combo == list(row)
+
+
+@given(sparse_matrices(square=True))
+@settings(max_examples=80, deadline=None)
+def test_inverse_or_none(m):
+    inv = inverse(m)
+    if determinant(m).is_zero():
+        assert inv is None
+        return
+    ident = DenseMatrix.identity(m.rows)
+    assert m.mul(inv) == ident
+    assert inv.mul(m) == ident
+
+
+def test_inverse_examples():
+    m = DenseMatrix.from_rows([[2, Scalar(0, 1)], [0, 3]])
+    inv = inverse(m)
+    assert inv == DenseMatrix.from_rows(
+        [[Fraction(1, 2), Scalar(0, Fraction(-1, 6))], [0, Fraction(1, 3)]])
+    assert inverse(DenseMatrix.from_rows([[1, 2], [2, 4]])) is None
+    assert inverse(DenseMatrix.zero(2, 3)) is None
+    assert inverse(DenseMatrix.zero(0, 0)) == DenseMatrix.zero(0, 0)
