@@ -107,9 +107,6 @@ class BigradedAlgebra:
 
     # -- algebra operations -------------------------------------------
 
-    def mul_basis(self, i: int, j: int) -> dict:
-        return self._products.get((i, j), {})
-
     def mulvec(self, x, y) -> tuple:
         out = [ZERO] * self.n
         for i, xi in enumerate(x):

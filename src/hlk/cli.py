@@ -30,27 +30,11 @@ from .exactlin import Scalar, hermitian_definiteness, kernel
 LARGE_EVEN_PART = 12
 
 
-class CheckFailure(Exception):
-    pass
-
-
-def _workers() -> int:
-    raw = os.environ.get("HLK_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise fileio.InputError(f"HLK_THREADS={raw!r} is not an integer")
-    if value < 1:
-        raise fileio.InputError("HLK_THREADS must be >= 1")
-    return value
-
-
 class Report:
     def __init__(self, command: str):
         self.doc = {
             "command": command,
             "version": __version__,
-            "workers_cap": _workers(),
             "inputs": [],
             "checks": [],
             "summary": {},

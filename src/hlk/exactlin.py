@@ -361,14 +361,6 @@ class DenseMatrix:
     def commutator(self, other: "DenseMatrix") -> "DenseMatrix":
         return self.mul(other).sub(other.mul(self))
 
-    def power(self, k: int) -> "DenseMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = DenseMatrix.identity(self.rows)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
-
     def is_zero_matrix(self) -> bool:
         return all(x.is_zero() for x in self.entries)
 
@@ -471,10 +463,6 @@ class Subspace:
         return cls(ambient, tuple(rows))
 
     @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
-
-    @classmethod
     def full(cls, ambient: int) -> "Subspace":
         return cls(ambient, tuple(unit_vector(ambient, j) for j in range(ambient)))
 
@@ -491,9 +479,6 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
         return Subspace.from_vectors(self.ambient, list(self.basis) + list(other.basis))
-
-    def intersects_trivially(self, other: "Subspace") -> bool:
-        return self.sum_with(other).dim == self.dim + other.dim
 
 
 def _leading_index(row) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import ValidationReport
@@ -32,6 +33,7 @@ from .exactlin import (
     quotient_cohomology,
     rref,
     solve,
+    unit_vector,
     vec_is_zero,
     zero_vector,
 )
@@ -109,13 +111,12 @@ class ReductivePair:
         return tuple(out)
 
     def ad(self, x) -> DenseMatrix:
-        cols = [self.bracket(x, tuple(ONE if t == j else ZERO
-                                      for t in range(self.dim)))
+        cols = [self.bracket(x, unit_vector(self.dim, j))
                 for j in range(self.dim)]
         return DenseMatrix.from_columns(cols, rows=self.dim)
 
     def basis_vector(self, i: int) -> tuple:
-        return tuple(ONE if t == i else ZERO for t in range(self.dim))
+        return unit_vector(self.dim, i)
 
 
 def validate_pair(pair: ReductivePair) -> ValidationReport:
@@ -330,8 +331,33 @@ class AdmissibleModule:
                 f"{block.rows}x{block.cols}, expected {rows}x{cols}")
         return block
 
-    def shifts(self):
-        return sorted({g.shift for g in self.generators})
+    def gram(self) -> DenseMatrix:
+        """Block-diagonal Gram of the stored weight-space forms."""
+        sizes = {w: self.weights[w] for w in self.sorted_weights}
+        return _block_matrix(sizes, sizes,
+                             {(w, w): self.forms[w] for w in sizes})
+
+
+def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix:
+    """Dense matrix with row and column blocks in the order and of the
+    sizes given ({key: size}), holding blocks {(row key, col key):
+    matrix} and zeros elsewhere."""
+    def offsets(sizes):
+        out, off = {}, 0
+        for key, size in sizes.items():
+            out[key] = off
+            off += size
+        return out, off
+
+    row_off, rows = offsets(row_sizes)
+    col_off, cols = offsets(col_sizes)
+    entries = [ZERO] * (rows * cols)
+    for (rkey, ckey), m in blocks.items():
+        r0, c0 = row_off[rkey], col_off[ckey]
+        for i in range(m.rows):
+            start = (r0 + i) * cols + c0
+            entries[start:start + m.cols] = m.row(i)
+    return DenseMatrix(rows, cols, entries)
 
 
 def _sparse(vec) -> dict:
@@ -422,19 +448,6 @@ class ModuleOps:
         d = self.module.total_dim
         cols = [self._dense(self.apply_sparse(x, {j: ONE})) for j in range(d)]
         return DenseMatrix.from_columns(cols, rows=d)
-
-    def gram(self) -> DenseMatrix:
-        """Block-diagonal Gram of the stored weight-space forms."""
-        m = self.module
-        d = m.total_dim
-        entries = [[ZERO] * d for _ in range(d)]
-        for w in m.sorted_weights:
-            lo, _ = m.slice_of(w)
-            g = m.forms[w]
-            for i in range(g.rows):
-                for j in range(g.cols):
-                    entries[lo + i][lo + j] = g.at(i, j)
-        return DenseMatrix.from_rows(entries)
 
 
 def _interior_weights(module: AdmissibleModule) -> list:
@@ -586,14 +599,19 @@ def _sort_sign(seq):
 
 @dataclass
 class RelativeComplex:
-    """Equivariant cochains C^(p,q) with the two differential components."""
+    """Equivariant cochains C^(p,q) with the two differential components.
+
+    A wedge is a sorted tuple of slots into p+ (+) p-: slot t < d stands
+    for split.plus[t] and slot d + t for split.minus[t].
+    """
 
     p_dim: int                      # d = dim p+
-    wedges: dict                    # (p,q) -> list of (I, J)
+    wedges: dict                    # (p,q) -> list of slot tuples
     bases: dict                     # (p,q) -> tuple of flat cochain vectors
     d_plus: dict                    # (p,q) -> matrix into (p+1, q)
     d_minus: dict                   # (p,q) -> matrix into (p, q+1)
     v_total: int
+    spans: dict                     # (p,q) -> SpanBuilder of the basis
 
     def dim(self, p: int, q: int) -> int:
         return len(self.bases.get((p, q), ()))
@@ -607,10 +625,30 @@ class RelativeComplex:
         mats = list(self.d_plus.values()) + list(self.d_minus.values())
         return all(m.is_zero_matrix() for m in mats)
 
-    def total_dims(self) -> dict:
+    @cached_property
+    def total_differentials(self) -> tuple:
+        """d: C^n -> C^(n+1) in the block bases, for n = 0 .. 2d."""
+        out = []
+        for n in range(2 * self.p_dim + 1):
+            src = {k: self.dim(*k) for k in _total_blocks(self, n)}
+            dst = {k: self.dim(*k) for k in _total_blocks(self, n + 1)}
+            blocks = {}
+            for p, q in src:
+                for tkey, mat in (((p + 1, q), self.d_plus[(p, q)]),
+                                  ((p, q + 1), self.d_minus[(p, q)])):
+                    if tkey in dst:
+                        blocks[(tkey, (p, q))] = mat
+            out.append(_block_matrix(dst, src, blocks))
+        return tuple(out)
+
+    @cached_property
+    def total_cohomology_dims(self) -> dict:
+        """dim H^n of the total complex, per degree n."""
+        tds = self.total_differentials
         out = {}
-        for (p, q), basis in self.bases.items():
-            out[p + q] = out.get(p + q, 0) + len(basis)
+        for n, d_out in enumerate(tds):
+            d_in = tds[n - 1] if n else DenseMatrix.zero(d_out.cols, 0)
+            out[n] = quotient_cohomology(d_in, d_out).dim
         return out
 
 
@@ -625,68 +663,50 @@ def build_complex(pair: ReductivePair, split: PSplit,
     ops = ModuleOps(pair, split, module)
     d = split.dim
     dv = module.total_dim
-    n = pair.dim
+    slots = split.plus + split.minus
 
-    # ad-action of each k-basis element on the p+/- bases
-    k_plus, k_minus = {}, {}
+    # ad-action of each k-basis element on p+ (+) p-: slot -> {slot: coeff}
+    k_act = {}
     for ki in pair.k_indices:
         h = pair.basis_vector(ki)
-        kp_cols, km_cols = [], []
-        for u in split.plus:
-            coords = _coords_in(split.plus, pair.bracket(h, u))
-            if coords is None:
-                raise ValueError("[k, p+] is not contained in p+")
-            kp_cols.append(coords)
-        for v in split.minus:
-            coords = _coords_in(split.minus, pair.bracket(h, v))
-            if coords is None:
-                raise ValueError("[k, p-] is not contained in p-")
-            km_cols.append(coords)
-        k_plus[ki] = kp_cols     # column j = coeffs of [h, u_j] in u-basis
-        k_minus[ki] = km_cols
+        table = []
+        for sign, first, vectors in (("+", 0, split.plus),
+                                     ("-", d, split.minus)):
+            for u in vectors:
+                coords = _coords_in(vectors, pair.bracket(h, u))
+                if coords is None:
+                    raise ValueError(
+                        f"[k, p{sign}] is not contained in p{sign}")
+                table.append({first + b: c for b, c in enumerate(coords) if c})
+        k_act[ki] = table
 
     rho_k = {ki: ops.matrix(pair.basis_vector(ki)) for ki in pair.k_indices}
 
-    wedges = {}
-    bases = {}
+    wedges, bases, spans = {}, {}, {}
     for p in range(d + 1):
         for q in range(d + 1):
-            wl = [(ii, jj)
+            wl = [ii + tuple(d + j for j in jj)
                   for ii in combinations(range(d), p)
                   for jj in combinations(range(d), q)]
             wedges[(p, q)] = wl
             ambient = len(wl) * dv
-            if ambient == 0 or dv == 0:
+            spans[(p, q)] = SpanBuilder(ambient)
+            if ambient == 0:
                 bases[(p, q)] = ()
                 continue
             rows = []
             wpos = {w: t for t, w in enumerate(wl)}
             for ki in pair.k_indices:
                 rk = rho_k[ki]
-                for wt, (ii, jj) in enumerate(wl):
-                    # ad_h moves the wedge; collect coefficients per target
+                for wt, w in enumerate(wl):
+                    # ad_h moves one slot at a time; coefficients per target
                     moved = {}
-                    for a, idx in enumerate(ii):
-                        for b in range(d):
-                            c = k_plus[ki][idx][b]
-                            if c.is_zero():
-                                continue
-                            res = _sort_sign(tuple(ii[:a]) + (b,) + tuple(ii[a + 1:]))
+                    for a, s in enumerate(w):
+                        for b, c in k_act[ki][s].items():
+                            res = _sort_sign(w[:a] + (b,) + w[a + 1:])
                             if res is None:
                                 continue
-                            new_ii, sgn = res
-                            key = (new_ii, jj)
-                            moved[key] = moved.get(key, ZERO) + Scalar(sgn) * c
-                    for a, idx in enumerate(jj):
-                        for b in range(d):
-                            c = k_minus[ki][idx][b]
-                            if c.is_zero():
-                                continue
-                            res = _sort_sign(tuple(jj[:a]) + (b,) + tuple(jj[a + 1:]))
-                            if res is None:
-                                continue
-                            new_jj, sgn = res
-                            key = (ii, new_jj)
+                            key, sgn = res
                             moved[key] = moved.get(key, ZERO) + Scalar(sgn) * c
                     # rho(h) f(xi) - f(ad_h xi) = 0, one row per V-coordinate
                     for vout in range(dv):
@@ -706,35 +726,29 @@ def build_complex(pair: ReductivePair, split: PSplit,
                 bases[(p, q)] = kernel(DenseMatrix.from_rows(rows)).basis
             else:
                 bases[(p, q)] = Subspace.full(ambient).basis
+            for vec in bases[(p, q)]:
+                spans[(p, q)].add(vec)
 
     # differentials
-    builders = {}
-    for key, basis in bases.items():
-        sb = SpanBuilder(len(wedges[key]) * dv if wedges[key] else 0)
-        for vec in basis:
-            sb.add(vec)
-        builders[key] = sb
-
     d_plus, d_minus = {}, {}
-    for p in range(d + 1):
-        for q in range(d + 1):
-            src = bases[(p, q)]
-            for (tp, tq), store in (((p + 1, q), d_plus), ((p, q + 1), d_minus)):
-                if tp > d or tq > d:
-                    store[(p, q)] = DenseMatrix.zero(0, len(src))
-                    continue
-                cols = []
-                for f in src:
-                    img = _apply_d(ops, split, wedges, f, (p, q), (tp, tq), dv)
-                    coords = builders[(tp, tq)].coordinates(img)
-                    if coords is None:
-                        raise ArithmeticError(
-                            "differential left the equivariant subspace")
-                    cols.append(coords)
-                store[(p, q)] = DenseMatrix.from_columns(
-                    cols, rows=len(bases[(tp, tq)]))
+    for (p, q), src in bases.items():
+        for (tp, tq), store in (((p + 1, q), d_plus), ((p, q + 1), d_minus)):
+            if tp > d or tq > d:
+                store[(p, q)] = DenseMatrix.zero(0, len(src))
+                continue
+            cols = []
+            for f in src:
+                img = _apply_d(ops, slots, wedges, f, (p, q), (tp, tq), dv)
+                coords = spans[(tp, tq)].coordinates(img)
+                if coords is None:
+                    raise ArithmeticError(
+                        "differential left the equivariant subspace")
+                cols.append(coords)
+            store[(p, q)] = DenseMatrix.from_columns(
+                cols, rows=len(bases[(tp, tq)]))
     return RelativeComplex(p_dim=d, wedges=wedges, bases=bases,
-                           d_plus=d_plus, d_minus=d_minus, v_total=dv)
+                           d_plus=d_plus, d_minus=d_minus, v_total=dv,
+                           spans=spans)
 
 
 def _coords_in(vectors, target):
@@ -745,47 +759,30 @@ def _coords_in(vectors, target):
     return solve(m, target)
 
 
-def _apply_d(ops: ModuleOps, split: PSplit, wedges, f, src_key, dst_key, dv):
-    """Evaluate the relative differential of a flat cochain vector."""
-    p, q = src_key
-    tp, tq = dst_key
-    src_w = wedges[src_key]
+def _apply_d(ops: ModuleOps, slots, wedges, f, src_key, dst_key, dv):
+    """d' (dst_key raises p) or d'' (dst_key raises q) of a flat cochain
+    vector: on a target wedge w, the sum of (-1)^a rho(w[a]) f(w minus
+    position a) over the positions a on the side that the part adds."""
+    d = len(slots) // 2
+    plus = dst_key[0] > src_key[0]
+    spos = {w: t for t, w in enumerate(wedges[src_key])}
     dst_w = wedges[dst_key]
-    spos = {w: t for t, w in enumerate(src_w)}
     out = [ZERO] * (len(dst_w) * dv)
-    for wt, (ii, jj) in enumerate(dst_w):
+    for wt, w in enumerate(dst_w):
         acc = [ZERO] * dv
-        if tp == p + 1:
-            for a in range(len(ii)):
-                rest = (tuple(ii[:a]) + tuple(ii[a + 1:]), jj)
-                st = spos.get(rest)
-                if st is None:
-                    continue
-                piece = f[st * dv:(st + 1) * dv]
-                if all(x.is_zero() for x in piece):
-                    continue
-                img = ops.apply(split.plus[ii[a]], tuple(piece))
-                sgn = Scalar(-1 if a % 2 else 1)
-                for t, val in enumerate(img):
-                    if not val.is_zero():
-                        acc[t] = acc[t] + sgn * val
-        else:
-            for b in range(len(jj)):
-                rest = (ii, tuple(jj[:b]) + tuple(jj[b + 1:]))
-                st = spos.get(rest)
-                if st is None:
-                    continue
-                piece = f[st * dv:(st + 1) * dv]
-                if all(x.is_zero() for x in piece):
-                    continue
-                img = ops.apply(split.minus[jj[b]], tuple(piece))
-                sgn = Scalar(-1 if (len(ii) + b) % 2 else 1)
-                for t, val in enumerate(img):
-                    if not val.is_zero():
-                        acc[t] = acc[t] + sgn * val
-        for t, val in enumerate(acc):
-            if not val.is_zero():
-                out[wt * dv + t] = val
+        for a, s in enumerate(w):
+            if (s < d) != plus:
+                continue
+            st = spos[w[:a] + w[a + 1:]]
+            piece = f[st * dv:(st + 1) * dv]
+            if vec_is_zero(piece):
+                continue
+            img = ops.apply(slots[s], piece)
+            sgn = Scalar(-1 if a % 2 else 1)
+            for t, val in enumerate(img):
+                if val:
+                    acc[t] = acc[t] + sgn * val
+        out[wt * dv:(wt + 1) * dv] = acc
     return tuple(out)
 
 
@@ -838,52 +835,12 @@ def _total_blocks(cx: RelativeComplex, n: int):
                                       min(cx.p_dim, n) + 1)]
 
 
-def total_differential(cx: RelativeComplex, n: int) -> DenseMatrix:
-    """Matrix of d: C^n -> C^(n+1) in the block bases."""
-    src = _total_blocks(cx, n)
-    dst = _total_blocks(cx, n + 1)
-    src_off, off = {}, 0
-    for key in src:
-        src_off[key] = off
-        off += cx.dim(*key)
-    src_dim = off
-    dst_off, off = {}, 0
-    for key in dst:
-        dst_off[key] = off
-        off += cx.dim(*key)
-    dst_dim = off
-    entries = [[ZERO] * src_dim for _ in range(dst_dim)]
-    for (p, q) in src:
-        for mat, tkey in ((cx.d_plus[(p, q)], (p + 1, q)),
-                          (cx.d_minus[(p, q)], (p, q + 1))):
-            if tkey not in dst_off:
-                continue
-            ro, co = dst_off[tkey], src_off[(p, q)]
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    v = mat.at(i, j)
-                    if not v.is_zero():
-                        entries[ro + i][co + j] = v
-    return DenseMatrix.from_rows(entries) if dst_dim and src_dim else \
-        DenseMatrix.zero(dst_dim, src_dim)
-
-
 def ungraded_cohomology_dims(cx: RelativeComplex) -> dict:
     """dim H^n of the total complex, per degree n."""
-    out = {}
-    top = 2 * cx.p_dim
-    for n in range(top + 1):
-        d_out = total_differential(cx, n)
-        if n == 0:
-            d_in = DenseMatrix.zero(d_out.cols, 0)
-        else:
-            d_in = total_differential(cx, n - 1)
-        out[n] = quotient_cohomology(d_in, d_out).dim
-    return out
+    return dict(cx.total_cohomology_dims)
 
 
-def _cochain_grams(pair: ReductivePair, split: PSplit,
-                   module: AdmissibleModule, cx: RelativeComplex) -> dict:
+def _cochain_grams(module: AdmissibleModule, cx: RelativeComplex) -> dict:
     """Positive Hermitian Gram on each C^(p,q) basis.
 
     The V side pairs values with the stored weight-space forms; the
@@ -891,8 +848,7 @@ def _cochain_grams(pair: ReductivePair, split: PSplit,
     finite-dimensional Hodge theory (any exact positive form gives
     dim ker(Laplacian) = dim H).
     """
-    ops = ModuleOps(pair, split, module)
-    vg = ops.gram()
+    vg = module.gram()
     dv = cx.v_total
     grams = {}
     for key, basis in cx.bases.items():
@@ -905,9 +861,9 @@ def _cochain_grams(pair: ReductivePair, split: PSplit,
             row = []
             for fb in basis:
                 acc = ZERO
-                for slot in range(size):
-                    va = fa[slot * dv:(slot + 1) * dv]
-                    vb = fb[slot * dv:(slot + 1) * dv]
+                for wt in range(size):
+                    va = fa[wt * dv:(wt + 1) * dv]
+                    vb = fb[wt * dv:(wt + 1) * dv]
                     for i, xa in enumerate(va):
                         if xa.is_zero():
                             continue
@@ -924,32 +880,22 @@ def laplacian_kernel_dims(pair: ReductivePair, split: PSplit,
                           module: AdmissibleModule,
                           cx: RelativeComplex) -> dict:
     """dim ker(dd* + d*d) per total degree, for the induced inner products."""
-    grams = _cochain_grams(pair, split, module, cx)
-    top = 2 * cx.p_dim
-    total_gram = {}
-    for n in range(top + 1):
-        keys = _total_blocks(cx, n)
-        size = sum(cx.dim(*k) for k in keys)
-        entries = [[ZERO] * size for _ in range(size)]
-        off = 0
-        for k in keys:
-            g = grams[k]
-            for i in range(g.rows):
-                for j in range(g.cols):
-                    entries[off + i][off + j] = g.at(i, j)
-            off += g.rows
-        total_gram[n] = DenseMatrix.from_rows(entries) if size else \
-            DenseMatrix.zero(0, 0)
+    grams = _cochain_grams(module, cx)
+    total_gram = []
+    for n in range(2 * cx.p_dim + 1):
+        sizes = {k: cx.dim(*k) for k in _total_blocks(cx, n)}
+        total_gram.append(
+            _block_matrix(sizes, sizes, {(k, k): grams[k] for k in sizes}))
+    tds = cx.total_differentials
     out = {}
-    for n in range(top + 1):
-        d_n = total_differential(cx, n)
+    for n, d_n in enumerate(tds):
         lap = DenseMatrix.zero(d_n.cols, d_n.cols)
         if d_n.rows and d_n.cols:
             gn_inv = inverse(total_gram[n])
             dn_star = gn_inv.mul(d_n.conj_transpose()).mul(total_gram[n + 1])
             lap = lap.add(dn_star.mul(d_n))
         if n > 0:
-            d_prev = total_differential(cx, n - 1)
+            d_prev = tds[n - 1]
             if d_prev.rows and d_prev.cols:
                 gp_inv = inverse(total_gram[n - 1])
                 dp_star = gp_inv.mul(d_prev.conj_transpose()).mul(total_gram[n])
@@ -1081,21 +1027,14 @@ def lefschetz_on_complex(pair: ReductivePair, split: PSplit,
         raise ValueError("Lefschetz operator requires the d = 0 branch")
     d = cx.p_dim
     dv = cx.v_total
-    basis_all = list(split.plus) + list(split.minus)
+    slots = split.plus + split.minus
     z0 = pair.z0
     half = Scalar(Fraction(-1, 2))
 
     def omega0(x, y):
         return half * _bilinear(pair.b_form, x, pair.bracket(z0, y))
 
-    w_gram = [[omega0(x, y) for y in basis_all] for x in basis_all]
-
-    builders = {}
-    for key, basis in cx.bases.items():
-        sb = SpanBuilder(len(cx.wedges[key]) * dv if cx.wedges[key] else 0)
-        for vec in basis:
-            sb.add(vec)
-        builders[key] = sb
+    w_gram = [[omega0(x, y) for y in slots] for x in slots]
 
     out = {}
     for p in range(d + 1):
@@ -1109,18 +1048,14 @@ def lefschetz_on_complex(pair: ReductivePair, split: PSplit,
             cols = []
             for f in src:
                 img = [ZERO] * (len(cx.wedges[tkey]) * dv)
-                for wt, (ii, jj) in enumerate(cx.wedges[tkey]):
-                    args = list(ii) + [d + t for t in jj]
+                for wt, w in enumerate(cx.wedges[tkey]):
                     acc = [ZERO] * dv
-                    for a in range(len(args)):
-                        for b in range(a + 1, len(args)):
-                            c = w_gram[args[a]][args[b]]
+                    for a in range(len(w)):
+                        for b in range(a + 1, len(w)):
+                            c = w_gram[w[a]][w[b]]
                             if c.is_zero():
                                 continue
-                            rest = args[:a] + args[a + 1:b] + args[b + 1:]
-                            rest_ii = tuple(t for t in rest if t < d)
-                            rest_jj = tuple(t - d for t in rest if t >= d)
-                            st = spos.get((rest_ii, rest_jj))
+                            st = spos.get(w[:a] + w[a + 1:b] + w[b + 1:])
                             if st is None:
                                 continue
                             piece = f[st * dv:(st + 1) * dv]
@@ -1130,10 +1065,8 @@ def lefschetz_on_complex(pair: ReductivePair, split: PSplit,
                             for t, val in enumerate(piece):
                                 if not val.is_zero():
                                     acc[t] = acc[t] + coef * val
-                    for t, val in enumerate(acc):
-                        if not val.is_zero():
-                            img[wt * dv + t] = val
-                coords = builders[tkey].coordinates(tuple(img))
+                    img[wt * dv:(wt + 1) * dv] = acc
+                coords = cx.spans[tkey].coordinates(tuple(img))
                 if coords is None:
                     raise ArithmeticError(
                         "Lefschetz image left the equivariant subspace")

@@ -436,10 +436,6 @@ class SignatureResult:
     diagonalization: tuple   # (plus, minus, zero) of the middle pairing
     agree: bool
 
-    @property
-    def value(self) -> int:
-        return self.formula
-
 
 def hodge_signature(a: BigradedAlgebra) -> SignatureResult:
     """Hodge index number, by bigraded count and by exact diagonalization.

@@ -27,13 +27,11 @@ from .exactlin import (
     vec_scale,
     zero_vector,
 )
-from .lefschetz import counting_operator  # noqa: F401  (re-exported here)
 
 __all__ = [
     "OperatorLieAlgebra",
     "PhiForm",
     "SoPhiVerdict",
-    "counting_operator",
     "lie_closure",
     "ideal_probe",
     "phi_form",

@@ -256,12 +256,3 @@ def test_lefschetz_odd_mode(catalog_dir):
 def test_llgen_odd_mode(catalog_dir):
     assert run(["llgen", "--mode", "odd",
                 "--input", str(catalog_dir / "abelian-surface.algebra.json")]) == 0
-
-
-def test_hlk_threads_validation(catalog_dir, monkeypatch):
-    monkeypatch.setenv("HLK_THREADS", "not-a-number")
-    assert run(["validate",
-                "--input", str(catalog_dir / "torus.algebra.json")]) == 2
-    monkeypatch.setenv("HLK_THREADS", "4")
-    assert run(["validate",
-                "--input", str(catalog_dir / "torus.algebra.json")]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -290,3 +291,135 @@ def test_trivial_module_over_product_pair():
     assert dims == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
     lef = gkcoh.lefschetz_on_complex(pair, split, module, cx)
     assert not lef[(0, 0)].is_zero_matrix()
+
+
+# -- one active factor over sl2R x sl2R ----------------------------------------
+
+
+def one_factor_module(base: AdmissibleModule, active: int) -> AdmissibleModule:
+    """V (x) C (active 0) or C (x) V (active 1) over sl2R-x-sl2R: the sl2
+    module ``base`` acts through factor ``active``, and the other factor's
+    h, e and f act by zero blocks at shift 0."""
+    gens, actions = [], {}
+    for factor in (0, 1):
+        for g in base.generators:
+            coords = [ZERO] * 6
+            coords[3 * factor:3 * factor + 3] = g.coords
+            name = f"{g.name}{factor + 1}"
+            if factor == active:
+                gens.append(ModuleGenerator(name, tuple(coords), g.shift))
+                for (gname, w), block in base.actions.items():
+                    if gname == g.name:
+                        actions[(name, w)] = block
+            else:
+                gens.append(ModuleGenerator(name, tuple(coords), 0))
+                for w, d in base.weights.items():
+                    actions[(name, w)] = DenseMatrix.zero(d, d)
+    side = "V(x)C" if active == 0 else "C(x)V"
+    return AdmissibleModule(
+        name=f"{base.name}:{side}", pair_name="sl2R-x-sl2R",
+        window=base.window, weights=base.weights, forms=base.forms,
+        generators=tuple(gens), actions=actions, unitary=base.unitary)
+
+
+# Kuenneth with H(sl2R, SO(2); C) = {(0,0), (1,1)}: h^(p,q)(V) shifted by
+# the trivial factor's diamond
+KUENNETH = {
+    "trivial": {(0, 0): 1, (1, 1): 2, (2, 2): 1},
+    "ds-plus": {(1, 0): 1, (2, 1): 1},
+    "ds-minus": {(0, 1): 1, (1, 2): 1},
+    "adjoint": {},
+}
+
+
+@pytest.fixture(scope="module")
+def product():
+    pair = catalog.sl2_product_pair()
+    return pair, gkcoh.split_p(pair)
+
+
+@pytest.mark.parametrize("active", [0, 1])
+@pytest.mark.parametrize("name", sorted(KUENNETH))
+def test_one_factor_kuenneth(product, sl2_modules, name, active):
+    pair, split = product
+    module = one_factor_module(sl2_modules[name], active)
+    rep = gkcoh.validate_module(pair, split, module)
+    assert rep.ok, rep.summary()
+    cx = gkcoh.build_complex(pair, split, module)
+    assert gkcoh.complex_sanity(cx)
+    assert nonzero_dims(gkcoh.cohomology_bigraded(cx)) == KUENNETH[name]
+    total = gkcoh.ungraded_cohomology_dims(cx)
+    assert gkcoh.laplacian_kernel_dims(pair, split, module, cx) == total
+    cas = gkcoh.casimir_action(pair, split, module)
+    if name == "adjoint":
+        assert not cx.differential_is_zero()
+        assert cas.scalar == Scalar(4)
+    else:
+        assert cas.scalar.is_zero()
+
+
+def complex_digest(pair, split, module) -> str:
+    """sha256 over every cochain basis, d', d'', total differential and,
+    on the d = 0 branch, Lefschetz block of the module's complex."""
+    cx = gkcoh.build_complex(pair, split, module)
+    h = hashlib.sha256()
+
+    def put(tag, rows, cols, entries):
+        h.update(f"{tag} {rows}x{cols}:".encode())
+        h.update(" ".join(f"{x.re},{x.im}" for x in entries).encode())
+        h.update(b"\n")
+
+    def put_matrix(tag, m):
+        put(tag, m.rows, m.cols, m.entries)
+
+    for key in sorted(cx.bases):
+        basis = cx.bases[key]
+        put(f"C{key}", len(basis), len(basis[0]) if basis else 0,
+            [x for vec in basis for x in vec])
+        put_matrix(f"d'{key}", cx.d_plus[key])
+        put_matrix(f"d''{key}", cx.d_minus[key])
+    for n, dn in enumerate(cx.total_differentials):
+        put_matrix(f"d{n}", dn)
+    if cx.differential_is_zero():
+        lef = gkcoh.lefschetz_on_complex(pair, split, module, cx)
+        for key in sorted(lef):
+            put_matrix(f"L{key}", lef[key])
+    return h.hexdigest()
+
+
+DIGESTS = {
+    "adjoint":
+        "25291b2d6594ccc9d1e1560b4fc0775057c2a0fe08361635d52daba4112367f6",
+    "sl2-adjoint:V(x)C":
+        "f0ba9a074e7bf7e4a585a68b75a661164bcc44c7656ad63a239e1f30ff344c94",
+    "sl2-adjoint:C(x)V":
+        "f3b6748400cc96e025993cd67aeb0967d99e278cc5fcb16046360bd658c3de07",
+    "ds-minus":
+        "f7d3ecc567d1abf631971afdaf235c1046bdf2401ac6aa678a28fc4ba900dbe6",
+    "sl2-ds-minus:V(x)C":
+        "da30ceac2f94dd071ccd19ecafd0f21313964765dfd59fb5655ab599199b7d96",
+    "sl2-ds-minus:C(x)V":
+        "60336c2bc22544d26f80622eaf1fd0f47ab979beb3a0857c6415e2ec89f9ca3f",
+    "ds-plus":
+        "690b25cc7277375031b635fec5d29586245deaffba6605187894ffb24b5b384a",
+    "sl2-ds-plus:V(x)C":
+        "cd42e3966448e2dc9b0130805eaedb45b8d03c212b74bcf82bda1eeb4d667530",
+    "sl2-ds-plus:C(x)V":
+        "425b41bec09eb1f476e75aeb18a767a214a6c68a9a16639c42562f24bb249833",
+    "trivial":
+        "b1a1585ea9f17a81344b84f553f2e19c686cdf6337342d301df121cd3b1b6eac",
+    "sl2-trivial:V(x)C":
+        "263d59715a483bfa9018f2fd5921a3c5a43607b6eedd1ea95ad9b98426d4bae3",
+    "sl2-trivial:C(x)V":
+        "263d59715a483bfa9018f2fd5921a3c5a43607b6eedd1ea95ad9b98426d4bae3",
+}
+
+
+def test_complex_digests(sl2, sl2_split, sl2_modules, product):
+    got = {}
+    for name, module in sorted(sl2_modules.items()):
+        got[name] = complex_digest(sl2, sl2_split, module)
+        for active in (0, 1):
+            m = one_factor_module(module, active)
+            got[m.name] = complex_digest(*product, m)
+    assert got == DIGESTS

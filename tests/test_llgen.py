@@ -112,13 +112,6 @@ def random_member(lie, rng):
     return out
 
 
-def test_counting_operator_values(torus):
-    b = llgen.counting_operator(torus)
-    expected = {0: 1, 1: 0, 2: -1}
-    for k in range(torus.n):
-        assert b.at(k, k) == Scalar(expected[torus.degree_of_index(k)])
-
-
 def test_closure_single_triple_is_sl2(g2k2):
     tri = lz.dual_lefschetz(g2k2, g2k2.kahler, mode="even")
     closed = llgen.lie_closure([tri.L, tri.Lambda])
