@@ -109,12 +109,11 @@ class BigradedAlgebra:
 
     def mulvec(self, x, y) -> tuple:
         out = [ZERO] * self.n
+        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
         for i, xi in enumerate(x):
             if xi.is_zero():
                 continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
+            for j, yj in ys:
                 entry = self._products.get((i, j))
                 if not entry:
                     continue

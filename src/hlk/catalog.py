@@ -12,8 +12,7 @@ from itertools import combinations
 
 from .algebra import BigradedAlgebra
 from .exactlin import DenseMatrix, Scalar, ZERO, ONE
-from .gkcoh import AdmissibleModule, ModuleGenerator, ReductivePair
-from .llgen import product_model
+from .gkcoh import AdmissibleModule, ModuleGenerator, ReductivePair, _sort_sign
 
 __all__ = [
     "exterior_torus_algebra",
@@ -21,7 +20,6 @@ __all__ = [
     "abelian_surface_algebra",
     "k3_algebra",
     "g2_family_algebra",
-    "s1s2_model",
     "sl2_pair",
     "sl2_product_pair",
     "sl2_trivial_module",
@@ -29,14 +27,6 @@ __all__ = [
     "sl2_discrete_series_module",
     "genus2_spectrum",
 ]
-
-
-def _merge_sign(left, right):
-    """Sign of sorting the concatenation of two sorted disjoint tuples."""
-    inv = 0
-    for t in right:
-        inv += sum(1 for s in left if s > t)
-    return -1 if inv % 2 else 1
 
 
 def exterior_torus_algebra(g: int) -> BigradedAlgebra:
@@ -60,24 +50,18 @@ def exterior_torus_algebra(g: int) -> BigradedAlgebra:
     products = {}
     for a, sa in enumerate(subsets):
         for b, sb in enumerate(subsets):
-            if set(sa) & set(sb):
+            res = _sort_sign(sa + sb)
+            if res is None:
                 continue
-            merged = tuple(sorted(sa + sb))
-            products[(a, b)] = {index[merged]: Scalar(_merge_sign(sa, sb))}
+            merged, sign = res
+            products[(a, b)] = {index[merged]: Scalar(sign)}
     # conjugation swaps dz_j <-> dzb_j with the resorting sign
     swap = {t: (t + g) % (2 * g) for t in range(2 * g)}
     conj_cols = []
     for s in subsets:
-        mapped = tuple(swap[t] for t in s)
-        inv = 0
-        m = list(mapped)
-        for i in range(len(m)):
-            for j in range(i + 1, len(m)):
-                if m[i] > m[j]:
-                    inv += 1
-        target = index[tuple(sorted(mapped))]
+        target, sign = _sort_sign(swap[t] for t in s)
         col = [ZERO] * len(subsets)
-        col[target] = Scalar(-1 if inv % 2 else 1)
+        col[index[target]] = Scalar(sign)
         conj_cols.append(col)
     conj = DenseMatrix.from_columns(conj_cols, rows=len(subsets))
     nu = [ZERO] * len(subsets)
@@ -173,11 +157,6 @@ def g2_family_algebra(k: int) -> BigradedAlgebra:
     kahler = tuple(ONE if t == 1 else ZERO for t in range(n))
     return BigradedAlgebra(2, names, bidegrees, products, conj, nu,
                            name=f"g2-k{k}", kahler=kahler)
-
-
-def s1s2_model(n_factors: int):
-    """Product foliation stand-in: see llgen.product_model."""
-    return product_model(n_factors)
 
 
 # -- reductive pairs ---------------------------------------------------------

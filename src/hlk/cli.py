@@ -115,7 +115,7 @@ CATALOG = {
         fileio.algebra_to_doc(catalog.g2_family_algebra(args.k)))],
     "s1s2": lambda args: [(
         f"s1s2-N{args.n}.algebra.json",
-        fileio.algebra_to_doc(catalog.s1s2_model(args.n)[0]))],
+        fileio.algebra_to_doc(llgen.product_model(args.n)[0]))],
     "sl2-pair": lambda args: [(
         "sl2R.pair.json", fileio.pair_to_doc(catalog.sl2_pair()))],
     "sl2-product-pair": lambda args: [(
@@ -275,22 +275,18 @@ def cmd_lefschetz(args) -> int:
 
 
 def _polarization_symmetries(alg, omega):
+    """Q(a,b) = (-1)^r Q(b,a) and Q(Ja,Jb) = Q(a,b) on every degree r,
+    read off the Gram matrix G_r of Q: G_r^T = (-1)^r G_r and
+    J_r G_r J_r = G_r."""
     q_ok = True
     j_ok = True
     jmat = lz.weil_operator(alg)
     for r in sorted(alg.by_degree):
         idxs = alg.degree_indices(r)
-        sign = Scalar(-1 if r % 2 else 1)
-        for i in idxs:
-            a = alg.basis_vector(i)
-            for j in idxs:
-                b = alg.basis_vector(j)
-                qab = lz.polarization_form(alg, omega, a, b)
-                if qab != sign * lz.polarization_form(alg, omega, b, a):
-                    q_ok = False
-                if lz.polarization_form(alg, omega, jmat.apply(a),
-                                        jmat.apply(b)) != qab:
-                    j_ok = False
+        gram = lz.polarization_gram(alg, omega, r)
+        jr = jmat.submatrix(idxs, idxs)
+        q_ok = q_ok and gram.transpose() == gram.scale(-1 if r % 2 else 1)
+        j_ok = j_ok and jr.mul(gram).mul(jr) == gram
     return q_ok, j_ok
 
 

@@ -393,10 +393,16 @@ class ModuleOps:
         self.gamma_inv = inverse(gamma)
         if self.gamma_inv is None:
             raise ValueError("module generators are linearly dependent")
+        self._expanded = {}
 
     def expand(self, x) -> tuple:
-        """Coefficients of a g1_C vector in the module's generator basis."""
-        return self.gamma_inv.apply(tuple(Scalar.of(v) for v in x))
+        """Coefficients of a g1_C vector in the module's generator basis,
+        computed once per distinct vector."""
+        x = tuple(Scalar.of(v) for v in x)
+        coeffs = self._expanded.get(x)
+        if coeffs is None:
+            coeffs = self._expanded[x] = self.gamma_inv.apply(x)
+        return coeffs
 
     def apply_gen(self, gen: ModuleGenerator, vec):
         """Apply one generator to a flat windowed vector."""

@@ -2,15 +2,18 @@
 decomposition, sl2 triples, polarization forms, signatures, filtrations
 and the unitary "Frobenius" check.
 
-All operations are exact.  Heavy intermediates (matrix powers of L,
-primitive bases, decompositions) are cached per (algebra, class, mode)
-in a module-level table keyed by the class vector itself.
+All operations are exact.  Each (class, mode) has one context, kept on
+the algebra and freed with it, that caches the powers of L, the
+primitive basis of each degree, the Lefschetz basis {L^s xi} with its
+inverse (read by Lambda and by the primitive decomposition) and, in
+full mode, the Gram matrix of Q on each degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import BigradedAlgebra
 from .exactlin import (
@@ -44,6 +47,7 @@ __all__ = [
     "primitive_decompose",
     "dual_lefschetz",
     "polarization_form",
+    "polarization_gram",
     "hodge_inner_product",
     "hodge_gram",
     "hodge_signature",
@@ -112,7 +116,7 @@ class _Context:
         self._lpow = {0: DenseMatrix.identity(self.dim), 1: self.L}
         self._in_cone = None
         self._prim = {}
-        self._decomp = {}
+        self.q_grams = {}
 
     # -- coordinates ----------------------------------------------------
 
@@ -189,52 +193,46 @@ class _Context:
         self._prim[r] = basis
         return basis
 
+    @cached_property
+    def levels(self):
+        """The Lefschetz basis: (columns, inverse, labels), one column
+        L^s xi per primitive xi of degree d <= g and s = 0..g-d, labelled
+        (d, s, xi)."""
+        g = self.a.g
+        columns, labels = [], []
+        for d in range(0, g + 1):
+            for xi in self.primitive_local(d):
+                for s in range(0, g - d + 1):
+                    columns.append(self.l_power(s).apply(xi))
+                    labels.append((d, s, xi))
+        m_mat = DenseMatrix.from_columns(columns, rows=self.dim)
+        if m_mat.cols != self.dim:
+            raise ConeError(
+                "Lefschetz level basis does not span; class not in cone")
+        inv = inverse(m_mat)
+        if inv is None:
+            raise ValueError("matrix is singular")
+        return columns, inv, labels
+
     def decompose(self, x):
         """x = sum_s L^s x_s with primitive x_s; returns {s: local vector}.
 
-        Downward induction on s: the top Lefschetz level is isolated by
-        an L-power projection and solved for first, then subtracted.
+        The coordinates of x in the Lefschetz basis, grouped by level s.
         """
         x = tuple(x)
-        if x in self._decomp:
-            return self._decomp[x]
         if vec_is_zero(x):
             return {}
         degs = {d for d, v in zip(self.degrees, x) if not v.is_zero()}
         if len(degs) != 1:
             raise ValueError("primitive decomposition needs a homogeneous input")
         self.require_cone()
-        r = degs.pop()
-        g = self.a.g
-        rest = list(x)
+        _, inv, labels = self.levels
         out = {}
-        for s in range(r // 2, max(0, r - g) - 1, -1):
-            basis = self.primitive_local(r - 2 * s)
-            if not basis:
-                continue
-            cols = [self.l_power(g - r + 2 * s).apply(b) for b in basis]
-            m = DenseMatrix.from_columns(cols, rows=self.dim)
-            rhs = self.l_power(g - r + s).apply(tuple(rest))
-            coeffs = solve(m, rhs)
-            if coeffs is None:
-                raise ConeError("Lefschetz decomposition failed; the class "
-                                "does not act with full sl2 symmetry")
-            piece = [ZERO] * self.dim
-            for c, b in zip(coeffs, basis):
-                if c.is_zero():
-                    continue
-                for t, bt in enumerate(b):
-                    if not bt.is_zero():
-                        piece[t] = piece[t] + c * bt
-            piece = tuple(piece)
-            if not vec_is_zero(piece):
-                out[s] = piece
-                lifted = self.l_power(s).apply(piece)
-                rest = [u - v for u, v in zip(rest, lifted)]
-        if not vec_is_zero(tuple(rest)):
-            raise ConeError("Lefschetz decomposition left a remainder")
-        self._decomp[x] = out
-        return out
+        for c, (_, s, xi) in zip(inv.apply(x), labels):
+            if not c.is_zero():
+                out[s] = vec_add(out.get(s, zero_vector(self.dim)),
+                                 vec_scale(c, xi))
+        return {s: v for s, v in out.items() if not vec_is_zero(v)}
 
 
 def _context(a: BigradedAlgebra, w, mode: str = "full") -> _Context:
@@ -289,29 +287,13 @@ class SL2Triple:
 
 
 def _lambda_constructive(ctx: _Context) -> DenseMatrix:
+    # Lambda = N M^{-1}, N the images of the Lefschetz basis columns
+    columns, inv, labels = ctx.levels
     g = ctx.a.g
-    columns = []
-    images = []
-    for d in range(0, g + 1):
-        m = g - d
-        for xi in ctx.primitive_local(d):
-            for s in range(0, m + 1):
-                columns.append(ctx.l_power(s).apply(xi))
-                if s == 0:
-                    images.append(zero_vector(ctx.dim))
-                else:
-                    coeff = Scalar(s * (m - s + 1))
-                    images.append(vec_scale(coeff,
-                                            ctx.l_power(s - 1).apply(xi)))
-    m_mat = DenseMatrix.from_columns(columns, rows=ctx.dim)
-    if m_mat.cols != ctx.dim:
-        raise ConeError("Lefschetz level basis does not span; class not in cone")
-    # Lambda = N M^{-1}, computed by inverting M once.
-    inv = inverse(m_mat)
-    if inv is None:
-        raise ValueError("matrix is singular")
-    n_mat = DenseMatrix.from_columns(images, rows=ctx.dim)
-    return n_mat.mul(inv)
+    images = [zero_vector(ctx.dim) if s == 0
+              else vec_scale(Scalar(s * (g - d - s + 1)), columns[k - 1])
+              for k, (d, s, _) in enumerate(labels)]
+    return DenseMatrix.from_columns(images, rows=ctx.dim).mul(inv)
 
 
 def _lambda_by_solve(ctx: _Context) -> tuple:
@@ -377,9 +359,37 @@ def dual_lefschetz(a: BigradedAlgebra, w, mode: str = "full") -> SL2Triple:
 # -- polarization ---------------------------------------------------------
 
 
-def polarization_form(a: BigradedAlgebra, w, x, y) -> Scalar:
-    """Q(x, y) = sum_s (-1)^(s + r(r+1)/2) nu(L^(g-r+2s)(x_s cup y_s))."""
+def polarization_gram(a: BigradedAlgebra, w, r: int) -> DenseMatrix:
+    """Gram matrix of Q on the degree-r coordinate basis, built once per
+    class from the decompositions of the basis vectors:
+    Q(x, y) = sum_s (-1)^(s + r(r+1)/2) nu(L^(g-r+2s)(x_s cup y_s))."""
     ctx = _context(a, w, "full")
+    gram = ctx.q_grams.get(r)
+    if gram is None:
+        # full mode: local coordinates are global ones
+        base = (r * (r + 1)) // 2
+        decs = [ctx.decompose(a.basis_vector(i)) for i in a.degree_indices(r)]
+
+        def q(dec_x, dec_y):
+            total = ZERO
+            for s, xs in dec_x.items():
+                ys = dec_y.get(s)
+                if ys is None:
+                    continue
+                lifted = ctx.l_power(a.g - r + 2 * s).apply(a.mulvec(xs, ys))
+                sign = Scalar(-1 if (s + base) % 2 else 1)
+                total = total + sign * a.nu_of(lifted)
+            return total
+
+        gram = DenseMatrix.from_rows([[q(dx, dy) for dy in decs]
+                                      for dx in decs])
+        ctx.q_grams[r] = gram
+    return gram
+
+
+def polarization_form(a: BigradedAlgebra, w, x, y) -> Scalar:
+    """Q(x, y) = x^T G_r y, G_r the Gram matrix of Q on degree r."""
+    _context(a, w, "full")   # a class not of degree 2 fails even for x = 0
     x = tuple(Scalar.of(v) for v in x)
     y = tuple(Scalar.of(v) for v in y)
     if vec_is_zero(x) or vec_is_zero(y):
@@ -388,25 +398,12 @@ def polarization_form(a: BigradedAlgebra, w, x, y) -> Scalar:
     ry = a.degree_of_vector(y)
     if rx is None or ry is None or rx != ry:
         raise ValueError("Q needs homogeneous arguments of equal degree")
-    r = rx
-    dec_x = ctx.decompose(ctx.restrict(x))
-    dec_y = ctx.decompose(ctx.restrict(y))
+    idxs = a.degree_indices(rx)
+    gy = polarization_gram(a, w, rx).apply([y[j] for j in idxs])
     total = ZERO
-    base = (r * (r + 1)) // 2
-    for s, xs in dec_x.items():
-        ys = dec_y.get(s)
-        if ys is None:
-            continue
-        prod = a.mulvec(ctx.extend(xs), ctx.extend(ys))
-        lifted = _apply_full_l_power(a, ctx, a.g - r + 2 * s, prod)
-        sign = Scalar(-1 if (s + base) % 2 else 1)
-        total = total + sign * a.nu_of(lifted)
+    for i, v in zip(idxs, gy):
+        total = total + x[i] * v
     return total
-
-
-def _apply_full_l_power(a, ctx, k, vec):
-    # ctx is full-mode here, so local coordinates are global ones.
-    return ctx.extend(ctx.l_power(k).apply(ctx.restrict(vec)))
 
 
 def hodge_inner_product(a: BigradedAlgebra, w, x, y) -> Scalar:
@@ -417,14 +414,11 @@ def hodge_inner_product(a: BigradedAlgebra, w, x, y) -> Scalar:
 
 
 def hodge_gram(a: BigradedAlgebra, w, r: int) -> DenseMatrix:
-    """Gram matrix of T on the degree-r coordinate basis."""
+    """Gram matrix of T on the degree-r coordinate basis: G_r (J C)_r,
+    since T(e_i, e_j) = Q(e_i, J conj e_j) = Q(e_i, J C e_j)."""
     idxs = a.degree_indices(r)
-    rows = []
-    for i in idxs:
-        ei = a.basis_vector(i)
-        rows.append([hodge_inner_product(a, w, ei, a.basis_vector(j))
-                     for j in idxs])
-    return DenseMatrix.from_rows(rows) if idxs else DenseMatrix.zero(0, 0)
+    jc = weil_operator(a).mul(a.conj_matrix).submatrix(idxs, idxs)
+    return polarization_gram(a, w, r).mul(jc)
 
 
 # -- signature ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -33,6 +34,24 @@ def test_catalog_unknown_name(tmp_path):
 def test_catalog_invalid_params(tmp_path):
     assert run(["catalog", "g2-family", "--k", "0",
                 "--out-dir", str(tmp_path)]) == 2
+
+
+# sha256 of the catalog documents whose algebras are built from wedge
+# signs (torus, abelian surface) or by llgen.product_model (s1s2)
+CATALOG_DIGESTS = {
+    "torus.algebra.json":
+        "532b5a2b5cc4e12465429c62626514bb66e16d22302604a55a770974ff966f5e",
+    "abelian-surface.algebra.json":
+        "349b38e618e865efc3182ab046950fe33e480eb919ad2329913f49ff6036969d",
+    "s1s2-N3.algebra.json":
+        "148b66efee898fe2d9fb2425f33a57ecfcbb70034ab68618aeab41ed3c545c01",
+}
+
+
+def test_catalog_documents_digests(catalog_dir):
+    for fname, digest in CATALOG_DIGESTS.items():
+        data = (catalog_dir / fname).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, fname
 
 
 def test_catalog_round_trip(catalog_dir):

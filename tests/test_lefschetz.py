@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hlk.exactlin import (
     ONE,
     determinant,
     hermitian_definiteness,
+    solve,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -253,6 +255,11 @@ def test_polarization_rejects_mixed_degrees(torus):
     x = vec_add(torus.unit, torus.basis_vector("dz1"))
     with pytest.raises(ValueError):
         lz.polarization_form(torus, torus.kahler, x, x)
+    # the class is checked first, so a class not of degree 2 fails even
+    # on zero arguments
+    zero = tuple(ZERO for _ in range(torus.n))
+    with pytest.raises(ValueError):
+        lz.polarization_form(torus, torus.unit, zero, zero)
 
 
 # -- Hodge inner product ------------------------------------------------------
@@ -299,6 +306,132 @@ def test_primitive_gram_positive_definite(k3):
     rows = [[lz.hodge_inner_product(k3, omega, a, b) for b in prim.basis]
             for a in prim.basis]
     assert hermitian_definiteness(DenseMatrix.from_rows(rows))
+
+
+# -- references: level-by-level decomposition, entry-by-entry Q -------------
+#
+# The Lefschetz basis and the Q Gram of lefschetz.py must reproduce the
+# downward induction (one solve per level) and the entry-by-entry Q that
+# they replaced; both are kept here as references.
+
+
+REFERENCE_MODELS = {
+    "torus": catalog.torus_algebra,
+    "abelian-surface": catalog.abelian_surface_algebra,
+    "k3": catalog.k3_algebra,
+    "g2-k2": lambda: catalog.g2_family_algebra(2),
+    "g2-k3": lambda: catalog.g2_family_algebra(3),
+    "g2-k4": lambda: catalog.g2_family_algebra(4),
+}
+
+
+def reference_decompose(ctx, x):
+    """{s: x_s} by downward induction on s: the top Lefschetz level is
+    isolated by an L-power projection and solved for, then subtracted."""
+    if vec_is_zero(x):
+        return {}
+    (r,) = {d for d, v in zip(ctx.degrees, x) if not v.is_zero()}
+    g = ctx.a.g
+    rest = list(x)
+    out = {}
+    for s in range(r // 2, max(0, r - g) - 1, -1):
+        basis = ctx.primitive_local(r - 2 * s)
+        if not basis:
+            continue
+        cols = [ctx.l_power(g - r + 2 * s).apply(b) for b in basis]
+        m = DenseMatrix.from_columns(cols, rows=ctx.dim)
+        coeffs = solve(m, ctx.l_power(g - r + s).apply(tuple(rest)))
+        assert coeffs is not None
+        piece = tuple(ZERO for _ in range(ctx.dim))
+        for c, b in zip(coeffs, basis):
+            piece = vec_add(piece, vec_scale(c, b))
+        if not vec_is_zero(piece):
+            out[s] = piece
+            lifted = ctx.l_power(s).apply(piece)
+            rest = [u - v for u, v in zip(rest, lifted)]
+    assert vec_is_zero(tuple(rest))
+    return out
+
+
+def reference_q(ctx, dec_x, dec_y):
+    """Q(x, y) = sum_s (-1)^(s + r(r+1)/2) nu(L^(g-r+2s)(x_s cup y_s)),
+    from the reference decompositions of x and y on a full-mode context
+    (local coordinates are global ones)."""
+    a = ctx.a
+    total = ZERO
+    for s, xs in dec_x.items():
+        if s in dec_y:
+            r = a.degree_of_vector(xs) + 2 * s
+            lifted = ctx.l_power(a.g - r + 2 * s).apply(
+                a.mulvec(xs, dec_y[s]))
+            sign = Scalar(-1 if (s + r * (r + 1) // 2) % 2 else 1)
+            total = total + sign * a.nu_of(lifted)
+    return total
+
+
+def random_combination(a, r, rng):
+    """A Q(i)-integer combination of the degree-r basis vectors."""
+    x = tuple(ZERO for _ in range(a.n))
+    for i in a.degree_indices(r):
+        c = Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+        x = vec_add(x, vec_scale(c, a.basis_vector(i)))
+    return x
+
+
+@pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
+def test_decompose_matches_level_induction(model):
+    alg = REFERENCE_MODELS[model]()
+    rng = random.Random(model)
+    for w in lz.cone_check_family(alg, alg.kahler):
+        ctx = lz._context(alg, w, "full")
+        for r in sorted(alg.by_degree):
+            xs = [alg.basis_vector(i) for i in alg.degree_indices(r)]
+            xs += [random_combination(alg, r, rng) for _ in range(3)]
+            for x in xs:
+                ref = reference_decompose(ctx, x)
+                assert lz.primitive_decompose(alg, w, x) == \
+                    sorted(ref.items(), reverse=True)
+        # the context keeps no per-vector cache
+        sizes = {k: len(v) for k, v in vars(ctx).items()
+                 if isinstance(v, dict)}
+        ctx.decompose(random_combination(alg, alg.g, rng))
+        assert sizes == {k: len(v) for k, v in vars(ctx).items()
+                         if isinstance(v, dict)}
+
+
+@pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
+def test_q_grams_match_entrywise_q(model):
+    alg = REFERENCE_MODELS[model]()
+    rng = random.Random(model)
+    jc = lz.weil_operator(alg).mul(alg.conj_matrix)
+    for w in lz.cone_check_family(alg, alg.kahler):
+        ctx = lz._context(alg, w, "full")
+
+        def ref_q(x, y):
+            return reference_q(ctx, reference_decompose(ctx, x),
+                               reference_decompose(ctx, y))
+
+        for r in sorted(alg.by_degree):
+            basis = [alg.basis_vector(i) for i in alg.degree_indices(r)]
+            decs = [reference_decompose(ctx, x) for x in basis]
+            jc_decs = [reference_decompose(ctx, jc.apply(y)) for y in basis]
+            ref = [[reference_q(ctx, dx, dy) for dy in decs] for dx in decs]
+            assert lz.polarization_gram(alg, w, r) == \
+                DenseMatrix.from_rows(ref)
+            assert [[lz.polarization_form(alg, w, x, y) for y in basis]
+                    for x in basis] == ref
+            for _ in range(3):
+                x = random_combination(alg, r, rng)
+                y = random_combination(alg, r, rng)
+                assert lz.polarization_form(alg, w, x, y) == ref_q(x, y)
+            # T(e_i, e_j) = Q(e_i, J conj e_j), entry by entry
+            ref_t = [[reference_q(ctx, dx, dy) for dy in jc_decs]
+                     for dx in decs]
+            gram_t = lz.hodge_gram(alg, w, r)
+            assert gram_t == DenseMatrix.from_rows(ref_t)
+            assert gram_t == DenseMatrix.from_rows(
+                [[lz.hodge_inner_product(alg, w, x, y) for y in basis]
+                 for x in basis])
 
 
 # -- signature ----------------------------------------------------------------
