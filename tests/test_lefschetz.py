@@ -15,6 +15,7 @@ from hlk.exactlin import (
     ONE,
     determinant,
     hermitian_definiteness,
+    rref,
     solve,
     vec_add,
     vec_is_zero,
@@ -432,6 +433,75 @@ def test_q_grams_match_entrywise_q(model):
             assert gram_t == DenseMatrix.from_rows(
                 [[lz.hodge_inner_product(alg, w, x, y) for y in basis]
                  for x in basis])
+
+
+# -- reference: the dense Lambda oracle ---------------------------------------
+#
+# _lambda_by_solve builds its equations sparsely and reduces the system
+# once.  The dense n^2-row scan with two row reductions that it replaced is
+# kept here as the reference.
+
+
+def reference_lambda_by_solve(ctx):
+    dim = ctx.dim
+    degs = ctx.degrees
+    unknowns = [(i, j) for i in range(dim) for j in range(dim)
+                if degs[j] - degs[i] == 2]
+    rows = []
+    rhs = []
+    for i in range(dim):
+        for j in range(dim):
+            row = [ZERO] * len(unknowns)
+            for t, (a_, b_) in enumerate(unknowns):
+                coeff = ZERO
+                if a_ == i:
+                    coeff = coeff + ctx.L.at(b_, j)
+                if b_ == j:
+                    coeff = coeff - ctx.L.at(i, a_)
+                row[t] = coeff
+            if any(row) or not ctx.B.at(i, j).is_zero():
+                rows.append(row)
+                rhs.append(ctx.B.at(i, j))
+    system = DenseMatrix.from_rows(rows) if rows \
+        else DenseMatrix.zero(0, len(unknowns))
+    sol = solve(system, rhs)
+    if sol is None:
+        raise lz.ConeError("[Lambda, L] = B has no degree-(-2) solution")
+    _, pivots = rref(system.row_lists())
+    lam = [[ZERO] * dim for _ in range(dim)]
+    for (i, j), x in zip(unknowns, sol):
+        lam[i][j] = x
+    return DenseMatrix.from_rows(lam), len(pivots) == len(unknowns)
+
+
+def _solve_outcome(solver, ctx):
+    try:
+        return solver(ctx)
+    except lz.ConeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
+def test_lambda_solve_matches_dense_reference(model):
+    alg = REFERENCE_MODELS[model]()
+    for mode in ("full", "even"):
+        if not lz.kahler_cone_membership(alg, alg.kahler, mode):
+            continue
+        for w in lz.cone_check_family(alg, alg.kahler, mode):
+            ctx = lz._context(alg, w, mode)
+            lam, unique = lz._lambda_by_solve(ctx)
+            assert (lam, unique) == reference_lambda_by_solve(ctx)
+            assert unique
+    # classes outside the cone: zero, and a basis class that fails it
+    outside = [tuple(ZERO for _ in range(alg.n))]
+    outside += [alg.basis_vector(k) for k in alg.degree_indices(2)
+                if not lz.kahler_cone_membership(alg, alg.basis_vector(k))]
+    for w in outside:
+        ctx = lz._context(alg, w, "full")
+        expected = _solve_outcome(reference_lambda_by_solve, ctx)
+        assert _solve_outcome(lz._lambda_by_solve, ctx) == expected
+    with pytest.raises(lz.ConeError):
+        lz._lambda_by_solve(lz._context(alg, outside[0], "full"))
 
 
 # -- signature ----------------------------------------------------------------
