@@ -12,6 +12,7 @@ without a dense leaf reuse the same container with ``dense_leaf=False``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactlin import (
     DenseMatrix,
@@ -26,7 +27,6 @@ from .exactlin import (
     vec_conj,
     vec_is_zero,
     vec_scale,
-    zero_vector,
     unit_vector,
 )
 
@@ -58,6 +58,10 @@ class BigradedAlgebra:
                        if not Scalar.of(c).is_zero()}
             if cleaned:
                 self._products[(i, j)] = cleaned
+        # the nonzero products e_i cup e_j by left factor i: (j, {k: c})
+        self._by_left = {}
+        for (i, j), entry in sorted(self._products.items()):
+            self._by_left.setdefault(i, []).append((j, entry))
         self.conj_matrix = conj
         self.nu = tuple(Scalar.of(x) for x in nu)
         if len(self.nu) != n:
@@ -107,34 +111,46 @@ class BigradedAlgebra:
 
     # -- algebra operations -------------------------------------------
 
+    def _mul_sparse(self, x: dict, y: dict) -> dict:
+        """Product of two sparse vectors {index: nonzero coefficient},
+        read from the product table; cancelled coefficients are dropped."""
+        return _sparse_sum((xi * y[j], entry)
+                           for i, xi in x.items()
+                           for j, entry in self._by_left.get(i, ())
+                           if j in y)
+
     def mulvec(self, x, y) -> tuple:
         out = [ZERO] * self.n
-        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in ys:
-                entry = self._products.get((i, j))
-                if not entry:
-                    continue
-                c = xi * yj
-                for k, coeff in entry.items():
-                    out[k] = out[k] + c * coeff
+        for k, c in self._mul_sparse(_nonzero(x), _nonzero(y)).items():
+            out[k] = c
         return tuple(out)
 
     def conj_vec(self, x) -> tuple:
         return self.conj_matrix.apply(vec_conj(x))
 
     def nu_of(self, x) -> Scalar:
+        return self._nu_sparse(_nonzero(x))
+
+    def _nu_sparse(self, x: dict) -> Scalar:
         acc = ZERO
-        for c, xk in zip(self.nu, x):
-            if not (c.is_zero() or xk.is_zero()):
+        for k, xk in x.items():
+            c = self.nu[k]
+            if not c.is_zero():
                 acc = acc + c * xk
         return acc
 
     def pairing(self, x, y) -> Scalar:
         """The cup pairing nu(x cup y)."""
-        return self.nu_of(self.mulvec(x, y))
+        return self._nu_sparse(self._mul_sparse(_nonzero(x), _nonzero(y)))
+
+    @cached_property
+    def pairing_gram(self) -> DenseMatrix:
+        """Gram matrix of the cup pairing: entry (i, j) is nu(e_i cup e_j)."""
+        n = self.n
+        entries = [ZERO] * (n * n)
+        for (i, j), entry in self._products.items():
+            entries[i * n + j] = self._nu_sparse(entry)
+        return DenseMatrix(n, n, entries)
 
     @property
     def unit(self) -> tuple:
@@ -146,13 +162,18 @@ class BigradedAlgebra:
         candidates = self.bidegree_indices(0, 0)
         if not candidates:
             raise ValueError("no (0,0) component, algebra cannot be unital")
-        # Solve  sum_j x_j (e_j cup e_k) = e_k  for all k  over the (0,0) part.
+        # Solve  sum_j x_j (e_j cup e_k) = e_k  for all k  over the (0,0)
+        # part: one equation per component t that the products or e_k touch
         rows = []
         rhs = []
         for k in range(self.n):
-            for t in range(self.n):
-                rows.append([self._products.get((j, k), {}).get(t, ZERO)
-                             for j in candidates])
+            by_component = {k: [ZERO] * len(candidates)}
+            for col, j in enumerate(candidates):
+                for t, c in self._products.get((j, k), {}).items():
+                    by_component.setdefault(
+                        t, [ZERO] * len(candidates))[col] = c
+            for t in sorted(by_component):
+                rows.append(by_component[t])
                 rhs.append(ONE if t == k else ZERO)
         sol = solve(DenseMatrix.from_rows(rows), rhs)
         if sol is None:
@@ -160,12 +181,12 @@ class BigradedAlgebra:
         u = [ZERO] * self.n
         for j, c in zip(candidates, sol):
             u[j] = c
-        u = tuple(u)
+        us = _nonzero(u)
         for k in range(self.n):
-            ek = self.basis_vector(k)
-            if self.mulvec(ek, u) != ek or self.mulvec(u, ek) != ek:
+            ek = {k: ONE}
+            if self._mul_sparse(ek, us) != ek or self._mul_sparse(us, ek) != ek:
                 raise ValueError("algebra has no two-sided unit")
-        return u
+        return tuple(u)
 
     def real_degree_basis(self, r: int):
         """A conjugation-fixed Q(i)-basis of the degree-r component.
@@ -191,6 +212,19 @@ class BigradedAlgebra:
                 f"degree {r} has no conjugation-fixed basis; conjugation "
                 "may not preserve this degree")
         return chosen
+
+
+def _nonzero(vec) -> dict:
+    return {k: x for k, x in enumerate(vec) if x}
+
+
+def _sparse_sum(terms) -> dict:
+    """sum of c * v over (c, v) pairs of sparse vectors; zeros dropped."""
+    out = {}
+    for c, vec in terms:
+        for k, x in vec.items():
+            out[k] = out.get(k, ZERO) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 @dataclass(frozen=True)
@@ -252,33 +286,31 @@ def validate_algebra(a: BigradedAlgebra) -> ValidationReport:
         rep.add("unit", str(exc))
         unit = None
 
-    # graded commutativity
+    # graded commutativity: e_i e_j = (-1)^(rs) e_j e_i, from the table
+    table = a._products
     for i in range(n):
         ri = a.degree_of_index(i)
         for j in range(i, n):
-            rj = a.degree_of_index(j)
-            ij = a.mulvec(a.basis_vector(i), a.basis_vector(j))
-            ji = a.mulvec(a.basis_vector(j), a.basis_vector(i))
-            sign = -1 if (ri * rj) % 2 else 1
-            if ij != vec_scale(Scalar(sign), ji):
+            ji = table.get((j, i), {})
+            if (ri * a.degree_of_index(j)) % 2:
+                ji = {k: -c for k, c in ji.items()}
+            if table.get((i, j), {}) != ji:
                 rep.add("graded-commutativity",
                         f"{a.names[i]} cup {a.names[j]} != "
                         f"(-1)^(rs) {a.names[j]} cup {a.names[i]}")
 
-    # associativity
+    # associativity: sum_t P[i,j]_t P[t,k] = sum_t P[j,k]_t P[i,t]
     for i in range(n):
-        ei = a.basis_vector(i)
         for j in range(n):
-            ej = a.basis_vector(j)
-            ij = a.mulvec(ei, ej)
-            if vec_is_zero(ij):
-                left_nonzero = False
-            else:
-                left_nonzero = True
+            ij = table.get((i, j))
             for k in range(n):
-                ek = a.basis_vector(k)
-                left = a.mulvec(ij, ek) if left_nonzero else zero_vector(n)
-                right = a.mulvec(ei, a.mulvec(ej, ek))
+                jk = table.get((j, k))
+                if not (ij or jk):
+                    continue
+                left = _sparse_sum((c, table.get((t, k), {}))
+                                   for t, c in ij.items()) if ij else {}
+                right = _sparse_sum((c, table.get((i, t), {}))
+                                    for t, c in jk.items()) if jk else {}
                 if left != right:
                     rep.add("associativity",
                             f"({a.names[i]} {a.names[j]}) {a.names[k]} != "
@@ -288,21 +320,20 @@ def validate_algebra(a: BigradedAlgebra) -> ValidationReport:
     cc = a.conj_matrix.mul(a.conj_matrix.conj())
     if cc != DenseMatrix.identity(n):
         rep.add("conjugation-involution", "conj(conj(x)) != x")
+    # column t of the conjugation matrix is conj(e_t)
+    cols = [_nonzero(a.conj_matrix.column(t)) for t in range(n)]
     for i in range(n):
         p, q = a.bidegrees[i]
-        ci = a.conj_vec(a.basis_vector(i))
-        for k, x in enumerate(ci):
-            if not x.is_zero() and a.bidegrees[k] != (q, p):
+        for k in cols[i]:
+            if a.bidegrees[k] != (q, p):
                 rep.add("conjugation-swap",
                         f"conj({a.names[i]}) has a component at "
                         f"{a.names[k]} outside bidegree ({q},{p})")
     for i in range(n):
-        ei = a.basis_vector(i)
         for j in range(n):
-            ej = a.basis_vector(j)
-            lhs = a.conj_vec(a.mulvec(ei, ej))
-            rhs = a.mulvec(a.conj_vec(ei), a.conj_vec(ej))
-            if lhs != rhs:
+            lhs = _sparse_sum((c.conjugate(), cols[t])
+                              for t, c in table.get((i, j), {}).items())
+            if lhs != a._mul_sparse(cols[i], cols[j]):
                 rep.add("conjugation-multiplicative",
                         f"conj({a.names[i]} cup {a.names[j]}) != "
                         f"conj({a.names[i]}) cup conj({a.names[j]})")
@@ -323,14 +354,11 @@ def validate_algebra(a: BigradedAlgebra) -> ValidationReport:
 
     # nu respects the real structure: nu(conj x) = conj(nu x)
     for k in range(n):
-        v = a.basis_vector(k)
-        if a.nu_of(a.conj_vec(v)) != a.nu_of(v).conjugate():
+        if a._nu_sparse(cols[k]) != a.nu[k].conjugate():
             rep.add("nu-real", f"nu(conj {a.names[k]}) != conj(nu {a.names[k]})")
 
     # non-degenerate cup pairing
-    gram = [[a.pairing(a.basis_vector(i), a.basis_vector(j))
-             for j in range(n)] for i in range(n)]
-    rows, _ = rref(gram)
+    rows, _ = rref(a.pairing_gram.row_lists())
     if len(rows) != n:
         rep.add("pairing-degenerate",
                 f"cup pairing has rank {len(rows)} < {n}")

@@ -29,7 +29,6 @@ __all__ = [
     "quotient_cohomology",
     "symmetric_signature",
     "hermitian_definiteness",
-    "determinant",
     "vec_add",
     "vec_sub",
     "vec_scale",
@@ -136,9 +135,6 @@ class Scalar:
         if not self.im:
             return self
         return _mk(self.re, -self.im)
-
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -706,30 +702,3 @@ def hermitian_definiteness(g: DenseMatrix) -> bool:
                 m[r][j] = m[r][j] - f * m[k][j]
     return True
 
-
-def determinant(a: DenseMatrix) -> Scalar:
-    n = a.rows
-    if a.cols != n:
-        raise ValueError("determinant of a non-square matrix")
-    m = [list(a.row(i)) for i in range(n)]
-    det = ONE
-    for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if not m[r][k].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        det = det * m[k][k]
-        inv = ONE / m[k][k]
-        for r in range(k + 1, n):
-            f = m[r][k] * inv
-            if f.is_zero():
-                continue
-            for j in range(k, n):
-                m[r][j] = m[r][j] - f * m[k][j]
-    return det

@@ -58,7 +58,24 @@ def _coeff_doc(s: Scalar) -> dict:
 
 
 def _coeff_parse(doc) -> Scalar:
-    return Scalar(_frac_parse(doc["coeff_re"]), _frac_parse(doc["coeff_im"]))
+    return Scalar(_frac_parse(_field(doc, "coeff_re", "coefficient")),
+                  _frac_parse(_field(doc, "coeff_im", "coefficient")))
+
+
+def _field(entry, key: str, what: str):
+    """entry[key] of a JSON object, or InputError when it is missing."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise InputError(f"{what} has no {key!r} field: {entry!r}")
+    return entry[key]
+
+
+def _int_field(entry, key: str, what: str) -> int:
+    """A JSON integer field: floats, bools and strings are rejected."""
+    value = _field(entry, key, what)
+    if type(value) is not int:
+        raise InputError(f"{what} field {key!r} must be an integer, "
+                         f"got {value!r}")
+    return value
 
 
 def _scalar_doc(s: Scalar) -> dict:
@@ -126,48 +143,54 @@ def algebra_to_doc(a: BigradedAlgebra) -> dict:
 
 
 def algebra_from_doc(doc) -> BigradedAlgebra:
-    try:
-        g = int(doc["g"])
-        basis = doc["basis"]
-        names = [str(b["name"]) for b in basis]
-        bidegrees = [(int(b["p"]), int(b["q"])) for b in basis]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad algebra header: {exc}") from None
+    g = _int_field(doc, "g", "algebra")
+    basis = _field(doc, "basis", "algebra")
+    if not isinstance(basis, list):
+        raise InputError("algebra basis must be a list")
+    names = [str(_field(b, "name", "basis element")) for b in basis]
+    bidegrees = [(_int_field(b, "p", "basis element"),
+                  _int_field(b, "q", "basis element")) for b in basis]
+    dense_leaf = doc.get("dense_leaf", True)
+    if not isinstance(dense_leaf, bool):
+        raise InputError(f"dense_leaf must be true or false, "
+                         f"got {dense_leaf!r}")
     if len(set(names)) != len(names):
         raise InputError("duplicate basis names")
     index = {nm: t for t, nm in enumerate(names)}
 
-    def idx(nm):
-        if nm not in index:
+    def idx(entry, key, what):
+        nm = _field(entry, key, what)
+        if not isinstance(nm, str) or nm not in index:
             raise InputError(f"unknown basis element {nm!r}")
         return index[nm]
 
     products = {}
     for p in doc.get("products", []):
-        key = (idx(p["left"]), idx(p["right"]))
+        key = (idx(p, "left", "product"), idx(p, "right", "product"))
         if key in products:
             raise InputError(f"duplicate product entry for {p['left']},"
                              f" {p['right']}")
-        products[key] = {idx(r["name"]): _coeff_parse(r)
+        products[key] = {idx(r, "name", "product result"): _coeff_parse(r)
                          for r in p.get("result", [])}
     n = len(names)
     conj_cols = [[ZERO] * n for _ in range(n)]
     for c in doc.get("conjugation", []):
-        j = idx(c["of"])
+        j = idx(c, "of", "conjugation")
         for r in c.get("result", []):
-            conj_cols[j][idx(r["name"])] = _coeff_parse(r)
+            conj_cols[j][idx(r, "name", "conjugation result")] = \
+                _coeff_parse(r)
     conj = DenseMatrix.from_columns(conj_cols, rows=n)
     nu = [ZERO] * n
     for e in doc.get("nu", []):
-        nu[idx(e["name"])] = _coeff_parse(e)
+        nu[idx(e, "name", "nu")] = _coeff_parse(e)
     kahler = None
     if doc.get("kahler"):
         kahler = [ZERO] * n
         for e in doc["kahler"]:
-            kahler[idx(e["name"])] = _coeff_parse(e)
+            kahler[idx(e, "name", "kahler")] = _coeff_parse(e)
     return BigradedAlgebra(
         g, names, bidegrees, products, conj, nu,
-        dense_leaf=bool(doc.get("dense_leaf", True)),
+        dense_leaf=dense_leaf,
         name=str(doc.get("name", "")),
         kahler=tuple(kahler) if kahler is not None else None)
 

@@ -404,10 +404,6 @@ class ModuleOps:
             coeffs = self._expanded[x] = self.gamma_inv.apply(x)
         return coeffs
 
-    def apply_gen(self, gen: ModuleGenerator, vec):
-        """Apply one generator to a flat windowed vector."""
-        return self._dense(self._gen_sparse(gen, _sparse(vec)))
-
     def apply(self, x, vec):
         """Apply rho(x) for any x in g1_C to a flat windowed vector."""
         return self._dense(self.apply_sparse(x, _sparse(vec)))

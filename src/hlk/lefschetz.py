@@ -26,7 +26,6 @@ from .exactlin import (
     inverse,
     kernel,
     rref,
-    solve,
     symmetric_signature,
     vec_add,
     vec_is_zero,
@@ -297,42 +296,50 @@ def _lambda_constructive(ctx: _Context) -> DenseMatrix:
 
 
 def _lambda_by_solve(ctx: _Context) -> tuple:
-    """Unique degree-(-2) solution of [Lambda, L] = B, plus uniqueness flag."""
+    """Unique degree-(-2) solution of [Lambda, L] = B, plus uniqueness flag.
+
+    Equation (i, j) is sum_m Lambda[i,m] L[m,j] - L[i,m] Lambda[m,j] =
+    B[i,j], so the unknown Lambda[a,b] adds L[b,j] to equation (a,j) and
+    -L[i,a] to equation (i,b).  Only the equations some unknown touches,
+    and those with B[i,j] != 0, are built; the augmented system is reduced
+    once.
+    """
     dim = ctx.dim
     degs = ctx.degrees
     unknowns = [(i, j) for i in range(dim) for j in range(dim)
                 if degs[j] - degs[i] == 2]
-    upos = {u: t for t, u in enumerate(unknowns)}
-    l_mat = ctx.L
-    rows = []
-    rhs = []
-    for i in range(dim):
-        for j in range(dim):
-            row = [ZERO] * len(unknowns)
-            seen = False
-            for (a_, b_), t in upos.items():
-                coeff = ZERO
-                if a_ == i:
-                    coeff = coeff + l_mat.at(b_, j)
-                if b_ == j:
-                    coeff = coeff - l_mat.at(i, a_)
-                if not coeff.is_zero():
-                    row[t] = coeff
-                    seen = True
-            b_entry = ctx.B.at(i, j)
-            if seen or not b_entry.is_zero():
-                rows.append(row)
-                rhs.append(b_entry)
-    system = DenseMatrix.from_rows(rows) if rows else DenseMatrix.zero(0, len(unknowns))
-    sol = solve(system, rhs)
-    if sol is None:
+    width = len(unknowns)
+    entries = ctx.L.entries
+    l_rows = [[(j, entries[b * dim + j]) for j in range(dim)
+               if entries[b * dim + j]] for b in range(dim)]
+    l_cols = [[(i, entries[i * dim + a]) for i in range(dim)
+               if entries[i * dim + a]] for a in range(dim)]
+    equations = {}
+    for t, (a, b) in enumerate(unknowns):
+        for j, x in l_rows[b]:
+            row = equations.setdefault((a, j), {})
+            row[t] = row.get(t, ZERO) + x
+        for i, x in l_cols[a]:
+            row = equations.setdefault((i, b), {})
+            row[t] = row.get(t, ZERO) - x
+    for idx, x in enumerate(ctx.B.entries):
+        if x:
+            equations.setdefault(divmod(idx, dim), {})
+    system = []
+    for (i, j), row in equations.items():
+        dense = [ZERO] * (width + 1)
+        for t, x in row.items():
+            dense[t] = x
+        dense[width] = ctx.B.at(i, j)
+        system.append(dense)
+    rows, pivots = rref(system)
+    if pivots and pivots[-1] == width:
         raise ConeError("[Lambda, L] = B has no degree-(-2) solution")
-    _, pivots = rref(system.row_lists())
-    unique = len(pivots) == len(unknowns)
     lam = [[ZERO] * dim for _ in range(dim)]
-    for (i, j), t in upos.items():
-        lam[i][j] = sol[t]
-    return DenseMatrix.from_rows(lam), unique
+    for row, p in zip(rows, pivots):
+        i, j = unknowns[p]
+        lam[i][j] = row[width]
+    return DenseMatrix.from_rows(lam), len(pivots) == width
 
 
 def dual_lefschetz(a: BigradedAlgebra, w, mode: str = "full") -> SL2Triple:
@@ -514,9 +521,8 @@ def serre_pairing_check(a: BigradedAlgebra) -> SerreReport:
             if len(idxs) != len(dual):
                 failures.append((p, q, f"dim {len(idxs)} vs dual {len(dual)}"))
                 continue
-            gram = [[a.pairing(a.basis_vector(i), a.basis_vector(j))
-                     for j in dual] for i in idxs]
-            rows, _ = rref(gram)
+            gram = a.pairing_gram.submatrix(idxs, dual)
+            rows, _ = rref(gram.row_lists())
             if len(rows) != len(idxs):
                 failures.append((p, q, f"pairing rank {len(rows)} < {len(idxs)}"))
     return SerreReport(failures=failures)

@@ -19,7 +19,6 @@ from .exactlin import (
     Subspace,
     ZERO,
     ONE,
-    kernel,
     rref,
     unit_vector,
     vec_add,
@@ -40,7 +39,6 @@ __all__ = [
     "structure_constants",
     "killing_form",
     "killing_nondegenerate",
-    "center_dimension",
     "minimal_ideals",
     "is_sl2_block",
     "bracket_table_digest",
@@ -241,19 +239,6 @@ def killing_nondegenerate(lie: OperatorLieAlgebra) -> bool:
     return len(rows) == lie.dim
 
 
-def center_dimension(lie: OperatorLieAlgebra) -> int:
-    """Dimension of {x in L : [x, L] = 0}."""
-    dim = lie.dim
-    if dim == 0:
-        return 0
-    table = structure_constants(lie)
-    rows = []
-    for j in range(dim):          # bracket against b_j
-        for t in range(dim):      # component t of the result
-            rows.append([table[(k, j)][t] for k in range(dim)])
-    return kernel(DenseMatrix.from_rows(rows)).dim
-
-
 def minimal_ideals(lie: OperatorLieAlgebra):
     """Distinct minimal ideals among those generated by basis seeds."""
     dim = lie.dim
@@ -320,7 +305,7 @@ def phi_form(a: BigradedAlgebra) -> PhiForm:
             if di + dj != 4:
                 row.append(ZERO)
                 continue
-            val = a.pairing(a.basis_vector(i), a.basis_vector(j))
+            val = a.pairing_gram.at(i, j)
             row.append(-val if di == 2 else val)
         entries.append(row)
     return PhiForm(indices=tuple(idx), matrix=DenseMatrix.from_rows(entries))

@@ -93,6 +93,54 @@ def test_parse_error_exit_code(tmp_path):
     assert run(["validate", "--input", str(bad)]) == 2
 
 
+def _drop(path):
+    def edit(doc):
+        *parents, key = path
+        for step in parents:
+            doc = doc[step]
+        del doc[key]
+    return edit
+
+
+def _set(key, value, where=lambda doc: doc):
+    def edit(doc):
+        where(doc)[key] = value
+    return edit
+
+
+MALFORMED_ALGEBRAS = {
+    # a missing key ended in a KeyError traceback
+    "missing-left": _drop(["products", 0, "left"]),
+    "missing-right": _drop(["products", 0, "right"]),
+    "missing-result-name": _drop(["products", 0, "result", 0, "name"]),
+    "missing-of": _drop(["conjugation", 0, "of"]),
+    "missing-nu-name": _drop(["nu", 0, "name"]),
+    # non-integer degrees were coerced by int()
+    "g-float": _set("g", 1.5),
+    "g-bool": _set("g", True),
+    "g-string": _set("g", "1"),
+    "p-float": _set("p", 0.0, lambda doc: doc["basis"][0]),
+    "q-string": _set("q", "0", lambda doc: doc["basis"][0]),
+    # a non-bool dense_leaf was coerced by bool()
+    "dense-leaf-string": _set("dense_leaf", "no"),
+    "dense-leaf-int": _set("dense_leaf", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ALGEBRAS))
+def test_malformed_algebra_is_input_error(catalog_dir, tmp_path, capsys,
+                                          case):
+    doc = json.loads((catalog_dir / "torus.algebra.json").read_text())
+    MALFORMED_ALGEBRAS[case](doc)
+    bad = tmp_path / "malformed.algebra.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(fileio.InputError):
+        fileio.load_document(str(bad))
+    assert run(["validate", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_lefschetz_k3_report(catalog_dir, tmp_path):
     report = tmp_path / "k3.json"
     code = run(["lefschetz",

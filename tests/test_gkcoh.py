@@ -232,7 +232,7 @@ def test_action_exit_detected(sl2, sl2_split):
     lo, _ = module.slice_of(6)
     vec[lo] = ONE
     with pytest.raises(gkcoh.WindowError):
-        ops.apply_gen(module.gen_by_name["e"], tuple(vec))
+        ops.apply(module.gen_by_name["e"].coords, tuple(vec))
 
 
 # -- the Lefschetz operator ---------------------------------------------------
