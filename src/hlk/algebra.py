@@ -256,7 +256,9 @@ class ValidationReport:
 def validate_algebra(a: BigradedAlgebra) -> ValidationReport:
     """Check every structural invariant of a bigraded model.
 
-    Dense-leaf extras (1-dimensional top, nu nonzero and conjugation
+    Products of basis vectors are read from the sparse product table
+    {(i, j): {k: c}}, and the conjugation from the sparse columns of its
+    matrix; violations are reported in (i, j, k) order.  Dense-leaf extras (1-dimensional top, nu nonzero and conjugation
     compatible, non-degenerate pairing, even odd-degree dimensions,
     Hodge symmetry) are only enforced when ``a.dense_leaf`` is set.
     """
@@ -302,15 +304,15 @@ def validate_algebra(a: BigradedAlgebra) -> ValidationReport:
     # associativity: sum_t P[i,j]_t P[t,k] = sum_t P[j,k]_t P[i,t]
     for i in range(n):
         for j in range(n):
-            ij = table.get((i, j))
+            ij = table.get((i, j), {})
             for k in range(n):
-                jk = table.get((j, k))
+                jk = table.get((j, k), {})
                 if not (ij or jk):
                     continue
                 left = _sparse_sum((c, table.get((t, k), {}))
-                                   for t, c in ij.items()) if ij else {}
+                                   for t, c in ij.items())
                 right = _sparse_sum((c, table.get((i, t), {}))
-                                    for t, c in jk.items()) if jk else {}
+                                    for t, c in jk.items())
                 if left != right:
                     rep.add("associativity",
                             f"({a.names[i]} {a.names[j]}) {a.names[k]} != "

@@ -69,6 +69,15 @@ def _field(entry, key: str, what: str):
     return entry[key]
 
 
+def _list_field(entry, key: str, what: str) -> list:
+    """An optional JSON list field, empty when absent."""
+    value = entry.get(key, [])
+    if not isinstance(value, list):
+        raise InputError(f"{what} field {key!r} must be a list, "
+                         f"got {value!r}")
+    return value
+
+
 def _int_field(entry, key: str, what: str) -> int:
     """A JSON integer field: floats, bools and strings are rejected."""
     value = _field(entry, key, what)
@@ -146,7 +155,7 @@ def algebra_from_doc(doc) -> BigradedAlgebra:
     g = _int_field(doc, "g", "algebra")
     basis = _field(doc, "basis", "algebra")
     if not isinstance(basis, list):
-        raise InputError("algebra basis must be a list")
+        raise InputError("algebra field 'basis' must be a list")
     names = [str(_field(b, "name", "basis element")) for b in basis]
     bidegrees = [(_int_field(b, "p", "basis element"),
                   _int_field(b, "q", "basis element")) for b in basis]
@@ -165,28 +174,28 @@ def algebra_from_doc(doc) -> BigradedAlgebra:
         return index[nm]
 
     products = {}
-    for p in doc.get("products", []):
+    for p in _list_field(doc, "products", "algebra"):
         key = (idx(p, "left", "product"), idx(p, "right", "product"))
         if key in products:
             raise InputError(f"duplicate product entry for {p['left']},"
                              f" {p['right']}")
         products[key] = {idx(r, "name", "product result"): _coeff_parse(r)
-                         for r in p.get("result", [])}
+                         for r in _list_field(p, "result", "product")}
     n = len(names)
     conj_cols = [[ZERO] * n for _ in range(n)]
-    for c in doc.get("conjugation", []):
+    for c in _list_field(doc, "conjugation", "algebra"):
         j = idx(c, "of", "conjugation")
-        for r in c.get("result", []):
+        for r in _list_field(c, "result", "conjugation"):
             conj_cols[j][idx(r, "name", "conjugation result")] = \
                 _coeff_parse(r)
     conj = DenseMatrix.from_columns(conj_cols, rows=n)
     nu = [ZERO] * n
-    for e in doc.get("nu", []):
+    for e in _list_field(doc, "nu", "algebra"):
         nu[idx(e, "name", "nu")] = _coeff_parse(e)
     kahler = None
     if doc.get("kahler"):
         kahler = [ZERO] * n
-        for e in doc["kahler"]:
+        for e in _list_field(doc, "kahler", "algebra"):
             kahler[idx(e, "name", "kahler")] = _coeff_parse(e)
     return BigradedAlgebra(
         g, names, bidegrees, products, conj, nu,

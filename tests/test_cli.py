@@ -121,6 +121,9 @@ MALFORMED_ALGEBRAS = {
     "g-string": _set("g", "1"),
     "p-float": _set("p", 0.0, lambda doc: doc["basis"][0]),
     "q-string": _set("q", "0", lambda doc: doc["basis"][0]),
+    # a list field that is not a list ended in a TypeError traceback
+    "products-not-list": _set("products", 5),
+    "result-not-list": _set("result", 3, lambda doc: doc["products"][0]),
     # a non-bool dense_leaf was coerced by bool()
     "dense-leaf-string": _set("dense_leaf", "no"),
     "dense-leaf-int": _set("dense_leaf", 0),
