@@ -1,10 +1,14 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from hlk import fileio
 from hlk.cli import main
+from hlk.exactlin import Scalar
+from hlk.gkcoh import AdmissibleModule
 
 
 def run(args):
@@ -212,6 +216,69 @@ def test_gkcoh_suite(catalog_dir, tmp_path):
     doc = json.loads(report.read_text())
     assert doc["summary"]["sl2-trivial:hodge"] == {"0,0": 1, "1,1": 1}
     assert doc["summary"]["sl2-adjoint:hodge"] == {}
+
+
+def write_rescaled_module(src, dst, rng):
+    """The module of ``src`` in the basis u = s_w v, s_w a seeded positive
+    rational per weight: forms pick up s_w^2, a block from w to w' picks
+    up s_w / s_w'."""
+    _, m = fileio.load_document(str(src))
+    scale = {w: Fraction(rng.randint(1, 5), rng.randint(1, 5))
+             for w in m.sorted_weights}
+    actions = {(g, w): block.scale(Scalar(
+        scale[w] / scale[w + m.gen_by_name[g].shift]))
+        for (g, w), block in m.actions.items()}
+    out = AdmissibleModule(
+        name=m.name, pair_name=m.pair_name, window=m.window,
+        weights=m.weights, generators=m.generators, actions=actions,
+        forms={w: f.scale(Scalar(scale[w] ** 2)) for w, f in m.forms.items()},
+        unitary=m.unitary)
+    dst.write_text(fileio.canonical_dumps(fileio.module_to_doc(out)))
+
+
+GK_MODULES = ("sl2-trivial", "sl2-ds-plus", "sl2-ds-minus", "sl2-adjoint")
+GK_GOLDEN = {
+    # sha256 of the canonical summary, and the checks, all of which pass
+    "gkcoh": (
+        "15c6946937fdb7d353ec4a1d4f8387c7f43ecf41df05934499dd56f8ad0dfa15",
+        ["pair:sl2R"] + [f"{m}:{c}" for m in GK_MODULES
+                         for c in ("validate", "d-squared", "dichotomy",
+                                   "bigraded-total", "harmonic")]),
+    "assemble": (
+        "5573e8b18e04b3faf0b4552971c79bb705b2f05e1dd3a2c6b4ec10c4a79a29d8",
+        ["pair:sl2R"] + [f"{m}:validate" for m in GK_MODULES[:3]]
+        + [f"diamond:{c}" for c in ("hodge-symmetry", "odd-betti-even",
+                                    "serre-symmetry", "hard-lefschetz")]),
+}
+
+
+def test_gk_golden_summary(tmp_path):
+    # the window-96 catalog with the discrete series rescaled per weight;
+    # the values were recorded from the per-vector module operators
+    for name in ("genus2-suite", "sl2-adjoint"):
+        assert run(["catalog", name, "--window", "96",
+                    "--out-dir", str(tmp_path)]) == 0
+    files = [tmp_path / f"{m}.module.json" for m in GK_MODULES]
+    for t in (1, 2):
+        rescaled = tmp_path / f"{GK_MODULES[t]}.rescaled.module.json"
+        write_rescaled_module(files[t], rescaled,
+                              random.Random(f"golden:{GK_MODULES[t]}"))
+        files[t] = rescaled
+    pair = ["--input", str(tmp_path / "sl2R.pair.json")]
+    spectrum = ["--input", str(tmp_path / "genus2.spectrum.json")]
+    argv = {
+        "gkcoh": pair + sum((["--input", str(f)] for f in files), []),
+        "assemble": pair + sum((["--input", str(f)] for f in files[:3]), [])
+        + spectrum,
+    }
+    for command, (digest, checks) in GK_GOLDEN.items():
+        report = tmp_path / f"{command}.json"
+        assert run([command, *argv[command], "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert [(c["name"], c["status"]) for c in doc["checks"]] == \
+            [(name, "pass") for name in checks]
+        summary = fileio.canonical_dumps(doc["summary"]).encode()
+        assert hashlib.sha256(summary).hexdigest() == digest, command
 
 
 def test_assemble_suite(catalog_dir, tmp_path, capsys):

@@ -1,10 +1,14 @@
 import hashlib
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from hlk import catalog, gkcoh
-from hlk.exactlin import DenseMatrix, Scalar, ZERO, ONE
+from hlk.algebra import ValidationReport
+from hlk.exactlin import (DenseMatrix, Scalar, SpanBuilder, Subspace, ZERO,
+                          ONE, hermitian_definiteness, inverse, kernel, rref)
 from hlk.gkcoh import AdmissibleModule, ModuleGenerator, ReductivePair
 
 
@@ -172,28 +176,7 @@ def test_dichotomy_branches(sl2, sl2_split, sl2_modules):
 
 
 def test_dichotomy_not_applicable_for_direct_sum(sl2, sl2_split, sl2_modules):
-    trivial = sl2_modules["trivial"]
-    adjoint = sl2_modules["adjoint"]
-    # direct sum: weight 0 is 2-dimensional, +-2 come from the adjoint
-    weights = {-2: 1, 0: 2, 2: 1}
-    forms = {-2: DenseMatrix.identity(1), 0: DenseMatrix.identity(2),
-             2: DenseMatrix.identity(1)}
-    actions = {}
-    for (gname, from_w), mat in adjoint.actions.items():
-        to_w = from_w + adjoint.gen_by_name[gname].shift
-        rows = weights.get(to_w, 0)
-        cols = weights.get(from_w, 0)
-        entries = [[ZERO] * cols for _ in range(rows)]
-        # adjoint sits in the first slot of each weight space; the
-        # trivial summand occupies the second slot of weight 0
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                entries[i][j] = mat.at(i, j)
-        actions[(gname, from_w)] = DenseMatrix.from_rows(entries)
-    summed = AdmissibleModule(
-        name="trivial+adjoint", pair_name="sl2R", window=adjoint.window,
-        weights=weights, forms=forms, generators=adjoint.generators,
-        actions=actions, unitary=False)
+    summed = direct_sum_module(sl2_modules["trivial"], sl2_modules["adjoint"])
     rep = gkcoh.validate_module(sl2, sl2_split, summed)
     assert rep.ok, rep.summary()
     cas = gkcoh.casimir_action(sl2, sl2_split, summed)
@@ -423,3 +406,501 @@ def test_complex_digests(sl2, sl2_split, sl2_modules, product):
             m = one_factor_module(module, active)
             got[m.name] = complex_digest(*product, m)
     assert got == DIGESTS
+
+
+# -- the per-vector references --------------------------------------------------
+#
+# The bracket check, the Casimir and the K-equivariance system as they were
+# computed before the block operators: rho on sparse flat vectors, one basis
+# vector e_t at a time, and one dense kernel over the whole window.  The
+# block code must give the same reports, Casimir results and complexes.
+
+
+def ref_sparse_add(a: dict, b: dict, c=None) -> dict:
+    out = dict(a)
+    for t, v in b.items():
+        out[t] = out.get(t, ZERO) + (v if c is None else c * v)
+    return {t: v for t, v in out.items() if v}
+
+
+class ReferenceOps:
+    """rho(x) on sparse vectors {flat index: nonzero Scalar}."""
+
+    def __init__(self, pair, module):
+        self.module = module
+        self.gamma_inv = inverse(DenseMatrix.from_columns(
+            [g.coords for g in module.generators], rows=pair.dim))
+
+    def expand(self, x):
+        return self.gamma_inv.apply(tuple(Scalar.of(v) for v in x))
+
+    def apply_sparse(self, x, sv: dict) -> dict:
+        out = {}
+        for c, gen in zip(self.expand(x), self.module.generators):
+            if c:
+                out = ref_sparse_add(out, self.gen_sparse(gen, sv), c)
+        return out
+
+    def gen_sparse(self, gen, sv: dict) -> dict:
+        m = self.module
+        out = {}
+        for w in dict.fromkeys(m.weight_at[t] for t in sorted(sv)):
+            target = w + gen.shift
+            if abs(target) > m.window:
+                raise gkcoh.WindowError(
+                    f"applying {gen.name} from weight {w} exits the window")
+            if m.weights.get(target, 0) == 0:
+                continue
+            block = m.action_block(gen.name, w)
+            lo, hi = m.slice_of(w)
+            tlo, _ = m.slice_of(target)
+            piece = [sv.get(t, ZERO) for t in range(lo, hi)]
+            for t, val in enumerate(block.apply(piece)):
+                if val:
+                    out[tlo + t] = val
+        return out
+
+    def dense(self, sv: dict) -> tuple:
+        out = [ZERO] * self.module.total_dim
+        for t, v in sv.items():
+            out[t] = v
+        return tuple(out)
+
+    def apply(self, x, vec) -> tuple:
+        return self.dense(self.apply_sparse(
+            x, {t: v for t, v in enumerate(vec) if v}))
+
+    def matrix(self, x) -> DenseMatrix:
+        d = self.module.total_dim
+        return DenseMatrix.from_columns(
+            [self.dense(self.apply_sparse(x, {j: ONE})) for j in range(d)],
+            rows=d)
+
+
+def ref_interior_weights(module):
+    shifts = [g.shift for g in module.generators]
+    w = module.window
+    return [n for n in module.sorted_weights
+            if all(abs(n + s) <= w for s in shifts)
+            and all(abs(n + s + t) <= w for s in shifts for t in shifts)]
+
+
+def reference_validate_module(pair, split, module) -> ValidationReport:
+    rep = ValidationReport()
+    n = pair.dim
+    for g in module.generators:
+        if len(g.coords) != n:
+            rep.add("generator-shape", f"{g.name} has wrong coordinate length")
+            return rep
+    k_span = SpanBuilder(n)
+    for i in pair.k_indices:
+        k_span.add(pair.basis_vector(i))
+    plus_span = SpanBuilder(n)
+    for v in split.plus:
+        plus_span.add(v)
+    minus_span = SpanBuilder(n)
+    for v in split.minus:
+        minus_span.add(v)
+    for g in module.generators:
+        in_k = k_span.contains(g.coords)
+        in_plus = plus_span.contains(g.coords)
+        in_minus = minus_span.contains(g.coords)
+        if not (in_k or in_plus or in_minus):
+            rep.add("generator-purity",
+                    f"{g.name} is not of pure type (k, p+ or p-)")
+        if in_k and g.shift != 0:
+            rep.add("generator-shift",
+                    f"k-type generator {g.name} must have shift 0")
+    gamma = DenseMatrix.from_columns([g.coords for g in module.generators],
+                                     rows=n)
+    rows, _ = rref(gamma.row_lists())
+    if gamma.cols != n or len(rows) != n:
+        rep.add("generator-span", "generators do not form a basis of g1_C")
+        return rep
+    for w, d in module.weights.items():
+        if abs(w) > module.window:
+            rep.add("window", f"weight {w} declared outside the window")
+        g = module.forms.get(w)
+        if g is None or g.rows != d or g.cols != d:
+            rep.add("form-shape", f"weight {w} lacks a {d}x{d} form")
+            continue
+        try:
+            if not hermitian_definiteness(g):
+                rep.add("form-positive", f"form at weight {w} is not positive")
+        except ValueError:
+            rep.add("form-hermitian", f"form at weight {w} is not Hermitian")
+    for g in module.generators:
+        for w, d in module.weights.items():
+            target = w + g.shift
+            if abs(target) > module.window:
+                continue
+            if module.weights.get(target, 0) == 0:
+                continue
+            block = module.actions.get((g.name, w))
+            if block is None:
+                rep.add("action-missing",
+                        f"missing block ({g.name}, from weight {w})")
+            elif (block.rows, block.cols) != (module.weights[target], d):
+                rep.add("action-shape",
+                        f"block ({g.name}, {w}) has the wrong shape")
+    if not rep.ok:
+        return rep
+    ops = ReferenceOps(pair, module)
+    interior = ref_interior_weights(module)
+    for gi in module.generators:
+        for gj in module.generators:
+            lie = pair.bracket(gi.coords, gj.coords)
+            for w in interior:
+                lo, hi = module.slice_of(w)
+                for t in range(lo, hi):
+                    e_t = {t: ONE}
+                    lhs = ops.apply_sparse(gi.coords,
+                                           ops.apply_sparse(gj.coords, e_t))
+                    rhs = ops.apply_sparse(gj.coords,
+                                           ops.apply_sparse(gi.coords, e_t))
+                    if lhs != ref_sparse_add(rhs, ops.apply_sparse(lie, e_t)):
+                        rep.add("bracket-compatibility",
+                                f"rho([{gi.name},{gj.name}]) mismatch at "
+                                f"weight {w}")
+                        break
+    if not module.unitary:
+        return rep
+    for g in module.generators:
+        coeffs = ops.expand(tuple(c.conjugate() for c in g.coords))
+        for w in module.sorted_weights:
+            target = w + g.shift
+            if abs(target) > module.window or module.weights.get(target, 0) == 0:
+                continue
+            m_block = module.action_block(g.name, w)
+            n_block = DenseMatrix.zero(module.weights[w],
+                                       module.weights[target])
+            for c, gen2 in zip(coeffs, module.generators):
+                if c.is_zero() or gen2.shift != -g.shift:
+                    continue
+                n_block = n_block.add(
+                    module.action_block(gen2.name, target).scale(c))
+            lhs = m_block.conj_transpose().mul(module.forms[target])
+            rhs = module.forms[w].mul(n_block).scale(Scalar(-1))
+            if lhs != rhs:
+                rep.add("unitarity",
+                        f"{g.name} is not skew-adjoint from weight {w}")
+    return rep
+
+
+def reference_casimir(pair, split, module) -> gkcoh.CasimirResult:
+    ops = ReferenceOps(pair, module)
+    b_inv = inverse(pair.b_form)
+    interior_weights = ref_interior_weights(module)
+    if module.sorted_weights and not interior_weights:
+        raise gkcoh.WindowError("window too small for any Casimir composition")
+    scalars, non_scalar = {}, []
+    for n in interior_weights:
+        lo, hi = module.slice_of(n)
+        dim_n = hi - lo
+        cols = []
+        for t in range(dim_n):
+            total = {}
+            for i in range(pair.dim):
+                step = ops.apply_sparse(b_inv.column(i), {lo + t: ONE})
+                step = ops.apply_sparse(pair.basis_vector(i), step)
+                total = ref_sparse_add(total, step)
+            cols.append(total)
+        ok = all(lo <= t < hi for col in cols for t in col)
+        diag = None
+        if ok:
+            first = None
+            for t in range(dim_n):
+                val = cols[t].get(lo + t, ZERO)
+                if first is None:
+                    first = val
+                for s in range(dim_n):
+                    expected = first if s == t else ZERO
+                    if cols[t].get(lo + s, ZERO) != expected:
+                        ok = False
+            diag = first
+        if ok and diag is not None:
+            scalars[n] = diag
+        else:
+            non_scalar.append(n)
+    return gkcoh.CasimirResult(scalars=scalars, non_scalar=non_scalar,
+                               interior=interior_weights)
+
+
+def ref_apply_d(ops, slots, wedges, f, src_key, dst_key, dv):
+    d = len(slots) // 2
+    plus = dst_key[0] > src_key[0]
+    spos = {w: t for t, w in enumerate(wedges[src_key])}
+    dst_w = wedges[dst_key]
+    out = [ZERO] * (len(dst_w) * dv)
+    for wt, w in enumerate(dst_w):
+        acc = [ZERO] * dv
+        for a, s in enumerate(w):
+            if (s < d) != plus:
+                continue
+            st = spos[w[:a] + w[a + 1:]]
+            piece = f[st * dv:(st + 1) * dv]
+            if all(not x for x in piece):
+                continue
+            img = ops.apply(slots[s], piece)
+            sgn = Scalar(-1 if a % 2 else 1)
+            for t, val in enumerate(img):
+                if val:
+                    acc[t] = acc[t] + sgn * val
+        out[wt * dv:(wt + 1) * dv] = acc
+    return tuple(out)
+
+
+def reference_complex(pair, split, module):
+    """Cochain bases from one dense kernel per bidegree, and the
+    differentials from the per-vector action."""
+    ops = ReferenceOps(pair, module)
+    d = split.dim
+    dv = module.total_dim
+    slots = split.plus + split.minus
+    k_act = {}
+    for ki in pair.k_indices:
+        h = pair.basis_vector(ki)
+        table = []
+        for sign, first, vectors in (("+", 0, split.plus),
+                                     ("-", d, split.minus)):
+            for u in vectors:
+                coords = gkcoh._coords_in(vectors, pair.bracket(h, u))
+                if coords is None:
+                    raise ValueError(
+                        f"[k, p{sign}] is not contained in p{sign}")
+                table.append({first + b: c for b, c in enumerate(coords) if c})
+        k_act[ki] = table
+    rho_k = {ki: ops.matrix(pair.basis_vector(ki)) for ki in pair.k_indices}
+    wedges, bases, spans = {}, {}, {}
+    for p in range(d + 1):
+        for q in range(d + 1):
+            wl = [ii + tuple(d + j for j in jj)
+                  for ii in combinations(range(d), p)
+                  for jj in combinations(range(d), q)]
+            wedges[(p, q)] = wl
+            ambient = len(wl) * dv
+            spans[(p, q)] = SpanBuilder(ambient)
+            if ambient == 0:
+                bases[(p, q)] = ()
+                continue
+            rows = []
+            wpos = {w: t for t, w in enumerate(wl)}
+            for ki in pair.k_indices:
+                rk = rho_k[ki]
+                for wt, w in enumerate(wl):
+                    moved = {}
+                    for a, s in enumerate(w):
+                        for b, c in k_act[ki][s].items():
+                            res = gkcoh._sort_sign(w[:a] + (b,) + w[a + 1:])
+                            if res is None:
+                                continue
+                            key, sgn = res
+                            moved[key] = moved.get(key, ZERO) + Scalar(sgn) * c
+                    for vout in range(dv):
+                        row = [ZERO] * ambient
+                        for vin in range(dv):
+                            c = rk.at(vout, vin)
+                            if not c.is_zero():
+                                row[wt * dv + vin] = row[wt * dv + vin] + c
+                        for key, c in moved.items():
+                            if c.is_zero():
+                                continue
+                            row[wpos[key] * dv + vout] = \
+                                row[wpos[key] * dv + vout] - c
+                        if any(not x.is_zero() for x in row):
+                            rows.append(row)
+            if rows:
+                bases[(p, q)] = kernel(DenseMatrix.from_rows(rows)).basis
+            else:
+                bases[(p, q)] = Subspace.full(ambient).basis
+            for vec in bases[(p, q)]:
+                spans[(p, q)].add(vec)
+    d_plus, d_minus = {}, {}
+    for (p, q), src in bases.items():
+        for (tp, tq), store in (((p + 1, q), d_plus), ((p, q + 1), d_minus)):
+            if tp > d or tq > d:
+                store[(p, q)] = DenseMatrix.zero(0, len(src))
+                continue
+            cols = []
+            for f in src:
+                img = ref_apply_d(ops, slots, wedges, f, (p, q), (tp, tq), dv)
+                coords = spans[(tp, tq)].coordinates(img)
+                if coords is None:
+                    raise ArithmeticError(
+                        "differential left the equivariant subspace")
+                cols.append(coords)
+            store[(p, q)] = DenseMatrix.from_columns(
+                cols, rows=len(bases[(tp, tq)]))
+    return bases, d_plus, d_minus
+
+
+# -- comparison inputs ----------------------------------------------------------
+
+
+def rebuilt(module, **changes) -> AdmissibleModule:
+    fields = dict(name=module.name, pair_name=module.pair_name,
+                  window=module.window, weights=module.weights,
+                  forms=module.forms, generators=module.generators,
+                  actions=module.actions, unitary=module.unitary)
+    fields.update(changes)
+    return AdmissibleModule(**fields)
+
+
+def rescaled(module, rng) -> AdmissibleModule:
+    """The module in the basis u = s_w v on each weight space, s_w a seeded
+    positive rational: forms pick up s_w^2, a block from w to w' picks up
+    s_w / s_w'."""
+    scale = {w: Fraction(rng.randint(1, 5), rng.randint(1, 5))
+             for w in module.sorted_weights}
+    forms = {w: m.scale(Scalar(scale[w] ** 2))
+             for w, m in module.forms.items()}
+    actions = {}
+    for (gname, w), block in module.actions.items():
+        target = w + module.gen_by_name[gname].shift
+        actions[(gname, w)] = block.scale(Scalar(scale[w] / scale[target]))
+    return rebuilt(module, name=module.name + ":rescaled", forms=forms,
+                   actions=actions)
+
+
+def mutant(module, rng, kind) -> AdmissibleModule:
+    """One seeded defect: an action entry scaled at an interior weight, a
+    form entry changed, or a generator shift changed."""
+    if kind == "action":
+        interior = set(ref_interior_weights(module))
+        keys = sorted(k for k, m in module.actions.items()
+                      if k[1] in interior and not m.is_zero_matrix())
+        key = rng.choice(keys)
+        block = module.actions[key]
+        spots = [t for t, x in enumerate(block.entries) if x]
+        entries = list(block.entries)
+        t = rng.choice(spots)
+        entries[t] = entries[t] * Scalar(rng.choice(
+            [Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(5, 2)]))
+        actions = dict(module.actions)
+        actions[key] = DenseMatrix(block.rows, block.cols, entries)
+        return rebuilt(module, actions=actions)
+    if kind == "form":
+        w = rng.choice(module.sorted_weights)
+        form = module.forms[w]
+        entries = list(form.entries)
+        t = rng.randrange(len(entries))
+        entries[t] = entries[t] + Scalar(rng.choice([1, -1, 2]),
+                                         rng.choice([0, 0, 1]))
+        forms = dict(module.forms)
+        forms[w] = DenseMatrix(form.rows, form.cols, entries)
+        return rebuilt(module, forms=forms)
+    gens = list(module.generators)
+    t = rng.randrange(len(gens))
+    g = gens[t]
+    gens[t] = ModuleGenerator(g.name, g.coords,
+                              g.shift + rng.choice([-4, -2, -1, 1, 2, 4]))
+    return rebuilt(module, generators=tuple(gens))
+
+
+def direct_sum_module(trivial, adjoint) -> AdmissibleModule:
+    """trivial (+) adjoint: weight 0 is 2-dimensional, +-2 come from the
+    adjoint, whose vectors sit in the first slot of each weight space."""
+    weights = {-2: 1, 0: 2, 2: 1}
+    forms = {-2: DenseMatrix.identity(1), 0: DenseMatrix.identity(2),
+             2: DenseMatrix.identity(1)}
+    actions = {}
+    for (gname, from_w), mat in adjoint.actions.items():
+        to_w = from_w + adjoint.gen_by_name[gname].shift
+        entries = [[ZERO] * weights.get(from_w, 0)
+                   for _ in range(weights.get(to_w, 0))]
+        for i in range(mat.rows):
+            for j in range(mat.cols):
+                entries[i][j] = mat.at(i, j)
+        actions[(gname, from_w)] = DenseMatrix.from_rows(entries)
+    return AdmissibleModule(
+        name="trivial+adjoint", pair_name="sl2R", window=adjoint.window,
+        weights=weights, forms=forms, generators=adjoint.generators,
+        actions=actions, unitary=False)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def compared(pair, split, module):
+    """(new, reference) pairs of the validation summary, the Casimir
+    result and the complex of one module."""
+    def casimir(fn):
+        res = outcome(fn, pair, split, module)
+        if isinstance(res, gkcoh.CasimirResult):
+            return res.scalars, res.non_scalar, res.interior
+        return res
+
+    def cochains():
+        cx = gkcoh.build_complex(pair, split, module)
+        return cx.bases, cx.d_plus, cx.d_minus
+
+    return [
+        (gkcoh.validate_module(pair, split, module).summary(),
+         reference_validate_module(pair, split, module).summary()),
+        (casimir(gkcoh.casimir_action), casimir(reference_casimir)),
+        (outcome(cochains), outcome(reference_complex, pair, split, module)),
+    ]
+
+
+def sl2_inputs(window):
+    return {
+        "trivial": catalog.sl2_trivial_module(window),
+        "adjoint": catalog.sl2_adjoint_module(window),
+        "ds-plus": catalog.sl2_discrete_series_module(1, window),
+        "ds-minus": catalog.sl2_discrete_series_module(-1, window),
+    }
+
+
+@pytest.mark.parametrize("window", [6, 96])
+def test_block_operators_match_references_catalog(sl2, sl2_split, window):
+    mods = sl2_inputs(window)
+    if window == 96:
+        for sign, name in ((1, "ds-plus"), (-1, "ds-minus")):
+            mods[f"{name}:rescaled"] = rescaled(
+                mods[name], random.Random(f"rescale:{name}"))
+    else:
+        mods["trivial+adjoint"] = direct_sum_module(mods["trivial"],
+                                                    mods["adjoint"])
+    for name, module in mods.items():
+        for got, want in compared(sl2, sl2_split, module):
+            assert got == want, name
+
+
+def test_block_operators_match_references_kuenneth(product, sl2_modules):
+    pair, split = product
+    for name in sorted(KUENNETH):
+        for active in (0, 1):
+            module = one_factor_module(sl2_modules[name], active)
+            for got, want in compared(pair, split, module):
+                assert got == want, module.name
+
+
+def test_block_operators_match_references_mutants(sl2, sl2_split):
+    rng = random.Random(20260)
+    bases = list(sl2_inputs(10).values())
+    bases.append(direct_sum_module(bases[0], bases[1]))
+    codes, casimirs = set(), []
+    for base in bases:
+        for kind, count in (("action", 2), ("form", 2), ("shift", 4)):
+            if kind == "action" and base.name == "sl2-trivial":
+                continue    # its only block is zero
+            for _ in range(count):
+                module = mutant(base, rng, kind)
+                pairs = compared(sl2, sl2_split, module)
+                for got, want in pairs:
+                    assert got == want, (base.name, kind)
+                codes |= set(reference_validate_module(
+                    sl2, sl2_split, module).codes())
+                if base.name != "trivial+adjoint":
+                    casimirs.append(pairs[1][1])
+    assert len(casimirs) >= 30
+    assert {"bracket-compatibility", "unitarity"} <= codes
+    # a Casimir with off-weight parts, and one with differing scalars
+    results = [c for c in casimirs if len(c) == 3]
+    assert any(non_scalar for _, non_scalar, _ in results)
+    assert any(len(set(scalars.values())) > 1 for scalars, _, _ in results)
