@@ -24,7 +24,6 @@ from .exactlin import (
     DenseMatrix,
     Scalar,
     SpanBuilder,
-    Subspace,
     ZERO,
     ONE,
     hermitian_definiteness,
@@ -34,7 +33,9 @@ from .exactlin import (
     rref,
     solve,
     unit_vector,
+    vec_add,
     vec_is_zero,
+    vec_sub,
     zero_vector,
 )
 
@@ -331,12 +332,6 @@ class AdmissibleModule:
                 f"{block.rows}x{block.cols}, expected {rows}x{cols}")
         return block
 
-    def gram(self) -> DenseMatrix:
-        """Block-diagonal Gram of the stored weight-space forms."""
-        sizes = {w: self.weights[w] for w in self.sorted_weights}
-        return _block_matrix(sizes, sizes,
-                             {(w, w): self.forms[w] for w in sizes})
-
 
 def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix:
     """Dense matrix with row and column blocks in the order and of the
@@ -360,25 +355,14 @@ def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix
     return DenseMatrix(rows, cols, entries)
 
 
-def _sparse(vec) -> dict:
-    return {t: x for t, x in enumerate(vec) if x}
-
-
-def _sparse_add(a: dict, b: dict, c: Scalar | None = None) -> dict:
-    """a + c*b (a + b without c) for sparse vectors."""
-    out = dict(a)
-    for t, v in b.items():
-        out[t] = out.get(t, ZERO) + (v if c is None else c * v)
-    return {t: v for t, v in out.items() if v}
-
-
 class ModuleOps:
     """Operator calculus for a module over a fixed pair and split.
 
-    Vectors are flat over the window.  The sparse form {flat index:
-    nonzero Scalar} lets an operator touch only the weights a vector
-    lives on, so a chain of actions on a weight vector costs the same
-    whatever the window.
+    rho(x) is sum_k c_k A_k for the expansion x = sum_k c_k gamma_k in
+    the module's generators, where A_k(w) is the stored block of
+    generator k from weight w to w + shift_k.  Every operator here works
+    on those blocks, so its cost follows the weight spaces it touches,
+    not the window.
     """
 
     def __init__(self, pair: ReductivePair, split: PSplit,
@@ -394,6 +378,7 @@ class ModuleOps:
         if self.gamma_inv is None:
             raise ValueError("module generators are linearly dependent")
         self._expanded = {}
+        self._blocks = {}
 
     def expand(self, x) -> tuple:
         """Coefficients of a g1_C vector in the module's generator basis,
@@ -404,52 +389,58 @@ class ModuleOps:
             coeffs = self._expanded[x] = self.gamma_inv.apply(x)
         return coeffs
 
-    def apply(self, x, vec):
-        """Apply rho(x) for any x in g1_C to a flat windowed vector."""
-        return self._dense(self.apply_sparse(x, _sparse(vec)))
-
-    def apply_sparse(self, x, sv: dict) -> dict:
-        """rho(x) on a sparse vector {flat index: nonzero Scalar}; the
-        result is sparse in the same sense."""
-        out = {}
-        for c, gen in zip(self.expand(x), self.module.generators):
-            if c:
-                out = _sparse_add(out, self._gen_sparse(gen, sv), c)
-        return out
-
-    def _gen_sparse(self, gen: ModuleGenerator, sv: dict) -> dict:
-        # visits only the weights where sv is nonzero, lowest first, and
-        # raises WindowError for the first of them whose image would leave
-        # the window; a generator maps distinct weights to distinct ones,
-        # so every output index is written once
-        m = self.module
-        out = {}
-        for w in dict.fromkeys(m.weight_at[t] for t in sorted(sv)):
+    def block(self, k: int, w: int):
+        """A_k(w), or None when weight w + shift_k carries no space;
+        WindowError when that weight is outside the window."""
+        key = (k, w)
+        if key not in self._blocks:
+            m = self.module
+            gen = m.generators[k]
             target = w + gen.shift
             if abs(target) > m.window:
                 raise WindowError(
                     f"applying {gen.name} from weight {w} exits the window")
-            if m.weights.get(target, 0) == 0:
-                continue
-            block = m.action_block(gen.name, w)
-            lo, hi = m.slice_of(w)
-            tlo, _ = m.slice_of(target)
-            piece = [sv.get(t, ZERO) for t in range(lo, hi)]
-            for t, val in enumerate(block.apply(piece)):
-                if val:
-                    out[tlo + t] = val
+            self._blocks[key] = m.action_block(gen.name, w) \
+                if m.weights.get(target, 0) else None
+        return self._blocks[key]
+
+    def combination(self, terms, w: int) -> dict:
+        """sum of c * A_k1 ... A_kr over the terms (c, (k1, ..., kr)), on
+        weight w, as {target weight: block}.  A word drops out once its
+        product is zero, without reading the blocks left of that point."""
+        shifts = [g.shift for g in self.module.generators]
+        out = {}
+        for c, word in terms:
+            prod, at = None, w
+            for k in reversed(word):
+                step = self.block(k, at)
+                if step is None:
+                    break
+                prod = step if prod is None else step.mul(prod)
+                at += shifts[k]
+                if prod.is_zero_matrix():
+                    break
+            else:
+                if c != ONE:
+                    prod = prod.scale(c)
+                out[at] = out[at].add(prod) if at in out else prod
         return out
 
-    def _dense(self, sv: dict) -> tuple:
-        out = [ZERO] * self.module.total_dim
-        for t, v in sv.items():
-            out[t] = v
+    def apply(self, x, vec) -> tuple:
+        """rho(x) on a flat windowed vector, from the weights where it
+        is nonzero."""
+        m = self.module
+        terms = [(c, (k,)) for k, c in enumerate(self.expand(x)) if c]
+        out = [ZERO] * m.total_dim
+        for w in m.sorted_weights:
+            piece = vec[slice(*m.slice_of(w))]
+            if vec_is_zero(piece):
+                continue
+            for target, block in self.combination(terms, w).items():
+                tlo, _ = m.slice_of(target)
+                for t, val in enumerate(block.apply(piece)):
+                    out[tlo + t] = out[tlo + t] + val
         return tuple(out)
-
-    def matrix(self, x) -> DenseMatrix:
-        d = self.module.total_dim
-        cols = [self._dense(self.apply_sparse(x, {j: ONE})) for j in range(d)]
-        return DenseMatrix.from_columns(cols, rows=d)
 
 
 def _interior_weights(module: AdmissibleModule) -> list:
@@ -519,9 +510,7 @@ def validate_module(pair: ReductivePair, split: PSplit,
     for g in module.generators:
         for w, d in module.weights.items():
             target = w + g.shift
-            if abs(target) > module.window:
-                continue
-            if module.weights.get(target, 0) == 0:
+            if abs(target) > module.window or module.weights.get(target, 0) == 0:
                 continue
             block = module.actions.get((g.name, w))
             if block is None:
@@ -536,44 +525,37 @@ def validate_module(pair: ReductivePair, split: PSplit,
     ops = ModuleOps(pair, split, module)
     interior = _interior_weights(module)
 
-    # bracket compatibility on interior weights
-    for gi in module.generators:
-        for gj in module.generators:
-            lie = pair.bracket(gi.coords, gj.coords)
+    # bracket compatibility on interior weights, as block products:
+    # A_i A_j - A_j A_i - sum_k c_k A_k = 0 for [gi, gj] = sum_k c_k gk
+    for i, gi in enumerate(module.generators):
+        for j, gj in enumerate(module.generators):
+            if i == j:
+                continue
+            lie = ops.expand(pair.bracket(gi.coords, gj.coords))
+            terms = [(ONE, (i, j)), (-ONE, (j, i))] + \
+                [(-c, (k,)) for k, c in enumerate(lie) if c]
             for w in interior:
-                lo, hi = module.slice_of(w)
-                for t in range(lo, hi):
-                    e_t = {t: ONE}
-                    lhs = ops.apply_sparse(gi.coords,
-                                           ops.apply_sparse(gj.coords, e_t))
-                    rhs = ops.apply_sparse(gj.coords,
-                                           ops.apply_sparse(gi.coords, e_t))
-                    # rho(gi) rho(gj) - rho(gj) rho(gi) = rho([gi, gj])
-                    if lhs != _sparse_add(rhs, ops.apply_sparse(lie, e_t)):
-                        rep.add("bracket-compatibility",
-                                f"rho([{gi.name},{gj.name}]) mismatch at "
-                                f"weight {w}")
-                        break
+                if any(not b.is_zero_matrix()
+                       for b in ops.combination(terms, w).values()):
+                    rep.add("bracket-compatibility",
+                            f"rho([{gi.name},{gj.name}]) mismatch at "
+                            f"weight {w}")
 
     # unitarity: rho(x)* = -rho(conj x), blockwise against the stored forms
     if not module.unitary:
         return rep
     for g in module.generators:
-        conj_coords = tuple(c.conjugate() for c in g.coords)
-        coeffs = ops.expand(conj_coords)
+        # the generators of rho(conj x) that lead back to the source weight
+        back = [(c, (k,)) for k, c in enumerate(
+                    ops.expand(tuple(c.conjugate() for c in g.coords)))
+                if c and module.generators[k].shift == -g.shift]
         for w in module.sorted_weights:
             target = w + g.shift
             if abs(target) > module.window or module.weights.get(target, 0) == 0:
                 continue
             m_block = module.action_block(g.name, w)
-            # block of rho(conj x) from target back to w
-            n_block = DenseMatrix.zero(module.weights[w],
-                                       module.weights[target])
-            for c, gen2 in zip(coeffs, module.generators):
-                if c.is_zero() or gen2.shift != -g.shift:
-                    continue
-                piece = module.action_block(gen2.name, target)
-                n_block = n_block.add(piece.scale(c))
+            n_block = ops.combination(back, target).get(w, DenseMatrix.zero(
+                module.weights[w], module.weights[target]))
             lhs = m_block.conj_transpose().mul(module.forms[target])
             rhs = module.forms[w].mul(n_block).scale(Scalar(-1))
             if lhs != rhs:
@@ -682,7 +664,19 @@ def build_complex(pair: ReductivePair, split: PSplit,
                 table.append({first + b: c for b, c in enumerate(coords) if c})
         k_act[ki] = table
 
-    rho_k = {ki: ops.matrix(pair.basis_vector(ki)) for ki in pair.k_indices}
+    # rows of rho(k) as {column: coefficient}, read off its weight blocks
+    rho_k = {}
+    for ki in pair.k_indices:
+        terms = [(c, (k,)) for k, c in
+                 enumerate(ops.expand(pair.basis_vector(ki))) if c]
+        rows = rho_k[ki] = [{} for _ in range(dv)]
+        for w in module.sorted_weights:
+            lo, _ = module.slice_of(w)
+            for target, block in ops.combination(terms, w).items():
+                tlo, _ = module.slice_of(target)
+                for i in range(block.rows):
+                    rows[tlo + i].update((lo + j, c) for j, c in
+                                         enumerate(block.row(i)) if c)
 
     wedges, bases, spans = {}, {}, {}
     for p in range(d + 1):
@@ -693,13 +687,9 @@ def build_complex(pair: ReductivePair, split: PSplit,
             wedges[(p, q)] = wl
             ambient = len(wl) * dv
             spans[(p, q)] = SpanBuilder(ambient)
-            if ambient == 0:
-                bases[(p, q)] = ()
-                continue
             rows = []
             wpos = {w: t for t, w in enumerate(wl)}
             for ki in pair.k_indices:
-                rk = rho_k[ki]
                 for wt, w in enumerate(wl):
                     # ad_h moves one slot at a time; coefficients per target
                     moved = {}
@@ -711,23 +701,15 @@ def build_complex(pair: ReductivePair, split: PSplit,
                             key, sgn = res
                             moved[key] = moved.get(key, ZERO) + Scalar(sgn) * c
                     # rho(h) f(xi) - f(ad_h xi) = 0, one row per V-coordinate
-                    for vout in range(dv):
-                        row = [ZERO] * ambient
-                        for vin in range(dv):
-                            c = rk.at(vout, vin)
-                            if not c.is_zero():
-                                row[wt * dv + vin] = row[wt * dv + vin] + c
+                    for vout, rk_row in enumerate(rho_k[ki]):
+                        row = {wt * dv + vin: c for vin, c in rk_row.items()}
                         for key, c in moved.items():
-                            if c.is_zero():
-                                continue
-                            row[wpos[key] * dv + vout] = \
-                                row[wpos[key] * dv + vout] - c
-                        if any(not x.is_zero() for x in row):
+                            col = wpos[key] * dv + vout
+                            row[col] = row.get(col, ZERO) - c
+                        row = {t: x for t, x in row.items() if x}
+                        if row:
                             rows.append(row)
-            if rows:
-                bases[(p, q)] = kernel(DenseMatrix.from_rows(rows)).basis
-            else:
-                bases[(p, q)] = Subspace.full(ambient).basis
+            bases[(p, q)] = _blockwise_kernel(rows, ambient)
             for vec in bases[(p, q)]:
                 spans[(p, q)].add(vec)
 
@@ -753,6 +735,44 @@ def build_complex(pair: ReductivePair, split: PSplit,
                            spans=spans)
 
 
+def _blockwise_kernel(rows, ambient: int) -> tuple:
+    """Reduced echelon basis of the kernel of the sparse system ``rows``
+    ({column: coefficient} each) on Q(i)^ambient, one connected block of
+    columns at a time.  The blocks share no coordinate, so the union of
+    their kernels' reduced echelon bases, in pivot order, is the reduced
+    echelon basis of the whole kernel."""
+    root = list(range(ambient))
+
+    def find(c):
+        while root[c] != c:
+            root[c] = root[root[c]]
+            c = root[c]
+        return c
+
+    for row in rows:
+        first, *rest = row.keys()
+        for c in rest:
+            root[find(c)] = find(first)
+    columns, equations = {}, {}
+    for c in range(ambient):
+        columns.setdefault(find(c), []).append(c)
+    for row in rows:
+        equations.setdefault(find(next(iter(row))), []).append(row)
+    basis = []
+    for r, cols in columns.items():
+        eqs = equations.get(r, [])
+        local = DenseMatrix(len(eqs), len(cols),
+                            [row.get(c, ZERO) for row in eqs for c in cols])
+        for v in kernel(local).basis:
+            full = [ZERO] * ambient
+            for c, x in zip(cols, v):
+                full[c] = x
+            lead = next(c for c, x in zip(cols, v) if x)
+            basis.append((lead, tuple(full)))
+    basis.sort(key=lambda t: t[0])
+    return tuple(v for _, v in basis)
+
+
 def _coords_in(vectors, target):
     """Coordinates of ``target`` in the span of ``vectors``, or None."""
     if not vectors:
@@ -776,14 +796,8 @@ def _apply_d(ops: ModuleOps, slots, wedges, f, src_key, dst_key, dv):
             if (s < d) != plus:
                 continue
             st = spos[w[:a] + w[a + 1:]]
-            piece = f[st * dv:(st + 1) * dv]
-            if vec_is_zero(piece):
-                continue
-            img = ops.apply(slots[s], piece)
-            sgn = Scalar(-1 if a % 2 else 1)
-            for t, val in enumerate(img):
-                if val:
-                    acc[t] = acc[t] + sgn * val
+            img = ops.apply(slots[s], f[st * dv:(st + 1) * dv])
+            acc = vec_sub(acc, img) if a % 2 else vec_add(acc, img)
         out[wt * dv:(wt + 1) * dv] = acc
     return tuple(out)
 
@@ -850,31 +864,26 @@ def _cochain_grams(module: AdmissibleModule, cx: RelativeComplex) -> dict:
     finite-dimensional Hodge theory (any exact positive form gives
     dim ker(Laplacian) = dim H).
     """
-    vg = module.gram()
     dv = cx.v_total
+    forms = [(module.slice_of(w), module.forms[w])
+             for w in module.sorted_weights]
     grams = {}
     for key, basis in cx.bases.items():
-        if not basis:
-            grams[key] = DenseMatrix.zero(0, 0)
-            continue
-        size = len(cx.wedges[key])
-        entries = []
-        for fa in basis:
-            row = []
-            for fb in basis:
-                acc = ZERO
-                for wt in range(size):
-                    va = fa[wt * dv:(wt + 1) * dv]
-                    vb = fb[wt * dv:(wt + 1) * dv]
-                    for i, xa in enumerate(va):
-                        if xa.is_zero():
-                            continue
-                        for j, xb in enumerate(vb):
-                            if not xb.is_zero():
-                                acc = acc + xa.conjugate() * vg.at(i, j) * xb
-                row.append(acc)
-            entries.append(row)
-        grams[key] = DenseMatrix.from_rows(entries)
+        # the V-side form, one weight block of one wedge at a time
+        pieces = [(wt * dv + lo, wt * dv + hi, form)
+                  for wt in range(len(cx.wedges[key]))
+                  for (lo, hi), form in forms]
+
+        def inner(fa, fb):
+            acc = ZERO
+            for lo, hi, form in pieces:
+                if not vec_is_zero(fa[lo:hi]):
+                    for x, y in zip(fa[lo:hi], form.apply(fb[lo:hi])):
+                        acc = acc + x.conjugate() * y
+            return acc
+
+        grams[key] = DenseMatrix(len(basis), len(basis),
+                                 [inner(fa, fb) for fa in basis for fb in basis])
     return grams
 
 
@@ -902,10 +911,7 @@ def laplacian_kernel_dims(pair: ReductivePair, split: PSplit,
                 gp_inv = inverse(total_gram[n - 1])
                 dp_star = gp_inv.mul(d_prev.conj_transpose()).mul(total_gram[n])
                 lap = lap.add(d_prev.mul(dp_star))
-        if lap.rows == 0:
-            out[n] = 0
-        else:
-            out[n] = kernel(lap).dim
+        out[n] = kernel(lap).dim if lap.rows else 0
     return out
 
 
@@ -947,36 +953,27 @@ def casimir_action(pair: ReductivePair, split: PSplit,
     interior_weights = _interior_weights(module)
     if module.sorted_weights and not interior_weights:
         raise WindowError("window too small for any Casimir composition")
+    # C = sum_kl M_kl A_k A_l, M_kl = sum_i expand(e_i)_k expand(e^i)_l
+    coeffs = {}
+    for i in range(pair.dim):
+        left = ops.expand(pair.basis_vector(i))
+        right = ops.expand(b_inv.column(i))
+        for k, a in enumerate(left):
+            for l, b in enumerate(right):
+                if a and b:
+                    coeffs[(k, l)] = coeffs.get((k, l), ZERO) + a * b
+    terms = [(c, word) for word, c in coeffs.items() if c]
     scalars = {}
     non_scalar = []
-    m = module
     for n in interior_weights:
-        lo, hi = m.slice_of(n)
-        dim_n = hi - lo
-        cols = []
-        for t in range(dim_n):
-            total = {}
-            for i in range(pair.dim):
-                step = ops.apply_sparse(b_inv.column(i), {lo + t: ONE})
-                step = ops.apply_sparse(pair.basis_vector(i), step)
-                total = _sparse_add(total, step)
-            cols.append(total)
+        blocks = ops.combination(terms, n)
+        dim_n = module.weights[n]
+        diag = blocks.pop(n, DenseMatrix.zero(dim_n, dim_n))
         # off-weight components must cancel (C is central)
-        ok = all(lo <= t < hi for col in cols for t in col)
-        diag = None
-        if ok:
-            first = None
-            for t in range(dim_n):
-                val = cols[t].get(lo + t, ZERO)
-                if first is None:
-                    first = val
-                for s in range(dim_n):
-                    expected = first if s == t else ZERO
-                    if cols[t].get(lo + s, ZERO) != expected:
-                        ok = False
-            diag = first
-        if ok and diag is not None:
-            scalars[n] = diag
+        first = diag.at(0, 0)
+        if all(b.is_zero_matrix() for b in blocks.values()) and \
+                diag == DenseMatrix.diagonal([first] * dim_n):
+            scalars[n] = first
         else:
             non_scalar.append(n)
     return CasimirResult(scalars=scalars, non_scalar=non_scalar,
