@@ -69,9 +69,9 @@ def _field(entry, key: str, what: str):
     return entry[key]
 
 
-def _list_field(entry, key: str, what: str) -> list:
-    """An optional JSON list field, empty when absent."""
-    value = entry.get(key, [])
+def _list_field(entry, key: str, what: str, required: bool = False) -> list:
+    """A JSON list field; an optional one is empty when absent."""
+    value = _field(entry, key, what) if required else entry.get(key, [])
     if not isinstance(value, list):
         raise InputError(f"{what} field {key!r} must be a list, "
                          f"got {value!r}")
@@ -85,6 +85,24 @@ def _int_field(entry, key: str, what: str) -> int:
         raise InputError(f"{what} field {key!r} must be an integer, "
                          f"got {value!r}")
     return value
+
+
+def _bool_field(entry, key: str, what: str, default: bool) -> bool:
+    """An optional JSON bool field: numbers and strings are rejected."""
+    value = entry.get(key, default)
+    if not isinstance(value, bool):
+        raise InputError(f"{what} field {key!r} must be true or false, "
+                         f"got {value!r}")
+    return value
+
+
+def _int_list(entry, key: str, what: str) -> list:
+    """A JSON list of integers: floats, bools and strings are rejected."""
+    values = _list_field(entry, key, what, required=True)
+    if any(type(x) is not int for x in values):
+        raise InputError(f"{what} field {key!r} must hold integers, "
+                         f"got {values!r}")
+    return values
 
 
 def _scalar_doc(s: Scalar) -> dict:
@@ -159,10 +177,7 @@ def algebra_from_doc(doc) -> BigradedAlgebra:
     names = [str(_field(b, "name", "basis element")) for b in basis]
     bidegrees = [(_int_field(b, "p", "basis element"),
                   _int_field(b, "q", "basis element")) for b in basis]
-    dense_leaf = doc.get("dense_leaf", True)
-    if not isinstance(dense_leaf, bool):
-        raise InputError(f"dense_leaf must be true or false, "
-                         f"got {dense_leaf!r}")
+    dense_leaf = _bool_field(doc, "dense_leaf", "algebra", True)
     if len(set(names)) != len(names):
         raise InputError("duplicate basis names")
     index = {nm: t for t, nm in enumerate(names)}
@@ -235,21 +250,25 @@ def pair_to_doc(p: ReductivePair) -> dict:
 
 def pair_from_doc(doc) -> ReductivePair:
     try:
-        names = [str(x) for x in doc["basis"]]
+        names = [str(x) for x in _list_field(doc, "basis", "pair", True)]
         dim = len(names)
         brackets = {}
-        for sc in doc["structure_constants"]:
-            i, j, k = int(sc["i"]), int(sc["j"]), int(sc["k"])
+        for sc in _list_field(doc, "structure_constants", "pair", True):
+            i, j, k = (_int_field(sc, key, "structure constant")
+                       for key in ("i", "j", "k"))
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise InputError("structure constant index out of range")
             vec = list(brackets.get((i, j), (ZERO,) * dim))
-            vec[k] = vec[k] + Scalar(Fraction(int(sc["num"]), int(sc["den"])))
+            vec[k] = vec[k] + Scalar(_frac_parse(sc))
             brackets[(i, j)] = tuple(vec)
         b = DenseMatrix.from_rows(
-            [[Scalar(_frac_parse(x)) for x in row] for row in doc["B"]])
-        z0 = tuple(Scalar(_frac_parse(x)) for x in doc["z0"])
-        return ReductivePair(names, brackets, tuple(doc["k_indices"]),
-                             tuple(doc["p_indices"]), b, z0,
+            [[Scalar(_frac_parse(x)) for x in row]
+             for row in _list_field(doc, "B", "pair", True)])
+        z0 = tuple(Scalar(_frac_parse(x))
+                   for x in _list_field(doc, "z0", "pair", True))
+        return ReductivePair(names, brackets,
+                             tuple(_int_list(doc, "k_indices", "pair")),
+                             tuple(_int_list(doc, "p_indices", "pair")), b, z0,
                              name=str(doc.get("name", "")))
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad pair document: {exc}") from None
@@ -293,32 +312,35 @@ def module_to_doc(m: AdmissibleModule) -> dict:
 def module_from_doc(doc) -> AdmissibleModule:
     try:
         generators = tuple(
-            ModuleGenerator(str(g["name"]),
-                            tuple(_scalar_parse(c) for c in g["coords"]),
-                            int(g["shift"]))
-            for g in doc["generators"])
+            ModuleGenerator(str(_field(g, "name", "generator")),
+                            tuple(_scalar_parse(c) for c in
+                                  _list_field(g, "coords", "generator", True)),
+                            _int_field(g, "shift", "generator"))
+            for g in _list_field(doc, "generators", "module", True))
         gen_names = {g.name for g in generators}
         weights = {}
         forms = {}
         actions = {}
-        for wd in doc["weights"]:
-            w = int(wd["weight"])
-            d = int(wd["dim"])
+        for wd in _list_field(doc, "weights", "module", True):
+            w = _int_field(wd, "weight", "weight space")
+            d = _int_field(wd, "dim", "weight space")
             weights[w] = d
-            forms[w] = _matrix_parse(wd["form"], rows=d, cols=d)
-            for act in wd.get("actions", []):
-                gname = str(act["generator"])
+            forms[w] = _matrix_parse(_field(wd, "form", "weight space"),
+                                     rows=d, cols=d)
+            for act in _list_field(wd, "actions", "weight space"):
+                gname = str(_field(act, "generator", "action"))
                 if gname not in gen_names:
                     raise InputError(f"action references unknown generator "
                                      f"{gname!r}")
-                actions[(gname, int(act["from_weight"]))] = \
-                    _matrix_parse(act["matrix"])
+                actions[(gname, _int_field(act, "from_weight", "action"))] = \
+                    _matrix_parse(_field(act, "matrix", "action"))
         return AdmissibleModule(
             name=str(doc.get("name", "")),
             pair_name=str(doc.get("pair", "")),
-            window=int(doc["window"]),
+            window=_int_field(doc, "window", "module"),
             weights=weights, forms=forms, generators=generators,
-            actions=actions, unitary=bool(doc.get("unitary", True)))
+            actions=actions,
+            unitary=_bool_field(doc, "unitary", "module", True))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad module document: {exc}") from None
 
@@ -336,15 +358,12 @@ def spectrum_from_doc(doc):
 
     if not isinstance(doc, list):
         raise InputError("spectrum must be a JSON list")
-    out = []
-    for e in doc:
-        try:
-            out.append(SpectrumEntry(module=str(e["module"]),
-                                     multiplicity=int(e["multiplicity"]),
-                                     k2_inv_dim=int(e["k2_inv_dim"])))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad spectrum entry {e!r}: {exc}") from None
-    return out
+    return [SpectrumEntry(module=str(_field(e, "module", "spectrum entry")),
+                          multiplicity=_int_field(e, "multiplicity",
+                                                  "spectrum entry"),
+                          k2_inv_dim=_int_field(e, "k2_inv_dim",
+                                                "spectrum entry"))
+            for e in doc]
 
 
 # -- kind dispatch -----------------------------------------------------------

@@ -286,11 +286,11 @@ class AdmissibleModule:
                  actions, unitary=True):
         self.name = name
         self.pair_name = pair_name
-        self.window = int(window)
+        self.window = window
         # the adjoint-type test modules are not unitarizable; skewness
         # is only enforced when this flag is set
-        self.unitary = bool(unitary)
-        self.weights = {int(w): int(d) for w, d in weights.items() if d}
+        self.unitary = unitary
+        self.weights = {w: d for w, d in weights.items() if d}
         self.forms = dict(forms)
         self.generators = tuple(generators)
         self.actions = dict(actions)

@@ -148,6 +148,35 @@ def test_malformed_algebra_is_input_error(catalog_dir, tmp_path, capsys,
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
+MALFORMED_GK = {
+    # a non-bool unitary was coerced by bool(): "no" loaded as unitary
+    "unitary-string": ("sl2-ds-plus.module.json", _set("unitary", "no")),
+    # a float window was truncated by int(): 96.7 loaded as 96
+    "window-float": ("sl2-ds-plus.module.json", _set("window", 96.7)),
+    # string indices loaded, and validation failed (exit 1) on them
+    "k-indices-string": ("sl2R.pair.json", _set("k_indices", ["0"])),
+    "shift-string": ("sl2-ds-plus.module.json",
+                     _set("shift", "2", lambda doc: doc["generators"][1])),
+    "multiplicity-float": ("genus2.spectrum.json",
+                           _set("multiplicity", 1.0, lambda doc: doc[0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GK))
+def test_malformed_gk_document_is_input_error(catalog_dir, tmp_path, capsys,
+                                              case):
+    fname, edit = MALFORMED_GK[case]
+    doc = json.loads((catalog_dir / fname).read_text())
+    edit(doc)
+    bad = tmp_path / fname
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(fileio.InputError):
+        fileio.load_document(str(bad))
+    assert run(["validate", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_lefschetz_k3_report(catalog_dir, tmp_path):
     report = tmp_path / "k3.json"
     code = run(["lefschetz",
