@@ -547,7 +547,7 @@ def validate_module(pair: ReductivePair, split: PSplit,
     for g in module.generators:
         # the generators of rho(conj x) that lead back to the source weight
         back = [(c, (k,)) for k, c in enumerate(
-                    ops.expand(tuple(c.conjugate() for c in g.coords)))
+                    ops.expand(tuple(z.conjugate() for z in g.coords)))
                 if c and module.generators[k].shift == -g.shift]
         for w in module.sorted_weights:
             target = w + g.shift
@@ -911,7 +911,10 @@ def laplacian_kernel_dims(pair: ReductivePair, split: PSplit,
                 gp_inv = inverse(total_gram[n - 1])
                 dp_star = gp_inv.mul(d_prev.conj_transpose()).mul(total_gram[n])
                 lap = lap.add(d_prev.mul(dp_star))
-        out[n] = kernel(lap).dim if lap.rows else 0
+        if lap.rows == 0:
+            out[n] = 0
+        else:
+            out[n] = kernel(lap).dim
     return out
 
 
