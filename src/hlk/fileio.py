@@ -250,10 +250,12 @@ def pair_to_doc(p: ReductivePair) -> dict:
 
 def pair_from_doc(doc) -> ReductivePair:
     try:
-        names = [str(x) for x in _list_field(doc, "basis", "pair", True)]
+        names = [str(x)
+                 for x in _list_field(doc, "basis", "pair", required=True)]
         dim = len(names)
         brackets = {}
-        for sc in _list_field(doc, "structure_constants", "pair", True):
+        for sc in _list_field(doc, "structure_constants", "pair",
+                              required=True):
             i, j, k = (_int_field(sc, key, "structure constant")
                        for key in ("i", "j", "k"))
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
@@ -263,9 +265,9 @@ def pair_from_doc(doc) -> ReductivePair:
             brackets[(i, j)] = tuple(vec)
         b = DenseMatrix.from_rows(
             [[Scalar(_frac_parse(x)) for x in row]
-             for row in _list_field(doc, "B", "pair", True)])
+             for row in _list_field(doc, "B", "pair", required=True)])
         z0 = tuple(Scalar(_frac_parse(x))
-                   for x in _list_field(doc, "z0", "pair", True))
+                   for x in _list_field(doc, "z0", "pair", required=True))
         return ReductivePair(names, brackets,
                              tuple(_int_list(doc, "k_indices", "pair")),
                              tuple(_int_list(doc, "p_indices", "pair")), b, z0,
@@ -312,16 +314,17 @@ def module_to_doc(m: AdmissibleModule) -> dict:
 def module_from_doc(doc) -> AdmissibleModule:
     try:
         generators = tuple(
-            ModuleGenerator(str(_field(g, "name", "generator")),
-                            tuple(_scalar_parse(c) for c in
-                                  _list_field(g, "coords", "generator", True)),
-                            _int_field(g, "shift", "generator"))
-            for g in _list_field(doc, "generators", "module", True))
+            ModuleGenerator(
+                str(_field(g, "name", "generator")),
+                tuple(_scalar_parse(c) for c in
+                      _list_field(g, "coords", "generator", required=True)),
+                _int_field(g, "shift", "generator"))
+            for g in _list_field(doc, "generators", "module", required=True))
         gen_names = {g.name for g in generators}
         weights = {}
         forms = {}
         actions = {}
-        for wd in _list_field(doc, "weights", "module", True):
+        for wd in _list_field(doc, "weights", "module", required=True):
             w = _int_field(wd, "weight", "weight space")
             d = _int_field(wd, "dim", "weight space")
             weights[w] = d

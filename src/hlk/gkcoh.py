@@ -408,7 +408,6 @@ class ModuleOps:
         """sum of c * A_k1 ... A_kr over the terms (c, (k1, ..., kr)), on
         weight w, as {target weight: block}.  A word drops out once its
         product is zero, without reading the blocks left of that point."""
-        shifts = [g.shift for g in self.module.generators]
         out = {}
         for c, word in terms:
             prod, at = None, w
@@ -417,7 +416,7 @@ class ModuleOps:
                 if step is None:
                     break
                 prod = step if prod is None else step.mul(prod)
-                at += shifts[k]
+                at += self.module.generators[k].shift
                 if prod.is_zero_matrix():
                     break
             else:
@@ -761,16 +760,17 @@ def _blockwise_kernel(rows, ambient: int) -> tuple:
     basis = []
     for r, cols in columns.items():
         eqs = equations.get(r, [])
+        if eqs and len(cols) == 1:
+            continue    # a nonzero equation in one unknown forces it to 0
         local = DenseMatrix(len(eqs), len(cols),
                             [row.get(c, ZERO) for row in eqs for c in cols])
         for v in kernel(local).basis:
             full = [ZERO] * ambient
             for c, x in zip(cols, v):
                 full[c] = x
-            lead = next(c for c, x in zip(cols, v) if x)
-            basis.append((lead, tuple(full)))
-    basis.sort(key=lambda t: t[0])
-    return tuple(v for _, v in basis)
+            basis.append(tuple(full))
+    return tuple(sorted(basis, key=lambda v: next(t for t, x in enumerate(v)
+                                                  if x)))
 
 
 def _coords_in(vectors, target):

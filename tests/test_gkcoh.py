@@ -818,6 +818,27 @@ def direct_sum_module(trivial, adjoint) -> AdmissibleModule:
         actions=actions, unitary=False)
 
 
+def coupled_module() -> AdmissibleModule:
+    """Not a module: h shifts by 2, so rho(h) couples the weights and the
+    equivariance system has blocks of columns across weights; e and f act
+    by 0, so the complex still completes."""
+    i = Scalar(0, 1)
+    gens = tuple(ModuleGenerator(g.name, g.coords, 2 if g.name == "h"
+                                 else g.shift)
+                 for g in catalog.sl2_trivial_module().generators)
+    weights = {0: 1, 2: 2, 4: 1}
+    actions = {
+        ("h", 0): DenseMatrix.from_rows([[i], [ONE]]),
+        ("h", 2): DenseMatrix.from_rows([[ONE, -i]]),
+        ("e", 0): DenseMatrix.zero(2, 1), ("e", 2): DenseMatrix.zero(1, 2),
+        ("f", 2): DenseMatrix.zero(1, 2), ("f", 4): DenseMatrix.zero(2, 1),
+    }
+    return AdmissibleModule(
+        name="coupled", pair_name="sl2R", window=6, weights=weights,
+        forms={w: DenseMatrix.identity(d) for w, d in weights.items()},
+        generators=gens, actions=actions, unitary=False)
+
+
 def outcome(fn, *args):
     """fn(*args), or the type and message of the error it raises."""
     try:
@@ -866,6 +887,7 @@ def test_block_operators_match_references_catalog(sl2, sl2_split, window):
     else:
         mods["trivial+adjoint"] = direct_sum_module(mods["trivial"],
                                                     mods["adjoint"])
+        mods["coupled"] = coupled_module()
     for name, module in mods.items():
         for got, want in compared(sl2, sl2_split, module):
             assert got == want, name
@@ -904,3 +926,19 @@ def test_block_operators_match_references_mutants(sl2, sl2_split):
     results = [c for c in casimirs if len(c) == 3]
     assert any(non_scalar for _, non_scalar, _ in results)
     assert any(len(set(scalars.values())) > 1 for scalars, _, _ in results)
+
+
+def test_blockwise_kernel_matches_dense_kernel():
+    # seeded sparse systems of every shape, columns coupled at random
+    rng = random.Random(7)
+    values = [Scalar(a, b) for a in (-2, -1, 1, 3) for b in (0, 0, 1)]
+    for _ in range(300):
+        ambient = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            cols = rng.sample(range(ambient), rng.randint(1, min(3, ambient)))
+            rows.append({c: rng.choice(values) for c in cols})
+        dense = [[row.get(c, ZERO) for c in range(ambient)] for row in rows]
+        want = kernel(DenseMatrix.from_rows(dense)).basis if rows \
+            else Subspace.full(ambient).basis
+        assert gkcoh._blockwise_kernel(rows, ambient) == want
