@@ -175,6 +175,145 @@ def test_signature_congruence_invariant(n, rng):
         return
     assert symmetric_signature(p.transpose().mul(g).mul(p)) == \
         symmetric_signature(g)
+    # complex congruence P* H P keeps the definiteness of a Hermitian H
+    h_rows = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        h_rows[i][i] = Scalar(rng.randint(-1, 4))
+        for j in range(i + 1, n):
+            x = Scalar(rng.randint(-1, 1), rng.randint(-1, 1))
+            h_rows[i][j], h_rows[j][i] = x, x.conjugate()
+    h = DenseMatrix.from_rows(h_rows)
+    q = DenseMatrix.from_rows(
+        [[x + Scalar(0, rng.randint(-1, 1)) if x else x for x in row]
+         for row in p.row_lists()])
+    if determinant(q).is_zero():
+        return
+    assert hermitian_definiteness(q.conj_transpose().mul(h).mul(q)) == \
+        hermitian_definiteness(h)
+
+
+# -- signature and definiteness against the old separate loops ------------
+
+
+def ref_signature(g):
+    """Real symmetric congruence diagonalization on Fractions."""
+    n = g.rows
+    m = [[g.at(i, j).re for j in range(n)] for i in range(n)]
+    plus = minus = zero = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = None
+            for j in range(k + 1, n):
+                if m[j][j] != 0:
+                    swap = j
+                    break
+            if swap is not None:
+                m[k], m[swap] = m[swap], m[k]
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                mate = None
+                for j in range(k + 1, n):
+                    if m[k][j] != 0:
+                        mate = j
+                        break
+                if mate is None:
+                    zero += 1
+                    continue
+                for j in range(n):
+                    m[k][j] += m[mate][j]
+                for row in m:
+                    row[k] += row[mate]
+        pivot = m[k][k]
+        if pivot > 0:
+            plus += 1
+        else:
+            minus += 1
+        for r in range(k + 1, n):
+            f = m[r][k] / pivot
+            if f == 0:
+                continue
+            for j in range(n):
+                m[r][j] -= f * m[k][j]
+            for row in m:
+                row[r] -= f * row[k]
+    return plus, minus, zero
+
+
+def ref_definite(g):
+    """Leading principal minors by elimination without pivoting, stopping
+    at the first non-positive pivot."""
+    n = g.rows
+    m = [[g.at(i, j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        pivot = m[k][k]
+        if not pivot.is_real() or pivot.re <= 0:
+            return False
+        for r in range(k + 1, n):
+            f = m[r][k] / pivot
+            if f.is_zero():
+                continue
+            for j in range(k, n):
+                m[r][j] = m[r][j] - f * m[k][j]
+    return True
+
+
+small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def real_symmetric(draw):
+    """Up to 5x5, diagonal often zero (the mate step), often singular."""
+    n = draw(st.integers(1, 5))
+    zero_diag = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = 0 if i == j and zero_diag else draw(small_ints)
+            rows[i][j] = rows[j][i] = v
+    return DenseMatrix.from_rows(rows)
+
+
+@st.composite
+def hermitian(draw):
+    """Hermitian over Q(i): A* A + c I is positive definite for c > 0,
+    indefinite or singular for c <= 0; or any Hermitian entries with a
+    zero diagonal, purely imaginary off-diagonals among them."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        a = DenseMatrix.from_rows(
+            [[Scalar(draw(small_ints), draw(small_ints)) for _ in range(n)]
+             for _ in range(n)])
+        c = draw(st.integers(-6, 2))
+        return a.conj_transpose().mul(a).add(DenseMatrix.diagonal([c] * n))
+    rows = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = Scalar(draw(st.sampled_from([0, draw(small_ints)])),
+                       draw(small_ints))
+            rows[i][j], rows[j][i] = x, x.conjugate()
+    return DenseMatrix.from_rows(rows)
+
+
+@given(real_symmetric())
+@settings(max_examples=150, deadline=None)
+def test_signature_matches_reference(g):
+    assert symmetric_signature(g) == ref_signature(g)
+    assert sum(ref_signature(g)) == g.rows
+
+
+@given(hermitian())
+@settings(max_examples=150, deadline=None)
+def test_definiteness_matches_reference(g):
+    assert hermitian_definiteness(g) == ref_definite(g)
+
+
+def test_hermitian_zero_diagonal_examples():
+    g = DenseMatrix.from_rows([[0, Scalar(0, 1)], [Scalar(0, -1), 0]])
+    assert not hermitian_definiteness(g)
+    assert not ref_definite(g)
+    assert symmetric_signature(DenseMatrix.from_rows(
+        [[0, 1, 0], [1, 0, 1], [0, 1, 0]])) == (1, 1, 1)
 
 
 def test_hermitian_examples():
