@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import rref
+from .exactlin import rank
 from .gkcoh import ModuleAnalysis
 
 __all__ = [
@@ -167,8 +167,7 @@ def _degree_injective(analysis: ModuleAnalysis, r: int) -> bool:
             continue
         if mat.rows == 0:
             return False
-        reduced, _ = rref(mat.transpose().row_lists())
-        if len(reduced) != mat.cols:
+        if rank(mat) != mat.cols:
             return False
     return True
 

@@ -5,8 +5,10 @@ Subcommands: ``catalog`` (write example input files), ``validate``,
 full check battery over input files).
 
 Exit status: 0 all checks pass, 1 at least one check failed, 2 input
-error.  Reports are canonical JSON (sorted keys); everything except the
-"timings" section is deterministic for identical inputs.
+error, 3 internal error (an exact invariant of the computation failed,
+such as the two constructions of Lambda disagreeing).  Reports are
+canonical JSON (sorted keys); everything except the "timings" section is
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -568,6 +570,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ and independent of enumeration order.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,12 +17,12 @@ __all__ = [
     "Scalar",
     "ZERO",
     "ONE",
-    "I",
     "i_power",
     "DenseMatrix",
     "Subspace",
     "SpanBuilder",
     "rref",
+    "rank",
     "solve",
     "inverse",
     "kernel",
@@ -173,7 +174,6 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 _I_POWERS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
 
@@ -389,42 +389,20 @@ def rref(row_vectors):
     Returns (rows, pivot_columns); zero rows are dropped.  The result
     depends only on the span, not on the input order.
     """
-    rows = [list(r) for r in row_vectors]
+    rows = list(row_vectors)
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                pivot_row = k
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        rr = rows[r]
-        # entries left of c are zero in the pivot row
-        support = [j for j in range(c, ncols) if rr[j]]
-        if rr[c] != ONE:
-            inv = ONE / rr[c]
-            for j in support:
-                rr[j] = inv * rr[j]
-        for k in range(len(rows)):
-            if k == r:
-                continue
-            rk = rows[k]
-            f = rk[c]
-            if not f:
-                continue
-            for j in support:
-                rk[j] = rk[j] - f * rr[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    span = SpanBuilder(len(rows[0]))
+    for row in rows:
+        span.add(row)
+        if span.dim == span.ambient:
             break
-    return [tuple(row) for row in rows[:r]], pivots
+    return list(span.basis), [p for p, _ in span._rows]
+
+
+def rank(m: DenseMatrix) -> int:
+    """Rank of a matrix."""
+    return len(rref(m.row_lists())[0])
 
 
 def _reduce(vector, echelon):
@@ -457,10 +435,6 @@ class Subspace:
     def from_vectors(cls, ambient: int, vectors) -> "Subspace":
         rows, _ = rref(vectors)
         return cls(ambient, tuple(rows))
-
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple(unit_vector(ambient, j) for j in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -519,8 +493,7 @@ class SpanBuilder:
             if f:
                 for j in support:
                     row[j] = row[j] - f * v[j]
-        self._rows.append((pivot, v))
-        self._rows.sort(key=lambda t: t[0])
+        insort(self._rows, (pivot, v))   # pivots are distinct
         return True
 
     def coordinates(self, vector):
@@ -533,9 +506,6 @@ class SpanBuilder:
     @property
     def basis(self) -> tuple:
         return tuple(tuple(row) for _, row in self._rows)
-
-    def subspace(self) -> Subspace:
-        return Subspace(self.ambient, self.basis)
 
 
 def solve(a: DenseMatrix, b):
@@ -618,12 +588,50 @@ def quotient_cohomology(d_in: DenseMatrix, d_out: DenseMatrix) -> Subspace:
     return Subspace.from_vectors(d_in.rows, reduced)
 
 
-def symmetric_signature(g: DenseMatrix):
-    """(p_plus, p_minus, p_zero) of a real symmetric matrix.
+def _inertia(g: DenseMatrix):
+    """(plus, minus, zero) of a Hermitian matrix over Q(i).
 
-    Computed by exact congruence diagonalization; the counts are
-    Sylvester invariants.
+    Exact congruence diagonalization with symmetric pivoting; the counts
+    are Sylvester invariants.
     """
+    n = g.rows
+    m = [list(g.row(i)) for i in range(n)]
+    plus = minus = zero = 0
+    for k in range(n):
+        if not m[k][k]:
+            swap = next((j for j in range(k + 1, n) if m[j][j]), None)
+            if swap is not None:
+                m[k], m[swap] = m[swap], m[k]
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                mate = next((j for j in range(k + 1, n) if m[k][j]), None)
+                if mate is None:
+                    zero += 1
+                    continue
+                # e_k + conj(x) e_mate, x = m[k][mate], has value 2|x|^2
+                x = m[k][mate]
+                c = x.conjugate()
+                for row in m:
+                    row[k] = row[k] + c * row[mate]
+                m[k] = [a + x * b for a, b in zip(m[k], m[mate])]
+        pivot = m[k][k]
+        if pivot.re > 0:
+            plus += 1
+        else:
+            minus += 1
+        # the trailing block becomes the Hermitian Schur complement
+        for r in range(k + 1, n):
+            f = m[r][k] / pivot
+            if f:
+                rr, rk = m[r], m[k]
+                for j in range(k + 1, n):
+                    rr[j] = rr[j] - f * rk[j]
+    return plus, minus, zero
+
+
+def symmetric_signature(g: DenseMatrix):
+    """(p_plus, p_minus, p_zero) of a real symmetric matrix."""
     n = g.rows
     if g.cols != n:
         raise ValueError("signature of a non-square matrix")
@@ -634,54 +642,11 @@ def symmetric_signature(g: DenseMatrix):
         for j in range(i + 1, n):
             if g.at(i, j) != g.at(j, i):
                 raise ValueError("signature requires a symmetric matrix")
-    m = [[g.at(i, j).re for j in range(n)] for i in range(n)]
-    plus = minus = zero = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = None
-            for j in range(k + 1, n):
-                if m[j][j] != 0:
-                    swap = j
-                    break
-            if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                mate = None
-                for j in range(k + 1, n):
-                    if m[k][j] != 0:
-                        mate = j
-                        break
-                if mate is None:
-                    zero += 1
-                    continue
-                for j in range(n):
-                    m[k][j] += m[mate][j]
-                for row in m:
-                    row[k] += row[mate]
-        pivot = m[k][k]
-        if pivot > 0:
-            plus += 1
-        else:
-            minus += 1
-        for r in range(k + 1, n):
-            f = m[r][k] / pivot
-            if f == 0:
-                continue
-            for j in range(n):
-                m[r][j] -= f * m[k][j]
-            for row in m:
-                row[r] -= f * row[k]
-    return plus, minus, zero
+    return _inertia(g)
 
 
 def hermitian_definiteness(g: DenseMatrix) -> bool:
-    """True iff a Hermitian matrix is positive definite.
-
-    Exact leading-principal-minor test: elimination without pivoting,
-    stopping at the first non-positive pivot.
-    """
+    """True iff a Hermitian matrix is positive definite."""
     n = g.rows
     if g.cols != n:
         raise ValueError("definiteness of a non-square matrix")
@@ -689,16 +654,4 @@ def hermitian_definiteness(g: DenseMatrix) -> bool:
         for j in range(n):
             if g.at(i, j) != g.at(j, i).conjugate():
                 raise ValueError("matrix is not Hermitian")
-    m = [[g.at(i, j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot = m[k][k]
-        if not pivot.is_real() or pivot.re <= 0:
-            return False
-        for r in range(k + 1, n):
-            f = m[r][k] / pivot
-            if f.is_zero():
-                continue
-            for j in range(k, n):
-                m[r][j] = m[r][j] - f * m[k][j]
-    return True
-
+    return _inertia(g)[0] == n

@@ -47,10 +47,11 @@ def _frac_doc(x: Fraction) -> dict:
 
 
 def _frac_parse(doc) -> Fraction:
-    try:
-        return Fraction(int(doc["num"]), int(doc["den"]))
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"bad fraction {doc!r}: {exc}") from None
+    num = _int_field(doc, "num", "fraction")
+    den = _int_field(doc, "den", "fraction")
+    if den == 0:
+        raise InputError(f"bad fraction {doc!r}: zero denominator")
+    return Fraction(num, den)
 
 
 def _coeff_doc(s: Scalar) -> dict:

@@ -30,7 +30,7 @@ from .exactlin import (
     inverse,
     kernel,
     quotient_cohomology,
-    rref,
+    rank,
     solve,
     unit_vector,
     vec_add,
@@ -301,9 +301,6 @@ class AdmissibleModule:
             self.offsets[w] = off
             off += self.weights[w]
         self.total_dim = off
-        # weight of each flat coordinate, so sparse vectors find their pieces
-        self.weight_at = tuple(w for w in self.sorted_weights
-                               for _ in range(self.weights[w]))
         self.gen_by_name = {g.name: g for g in self.generators}
 
     def dim_at(self, w: int) -> int:
@@ -487,8 +484,7 @@ def validate_module(pair: ReductivePair, split: PSplit,
 
     gamma = DenseMatrix.from_columns([g.coords for g in module.generators],
                                      rows=n)
-    rows, _ = rref(gamma.row_lists())
-    if gamma.cols != n or len(rows) != n:
+    if gamma.cols != n or rank(gamma) != n:
         rep.add("generator-span", "generators do not form a basis of g1_C")
         return rep
 

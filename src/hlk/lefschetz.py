@@ -25,7 +25,8 @@ from .exactlin import (
     i_power,
     inverse,
     kernel,
-    rref,
+    rank,
+    solve,
     symmetric_signature,
     vec_add,
     vec_is_zero,
@@ -158,9 +159,7 @@ class _Context:
             return False
         if not src:
             return True
-        block = self.l_power(k).submatrix(dst, src)
-        rows, _ = rref(block.row_lists())
-        return len(rows) == len(src)
+        return rank(self.l_power(k).submatrix(dst, src)) == len(src)
 
     def require_cone(self):
         if not self.in_cone():
@@ -295,14 +294,15 @@ def _lambda_constructive(ctx: _Context) -> DenseMatrix:
     return DenseMatrix.from_columns(images, rows=ctx.dim).mul(inv)
 
 
-def _lambda_by_solve(ctx: _Context) -> tuple:
-    """Unique degree-(-2) solution of [Lambda, L] = B, plus uniqueness flag.
+def _lambda_by_solve(ctx: _Context) -> DenseMatrix:
+    """The degree-(-2) solution of [Lambda, L] = B.
 
     Equation (i, j) is sum_m Lambda[i,m] L[m,j] - L[i,m] Lambda[m,j] =
     B[i,j], so the unknown Lambda[a,b] adds L[b,j] to equation (a,j) and
     -L[i,a] to equation (i,b).  Only the equations some unknown touches,
-    and those with B[i,j] != 0, are built; the augmented system is reduced
-    once.
+    and those with B[i,j] != 0, are built.  On a cone class the solution
+    is unique: the difference of two solutions commutes with L and has
+    ad-B weight +2, and the kernel of ad L holds only weights <= 0.
     """
     dim = ctx.dim
     degs = ctx.degrees
@@ -326,20 +326,20 @@ def _lambda_by_solve(ctx: _Context) -> tuple:
         if x:
             equations.setdefault(divmod(idx, dim), {})
     system = []
+    rhs = []
     for (i, j), row in equations.items():
-        dense = [ZERO] * (width + 1)
+        dense = [ZERO] * width
         for t, x in row.items():
             dense[t] = x
-        dense[width] = ctx.B.at(i, j)
-        system.append(dense)
-    rows, pivots = rref(system)
-    if pivots and pivots[-1] == width:
+        system.extend(dense)
+        rhs.append(ctx.B.at(i, j))
+    sol = solve(DenseMatrix(len(rhs), width, system), rhs)
+    if sol is None:
         raise ConeError("[Lambda, L] = B has no degree-(-2) solution")
     lam = [[ZERO] * dim for _ in range(dim)]
-    for row, p in zip(rows, pivots):
-        i, j = unknowns[p]
-        lam[i][j] = row[width]
-    return DenseMatrix.from_rows(lam), len(pivots) == width
+    for (i, j), x in zip(unknowns, sol):
+        lam[i][j] = x
+    return DenseMatrix.from_rows(lam)
 
 
 def dual_lefschetz(a: BigradedAlgebra, w, mode: str = "full") -> SL2Triple:
@@ -348,14 +348,12 @@ def dual_lefschetz(a: BigradedAlgebra, w, mode: str = "full") -> SL2Triple:
     The constructive route uses the classical weight formula
     Lambda(L^s xi) = s(m-s+1) L^(s-1) xi on primitive xi; the oracle
     route solves [Lambda, L] = B over all degree-(-2) operators.  They
-    must agree, and the solution must be unique.
+    must agree.
     """
     ctx = _context(a, w, mode)
     ctx.require_cone()
     lam_c = _lambda_constructive(ctx)
-    lam_s, unique = _lambda_by_solve(ctx)
-    if not unique:
-        raise ConeError("degree-(-2) solution of [Lambda, L] = B is not unique")
+    lam_s = _lambda_by_solve(ctx)
     if lam_c != lam_s:
         raise ArithmeticError(
             "constructive Lambda differs from the linear-solve Lambda")
@@ -521,10 +519,9 @@ def serre_pairing_check(a: BigradedAlgebra) -> SerreReport:
             if len(idxs) != len(dual):
                 failures.append((p, q, f"dim {len(idxs)} vs dual {len(dual)}"))
                 continue
-            gram = a.pairing_gram.submatrix(idxs, dual)
-            rows, _ = rref(gram.row_lists())
-            if len(rows) != len(idxs):
-                failures.append((p, q, f"pairing rank {len(rows)} < {len(idxs)}"))
+            r = rank(a.pairing_gram.submatrix(idxs, dual))
+            if r != len(idxs):
+                failures.append((p, q, f"pairing rank {r} < {len(idxs)}"))
     return SerreReport(failures=failures)
 
 

@@ -19,7 +19,7 @@ from .exactlin import (
     Subspace,
     ZERO,
     ONE,
-    rref,
+    rank,
     unit_vector,
     vec_add,
     vec_neg,
@@ -234,9 +234,7 @@ def killing_form(lie: OperatorLieAlgebra) -> DenseMatrix:
 
 
 def killing_nondegenerate(lie: OperatorLieAlgebra) -> bool:
-    k = killing_form(lie)
-    rows, _ = rref(k.row_lists())
-    return len(rows) == lie.dim
+    return rank(killing_form(lie)) == lie.dim
 
 
 def minimal_ideals(lie: OperatorLieAlgebra):
@@ -287,8 +285,7 @@ class PhiForm:
 
     @property
     def nondegenerate(self) -> bool:
-        rows, _ = rref(self.matrix.row_lists())
-        return len(rows) == self.matrix.rows
+        return rank(self.matrix) == self.matrix.rows
 
 
 def phi_form(a: BigradedAlgebra) -> PhiForm:

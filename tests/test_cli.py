@@ -7,7 +7,7 @@ import pytest
 
 from hlk import fileio
 from hlk.cli import main
-from hlk.exactlin import Scalar
+from hlk.exactlin import DenseMatrix, Scalar
 from hlk.gkcoh import AdmissibleModule
 
 
@@ -131,6 +131,10 @@ MALFORMED_ALGEBRAS = {
     # a non-bool dense_leaf was coerced by bool()
     "dense-leaf-string": _set("dense_leaf", "no"),
     "dense-leaf-int": _set("dense_leaf", 0),
+    # fraction parts were coerced by int(): a bool den loaded as 1
+    "coeff-den-bool": _set("den", True,
+                           lambda doc: doc["products"][0]["result"][0]
+                           ["coeff_re"]),
 }
 
 
@@ -159,6 +163,12 @@ MALFORMED_GK = {
                      _set("shift", "2", lambda doc: doc["generators"][1])),
     "multiplicity-float": ("genus2.spectrum.json",
                            _set("multiplicity", 1.0, lambda doc: doc[0])),
+    # fraction parts were coerced by int(): -1.5 loaded as -1, "1" as 1
+    "pair-num-float": ("sl2R.pair.json",
+                       _set("num", -1.5, lambda doc: doc["B"][0][0])),
+    "form-num-string": ("sl2-ds-plus.module.json",
+                        _set("num", "1", lambda doc: doc["weights"][0]
+                             ["form"][0][0]["re"])),
 }
 
 
@@ -376,6 +386,23 @@ def test_gkcoh_builds_each_complex_once(catalog_dir, monkeypatch):
                 "--input", str(catalog_dir / "sl2-trivial.module.json"),
                 "--input", str(catalog_dir / "sl2-adjoint.module.json")]) == 0
     assert calls == ["sl2-trivial", "sl2-adjoint"]
+
+
+def test_internal_invariant_failure_exits_3(catalog_dir, monkeypatch,
+                                            capsys):
+    from hlk import lefschetz as lz
+
+    constructive = lz._lambda_constructive
+
+    def perturbed(ctx):
+        lam = constructive(ctx)
+        return lam.add(DenseMatrix.diagonal([1] + [0] * (lam.rows - 1)))
+
+    monkeypatch.setattr(lz, "_lambda_constructive", perturbed)
+    assert run(["lefschetz",
+                "--input", str(catalog_dir / "torus.algebra.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "Traceback" not in err
 
 
 def test_catalog_list_order(capsys):

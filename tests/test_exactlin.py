@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hlk.exactlin import (
     DenseMatrix,
+    _inertia,
     Scalar,
     SpanBuilder,
     Subspace,
@@ -14,6 +15,7 @@ from hlk.exactlin import (
     kernel,
     kernel_image,
     quotient_cohomology,
+    rank,
     rref,
     solve,
     symmetric_signature,
@@ -190,6 +192,7 @@ def test_signature_congruence_invariant(n, rng):
         return
     assert hermitian_definiteness(q.conj_transpose().mul(h).mul(q)) == \
         hermitian_definiteness(h)
+    assert _inertia(q.conj_transpose().mul(h).mul(q)) == _inertia(h)
 
 
 # -- signature and definiteness against the old separate loops ------------
@@ -522,6 +525,7 @@ def test_rref_and_kernel_match_reference(m):
     rows, pivots = rref(m.row_lists())
     ref_rows, ref_pivots = ref_rref(to_parts(m.row_lists()))
     assert (to_parts(rows), pivots) == (ref_rows, ref_pivots)
+    assert rank(m) == len(ref_rows)
     ker = kernel(m)
     assert to_parts(ker.basis) == ref_kernel(to_parts(m.row_lists()), m.cols)
     assert ker == kernel_image(m)[0]

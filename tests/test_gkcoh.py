@@ -7,9 +7,14 @@ import pytest
 
 from hlk import catalog, gkcoh
 from hlk.algebra import ValidationReport
-from hlk.exactlin import (DenseMatrix, Scalar, SpanBuilder, Subspace, ZERO,
-                          ONE, hermitian_definiteness, inverse, kernel, rref)
+from hlk.exactlin import (DenseMatrix, Scalar, SpanBuilder, ZERO, ONE,
+                          hermitian_definiteness, inverse, kernel, rref,
+                          unit_vector)
 from hlk.gkcoh import AdmissibleModule, ModuleGenerator, ReductivePair
+
+
+def full_basis(ambient):
+    return tuple(unit_vector(ambient, j) for j in range(ambient))
 
 
 # -- pair validation ----------------------------------------------------------
@@ -443,8 +448,9 @@ class ReferenceOps:
 
     def gen_sparse(self, gen, sv: dict) -> dict:
         m = self.module
+        weight_at = [w for w in m.sorted_weights for _ in range(m.weights[w])]
         out = {}
-        for w in dict.fromkeys(m.weight_at[t] for t in sorted(sv)):
+        for w in dict.fromkeys(weight_at[t] for t in sorted(sv)):
             target = w + gen.shift
             if abs(target) > m.window:
                 raise gkcoh.WindowError(
@@ -712,7 +718,7 @@ def reference_complex(pair, split, module):
             if rows:
                 bases[(p, q)] = kernel(DenseMatrix.from_rows(rows)).basis
             else:
-                bases[(p, q)] = Subspace.full(ambient).basis
+                bases[(p, q)] = full_basis(ambient)
             for vec in bases[(p, q)]:
                 spans[(p, q)].add(vec)
     d_plus, d_minus = {}, {}
@@ -940,5 +946,5 @@ def test_blockwise_kernel_matches_dense_kernel():
             rows.append({c: rng.choice(values) for c in cols})
         dense = [[row.get(c, ZERO) for c in range(ambient)] for row in rows]
         want = kernel(DenseMatrix.from_rows(dense)).basis if rows \
-            else Subspace.full(ambient).basis
+            else full_basis(ambient)
         assert gkcoh._blockwise_kernel(rows, ambient) == want

@@ -488,16 +488,17 @@ def test_lambda_solve_matches_dense_reference(model):
             continue
         for w in lz.cone_check_family(alg, alg.kahler, mode):
             ctx = lz._context(alg, w, mode)
-            lam, unique = lz._lambda_by_solve(ctx)
-            assert (lam, unique) == reference_lambda_by_solve(ctx)
-            assert unique
+            ref_lam, ref_unique = reference_lambda_by_solve(ctx)
+            assert lz._lambda_by_solve(ctx) == ref_lam
+            assert ref_unique
     # classes outside the cone: zero, and a basis class that fails it
     outside = [tuple(ZERO for _ in range(alg.n))]
     outside += [alg.basis_vector(k) for k in alg.degree_indices(2)
                 if not lz.kahler_cone_membership(alg, alg.basis_vector(k))]
     for w in outside:
         ctx = lz._context(alg, w, "full")
-        expected = _solve_outcome(reference_lambda_by_solve, ctx)
+        expected = _solve_outcome(
+            lambda c: reference_lambda_by_solve(c)[0], ctx)
         assert _solve_outcome(lz._lambda_by_solve, ctx) == expected
     with pytest.raises(lz.ConeError):
         lz._lambda_by_solve(lz._context(alg, outside[0], "full"))
