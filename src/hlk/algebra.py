@@ -360,9 +360,9 @@ def validate_algebra(a: BigradedAlgebra) -> ValidationReport:
             rep.add("nu-real", f"nu(conj {a.names[k]}) != conj(nu {a.names[k]})")
 
     # non-degenerate cup pairing
-    r = rank(a.pairing_gram)
-    if r != n:
-        rep.add("pairing-degenerate", f"cup pairing has rank {r} < {n}")
+    rk = rank(a.pairing_gram)
+    if rk != n:
+        rep.add("pairing-degenerate", f"cup pairing has rank {rk} < {n}")
 
     for r, idxs in a.by_degree.items():
         if r % 2 == 1 and len(idxs) % 2 == 1:

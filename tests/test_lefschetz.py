@@ -436,7 +436,7 @@ def test_q_grams_match_entrywise_q(model):
 
 # -- reference: the dense Lambda oracle ---------------------------------------
 #
-# _lambda_by_solve builds its equations sparsely and reduces the system
+# _lambda_by_solve builds its equations sparsely and solves the system
 # once.  The dense n^2-row scan with two row reductions that it replaced is
 # kept here as the reference.
 
