@@ -187,6 +187,57 @@ def test_malformed_gk_document_is_input_error(catalog_dir, tmp_path, capsys,
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
+FUZZ_DOCUMENTS = ("torus.algebra.json", "sl2R.pair.json",
+                  "sl2-ds-plus.module.json", "genus2.spectrum.json")
+FUZZ_VALUES = (1.5, True, "x", [], {}, None, -1, [1])
+DELETE = ("delete",)
+
+
+def _positions(node, path=()):
+    """Every (path, is-object-key) slot of a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,), isinstance(node, dict)
+        yield from _positions(child, path + (key,))
+
+
+def test_mutation_fuzz_exit_status(catalog_dir, tmp_path, capsys):
+    # each mutant deletes one object key or sets one slot to a wrong-typed
+    # value; whatever it breaks, validate must answer 0, 1 or 2
+    rng = random.Random("hlk-fuzz")
+    texts = {f: (catalog_dir / f).read_text() for f in FUZZ_DOCUMENTS}
+    slots = {f: list(_positions(json.loads(t))) for f, t in texts.items()}
+    # a pair is validated with a module and a module against its pair
+    partner = {"sl2R.pair.json": "sl2-ds-plus.module.json",
+               "sl2-ds-plus.module.json": "sl2R.pair.json"}
+    for trial in range(500):
+        fname = FUZZ_DOCUMENTS[trial % len(FUZZ_DOCUMENTS)]
+        doc = json.loads(texts[fname])
+        path, is_key = rng.choice(slots[fname])
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        op = rng.choice(FUZZ_VALUES + ((DELETE,) if is_key else ()))
+        if op is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = op
+        bad = tmp_path / f"mutant.{fname}"
+        bad.write_text(json.dumps(doc))
+        argv = ["validate", "--input", str(bad)]
+        if fname in partner:
+            argv += ["--input", str(catalog_dir / partner[fname])]
+        label = f"{fname} {list(path)} <- {op!r}"
+        try:
+            code = run(argv)
+        except Exception as exc:  # report the mutant, not just the error
+            pytest.fail(f"{label}: {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), label
+        assert "Traceback" not in err, label
+
+
 def test_lefschetz_k3_report(catalog_dir, tmp_path):
     report = tmp_path / "k3.json"
     code = run(["lefschetz",
