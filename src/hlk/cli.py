@@ -195,6 +195,9 @@ def cmd_validate(args) -> int:
 
 def _designated_kahler(alg, args):
     if args.omega:
+        if args.omega not in alg.names:
+            raise fileio.InputError(
+                f"unknown basis element {args.omega!r}")
         return alg.basis_vector(args.omega)
     if alg.kahler is None:
         raise fileio.InputError(
@@ -351,9 +354,7 @@ def cmd_llgen(args) -> int:
                 break
         if extra is not None and lie.closed:
             tri = lz.dual_lefschetz(alg, extra, mode=mode)
-            span = lie.span()
-            stable = not span.add(tri.L.entries) and \
-                not span.add(tri.Lambda.entries)
+            stable = lie.contains(tri.L) and lie.contains(tri.Lambda)
             report.check(f"{base}:family-stability", stable,
                          "an extra cone class stays inside the closure")
 
@@ -564,9 +565,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.InputError, lz.ConeError, gkcoh.WindowError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -42,13 +42,45 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_REQUIRED = object()
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` when its JSON type is exactly ``kind``, else InputError.
+
+    The test is on the exact type, so an int is never a bool or a float
+    and nothing is coerced.
+    """
+    if type(value) is not kind:
+        raise InputError(f"{what} must be {_TYPE_NAMES[kind]}, "
+                         f"got {value!r}")
+    return value
+
+
+def _get(entry, key: str, what: str, kind: type, default=_REQUIRED):
+    """Field ``key`` of the JSON object ``entry``, of exact type ``kind``.
+
+    A missing field is an InputError unless a ``default`` is given.
+    """
+    if key not in _typed(entry, dict, what):
+        if default is _REQUIRED:
+            raise InputError(f"{what} has no {key!r} field: {entry!r}")
+        return default
+    value = entry[key]
+    if type(value) is not kind:
+        _typed(value, kind, f"{what} field {key!r}")
+    return value
+
+
 def _frac_doc(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
 def _frac_parse(doc) -> Fraction:
-    num = _int_field(doc, "num", "fraction")
-    den = _int_field(doc, "den", "fraction")
+    num = _get(doc, "num", "fraction", int)
+    den = _get(doc, "den", "fraction", int)
     if den == 0:
         raise InputError(f"bad fraction {doc!r}: zero denominator")
     return Fraction(num, den)
@@ -59,51 +91,8 @@ def _coeff_doc(s: Scalar) -> dict:
 
 
 def _coeff_parse(doc) -> Scalar:
-    return Scalar(_frac_parse(_field(doc, "coeff_re", "coefficient")),
-                  _frac_parse(_field(doc, "coeff_im", "coefficient")))
-
-
-def _field(entry, key: str, what: str):
-    """entry[key] of a JSON object, or InputError when it is missing."""
-    if not isinstance(entry, dict) or key not in entry:
-        raise InputError(f"{what} has no {key!r} field: {entry!r}")
-    return entry[key]
-
-
-def _list_field(entry, key: str, what: str, required: bool = False) -> list:
-    """A JSON list field; an optional one is empty when absent."""
-    value = _field(entry, key, what) if required else entry.get(key, [])
-    if not isinstance(value, list):
-        raise InputError(f"{what} field {key!r} must be a list, "
-                         f"got {value!r}")
-    return value
-
-
-def _int_field(entry, key: str, what: str) -> int:
-    """A JSON integer field: floats, bools and strings are rejected."""
-    value = _field(entry, key, what)
-    if type(value) is not int:
-        raise InputError(f"{what} field {key!r} must be an integer, "
-                         f"got {value!r}")
-    return value
-
-
-def _bool_field(entry, key: str, what: str, default: bool) -> bool:
-    """An optional JSON bool field: numbers and strings are rejected."""
-    value = entry.get(key, default)
-    if not isinstance(value, bool):
-        raise InputError(f"{what} field {key!r} must be true or false, "
-                         f"got {value!r}")
-    return value
-
-
-def _int_list(entry, key: str, what: str) -> list:
-    """A JSON list of integers: floats, bools and strings are rejected."""
-    values = _list_field(entry, key, what, required=True)
-    if any(type(x) is not int for x in values):
-        raise InputError(f"{what} field {key!r} must hold integers, "
-                         f"got {values!r}")
-    return values
+    return Scalar(_frac_parse(_get(doc, "coeff_re", "coefficient", dict)),
+                  _frac_parse(_get(doc, "coeff_im", "coefficient", dict)))
 
 
 def _scalar_doc(s: Scalar) -> dict:
@@ -111,10 +100,8 @@ def _scalar_doc(s: Scalar) -> dict:
 
 
 def _scalar_parse(doc) -> Scalar:
-    try:
-        return Scalar(_frac_parse(doc["re"]), _frac_parse(doc["im"]))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad scalar {doc!r}: {exc}") from None
+    return Scalar(_frac_parse(_get(doc, "re", "scalar", dict)),
+                  _frac_parse(_get(doc, "im", "scalar", dict)))
 
 
 def _matrix_doc(m: DenseMatrix) -> list:
@@ -122,10 +109,9 @@ def _matrix_doc(m: DenseMatrix) -> list:
             for i in range(m.rows)]
 
 
-def _matrix_parse(doc, rows=None, cols=None) -> DenseMatrix:
-    if not isinstance(doc, list):
-        raise InputError("matrix must be a list of rows")
-    data = [[_scalar_parse(x) for x in row] for row in doc]
+def _matrix_parse(doc: list, rows=None, cols=None) -> DenseMatrix:
+    data = [[_scalar_parse(x) for x in _typed(row, list, "matrix row")]
+            for row in doc]
     if rows is not None and len(data) != rows:
         raise InputError(f"matrix has {len(data)} rows, expected {rows}")
     if data and cols is not None and len(data[0]) != cols:
@@ -171,52 +157,51 @@ def algebra_to_doc(a: BigradedAlgebra) -> dict:
 
 
 def algebra_from_doc(doc) -> BigradedAlgebra:
-    g = _int_field(doc, "g", "algebra")
-    basis = _field(doc, "basis", "algebra")
-    if not isinstance(basis, list):
-        raise InputError("algebra field 'basis' must be a list")
-    names = [str(_field(b, "name", "basis element")) for b in basis]
-    bidegrees = [(_int_field(b, "p", "basis element"),
-                  _int_field(b, "q", "basis element")) for b in basis]
-    dense_leaf = _bool_field(doc, "dense_leaf", "algebra", True)
+    g = _get(doc, "g", "algebra", int)
+    basis = _get(doc, "basis", "algebra", list)
+    names = [_get(b, "name", "basis element", str) for b in basis]
+    bidegrees = [(_get(b, "p", "basis element", int),
+                  _get(b, "q", "basis element", int)) for b in basis]
+    dense_leaf = _get(doc, "dense_leaf", "algebra", bool, True)
     if len(set(names)) != len(names):
         raise InputError("duplicate basis names")
     index = {nm: t for t, nm in enumerate(names)}
 
     def idx(entry, key, what):
-        nm = _field(entry, key, what)
-        if not isinstance(nm, str) or nm not in index:
+        nm = _get(entry, key, what, str)
+        if nm not in index:
             raise InputError(f"unknown basis element {nm!r}")
         return index[nm]
 
     products = {}
-    for p in _list_field(doc, "products", "algebra"):
+    for p in _get(doc, "products", "algebra", list, []):
         key = (idx(p, "left", "product"), idx(p, "right", "product"))
         if key in products:
             raise InputError(f"duplicate product entry for {p['left']},"
                              f" {p['right']}")
         products[key] = {idx(r, "name", "product result"): _coeff_parse(r)
-                         for r in _list_field(p, "result", "product")}
+                         for r in _get(p, "result", "product", list, [])}
     n = len(names)
     conj_cols = [[ZERO] * n for _ in range(n)]
-    for c in _list_field(doc, "conjugation", "algebra"):
+    for c in _get(doc, "conjugation", "algebra", list, []):
         j = idx(c, "of", "conjugation")
-        for r in _list_field(c, "result", "conjugation"):
+        for r in _get(c, "result", "conjugation", list, []):
             conj_cols[j][idx(r, "name", "conjugation result")] = \
                 _coeff_parse(r)
     conj = DenseMatrix.from_columns(conj_cols, rows=n)
     nu = [ZERO] * n
-    for e in _list_field(doc, "nu", "algebra"):
+    for e in _get(doc, "nu", "algebra", list, []):
         nu[idx(e, "name", "nu")] = _coeff_parse(e)
     kahler = None
-    if doc.get("kahler"):
+    kahler_doc = _get(doc, "kahler", "algebra", list, [])
+    if kahler_doc:
         kahler = [ZERO] * n
-        for e in _list_field(doc, "kahler", "algebra"):
+        for e in kahler_doc:
             kahler[idx(e, "name", "kahler")] = _coeff_parse(e)
     return BigradedAlgebra(
         g, names, bidegrees, products, conj, nu,
         dense_leaf=dense_leaf,
-        name=str(doc.get("name", "")),
+        name=_get(doc, "name", "algebra", str, ""),
         kahler=tuple(kahler) if kahler is not None else None)
 
 
@@ -250,31 +235,28 @@ def pair_to_doc(p: ReductivePair) -> dict:
 
 
 def pair_from_doc(doc) -> ReductivePair:
-    try:
-        names = [str(x)
-                 for x in _list_field(doc, "basis", "pair", required=True)]
-        dim = len(names)
-        brackets = {}
-        for sc in _list_field(doc, "structure_constants", "pair",
-                              required=True):
-            i, j, k = (_int_field(sc, key, "structure constant")
-                       for key in ("i", "j", "k"))
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise InputError("structure constant index out of range")
-            vec = list(brackets.get((i, j), (ZERO,) * dim))
-            vec[k] = vec[k] + Scalar(_frac_parse(sc))
-            brackets[(i, j)] = tuple(vec)
-        b = DenseMatrix.from_rows(
-            [[Scalar(_frac_parse(x)) for x in row]
-             for row in _list_field(doc, "B", "pair", required=True)])
-        z0 = tuple(Scalar(_frac_parse(x))
-                   for x in _list_field(doc, "z0", "pair", required=True))
-        return ReductivePair(names, brackets,
-                             tuple(_int_list(doc, "k_indices", "pair")),
-                             tuple(_int_list(doc, "p_indices", "pair")), b, z0,
-                             name=str(doc.get("name", "")))
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"bad pair document: {exc}") from None
+    names = [_typed(x, str, "pair basis name")
+             for x in _get(doc, "basis", "pair", list)]
+    dim = len(names)
+    brackets = {}
+    for sc in _get(doc, "structure_constants", "pair", list):
+        i, j, k = (_get(sc, key, "structure constant", int)
+                   for key in ("i", "j", "k"))
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise InputError("structure constant index out of range")
+        vec = list(brackets.get((i, j), (ZERO,) * dim))
+        vec[k] = vec[k] + Scalar(_frac_parse(sc))
+        brackets[(i, j)] = tuple(vec)
+    b = DenseMatrix.from_rows(
+        [[Scalar(_frac_parse(x)) for x in _typed(row, list, "pair B row")]
+         for row in _get(doc, "B", "pair", list)])
+    z0 = tuple(Scalar(_frac_parse(x)) for x in _get(doc, "z0", "pair", list))
+    k_indices = tuple(_typed(x, int, "pair k_indices entry")
+                      for x in _get(doc, "k_indices", "pair", list))
+    p_indices = tuple(_typed(x, int, "pair p_indices entry")
+                      for x in _get(doc, "p_indices", "pair", list))
+    return ReductivePair(names, brackets, k_indices, p_indices, b, z0,
+                         name=_get(doc, "name", "pair", str, ""))
 
 
 # -- module ------------------------------------------------------------------
@@ -313,40 +295,37 @@ def module_to_doc(m: AdmissibleModule) -> dict:
 
 
 def module_from_doc(doc) -> AdmissibleModule:
-    try:
-        generators = tuple(
-            ModuleGenerator(
-                str(_field(g, "name", "generator")),
-                tuple(_scalar_parse(c) for c in
-                      _list_field(g, "coords", "generator", required=True)),
-                _int_field(g, "shift", "generator"))
-            for g in _list_field(doc, "generators", "module", required=True))
-        gen_names = {g.name for g in generators}
-        weights = {}
-        forms = {}
-        actions = {}
-        for wd in _list_field(doc, "weights", "module", required=True):
-            w = _int_field(wd, "weight", "weight space")
-            d = _int_field(wd, "dim", "weight space")
-            weights[w] = d
-            forms[w] = _matrix_parse(_field(wd, "form", "weight space"),
-                                     rows=d, cols=d)
-            for act in _list_field(wd, "actions", "weight space"):
-                gname = str(_field(act, "generator", "action"))
-                if gname not in gen_names:
-                    raise InputError(f"action references unknown generator "
-                                     f"{gname!r}")
-                actions[(gname, _int_field(act, "from_weight", "action"))] = \
-                    _matrix_parse(_field(act, "matrix", "action"))
-        return AdmissibleModule(
-            name=str(doc.get("name", "")),
-            pair_name=str(doc.get("pair", "")),
-            window=_int_field(doc, "window", "module"),
-            weights=weights, forms=forms, generators=generators,
-            actions=actions,
-            unitary=_bool_field(doc, "unitary", "module", True))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad module document: {exc}") from None
+    generators = tuple(
+        ModuleGenerator(
+            _get(g, "name", "generator", str),
+            tuple(_scalar_parse(c)
+                  for c in _get(g, "coords", "generator", list)),
+            _get(g, "shift", "generator", int))
+        for g in _get(doc, "generators", "module", list))
+    gen_names = {g.name for g in generators}
+    weights = {}
+    forms = {}
+    actions = {}
+    for wd in _get(doc, "weights", "module", list):
+        w = _get(wd, "weight", "weight space", int)
+        d = _get(wd, "dim", "weight space", int)
+        weights[w] = d
+        forms[w] = _matrix_parse(_get(wd, "form", "weight space", list),
+                                 rows=d, cols=d)
+        for act in _get(wd, "actions", "weight space", list, []):
+            gname = _get(act, "generator", "action", str)
+            if gname not in gen_names:
+                raise InputError(f"action references unknown generator "
+                                 f"{gname!r}")
+            actions[(gname, _get(act, "from_weight", "action", int))] = \
+                _matrix_parse(_get(act, "matrix", "action", list))
+    return AdmissibleModule(
+        name=_get(doc, "name", "module", str, ""),
+        pair_name=_get(doc, "pair", "module", str, ""),
+        window=_get(doc, "window", "module", int),
+        weights=weights, forms=forms, generators=generators,
+        actions=actions,
+        unitary=_get(doc, "unitary", "module", bool, True))
 
 
 # -- spectrum ----------------------------------------------------------------
@@ -360,14 +339,12 @@ def spectrum_to_doc(entries) -> list:
 def spectrum_from_doc(doc):
     from .assembler import SpectrumEntry
 
-    if not isinstance(doc, list):
-        raise InputError("spectrum must be a JSON list")
-    return [SpectrumEntry(module=str(_field(e, "module", "spectrum entry")),
-                          multiplicity=_int_field(e, "multiplicity",
-                                                  "spectrum entry"),
-                          k2_inv_dim=_int_field(e, "k2_inv_dim",
-                                                "spectrum entry"))
-            for e in doc]
+    return [SpectrumEntry(module=_get(e, "module", "spectrum entry", str),
+                          multiplicity=_get(e, "multiplicity",
+                                            "spectrum entry", int),
+                          k2_inv_dim=_get(e, "k2_inv_dim",
+                                          "spectrum entry", int))
+            for e in _typed(doc, list, "spectrum")]
 
 
 # -- kind dispatch -----------------------------------------------------------

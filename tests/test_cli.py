@@ -135,6 +135,8 @@ MALFORMED_ALGEBRAS = {
     "coeff-den-bool": _set("den", True,
                            lambda doc: doc["products"][0]["result"][0]
                            ["coeff_re"]),
+    # a non-string name was coerced by str(): 3 loaded as "3"
+    "name-int": _set("name", 3),
 }
 
 
@@ -169,6 +171,20 @@ MALFORMED_GK = {
     "form-num-string": ("sl2-ds-plus.module.json",
                         _set("num", "1", lambda doc: doc["weights"][0]
                              ["form"][0][0]["re"])),
+    # names and references were coerced by str(): ["x"] loaded as "['x']"
+    "module-name-list": ("sl2-ds-plus.module.json", _set("name", ["x"])),
+    "module-pair-int": ("sl2-ds-plus.module.json", _set("pair", 5)),
+    "pair-basis-name-int": ("sl2R.pair.json",
+                            _set(0, 3, lambda doc: doc["basis"])),
+    "pair-name-float": ("sl2R.pair.json", _set("name", 1.5)),
+    "spectrum-module-int": ("genus2.spectrum.json",
+                            _set("module", 3, lambda doc: doc[0])),
+    # a non-list matrix row: 4 was caught as a TypeError, and {} iterated
+    # as an empty row and failed validation (exit 1)
+    "pair-b-row-int": ("sl2R.pair.json", _set(0, 4, lambda doc: doc["B"])),
+    "action-row-object": ("sl2-ds-plus.module.json",
+                          _set(0, {}, lambda doc: doc["weights"][0]
+                               ["actions"][0]["matrix"])),
 }
 
 
@@ -236,6 +252,14 @@ def test_mutation_fuzz_exit_status(catalog_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2), label
         assert "Traceback" not in err, label
+
+
+def test_lefschetz_unknown_omega_is_input_error(catalog_dir, capsys):
+    # an unknown --omega name ended in a KeyError traceback
+    assert run(["lefschetz", "--omega", "nosuch",
+                "--input", str(catalog_dir / "torus.algebra.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: unknown basis element 'nosuch'\n"
 
 
 def test_lefschetz_k3_report(catalog_dir, tmp_path):
