@@ -122,30 +122,22 @@ def lie_closure(generators, cap: int = 2000) -> OperatorLieAlgebra:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must share one ambient dimension")
     sb = SpanBuilder(n * n)
-    members = []
-    frontier = []
-    for g in generators:
-        if sb.add(g.entries):
-            members.append(g)
-            frontier.append(g)
-    while frontier:
+    members = [g for g in generators if sb.add(g.entries)]
+    # one worklist: member t is bracketed once with each earlier member,
+    # so every pair of members is bracketed exactly once
+    closed = True
+    for t, x in enumerate(members):
         if sb.dim > cap:
-            return OperatorLieAlgebra(
-                ambient=n,
-                basis=tuple(DenseMatrix(n, n, row) for row in sb.basis),
-                closed=False)
-        new_frontier = []
-        for x in frontier:
-            for y in members:
-                c = x.commutator(y)
-                if sb.add(c.entries):
-                    members.append(c)
-                    new_frontier.append(c)
-        frontier = new_frontier
+            closed = False
+            break
+        for y in members[:t]:
+            c = x.commutator(y)
+            if sb.add(c.entries):
+                members.append(c)
     return OperatorLieAlgebra(
         ambient=n,
         basis=tuple(DenseMatrix(n, n, row) for row in sb.basis),
-        closed=True)
+        closed=closed)
 
 
 # -- ideals in structure-constant coordinates ------------------------------
