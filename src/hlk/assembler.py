@@ -100,8 +100,8 @@ class DiamondReport:
                 and self.serre_symmetric and self.lefschetz_injective)
 
 
-def diamond_checks(a: AssembledCohomology, analyses: dict,
-                   entries=None) -> DiamondReport:
+def diamond_checks(a: AssembledCohomology,
+                   analyses: dict) -> DiamondReport:
     """Hodge symmetry, even odd-Betti numbers, Serre symmetry and the
     hard Lefschetz inequalities h^r <= h^(r+2) for r < g.
 

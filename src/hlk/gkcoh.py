@@ -364,8 +364,6 @@ class ModuleOps:
 
     def __init__(self, pair: ReductivePair, split: PSplit,
                  module: AdmissibleModule):
-        self.pair = pair
-        self.split = split
         self.module = module
         gamma = DenseMatrix.from_columns(
             [g.coords for g in module.generators], rows=pair.dim)
@@ -1079,9 +1077,6 @@ def lefschetz_on_complex(pair: ReductivePair, split: PSplit,
 
 @dataclass
 class ModuleAnalysis:
-    name: str
-    window: int
-    complex_dims: dict           # (p,q) -> dim C^(p,q)
     hodge_dims: dict             # (p,q) -> dim H^(p,q)
     casimir: CasimirResult
     dichotomy: DichotomyResult
@@ -1102,9 +1097,6 @@ def analyze_module(pair: ReductivePair, split: PSplit,
     if dich.branch == "casimir-zero" and dich.holds:
         lef = lefschetz_on_complex(pair, split, module, cx)
     return ModuleAnalysis(
-        name=module.name,
-        window=module.window,
-        complex_dims={k: len(v) for k, v in cx.bases.items()},
         hodge_dims=cohomology_bigraded(cx),
         casimir=cas,
         dichotomy=dich,

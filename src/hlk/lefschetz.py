@@ -107,7 +107,6 @@ class _Context:
             parity = 0 if mode == "even" else 1
             self.indices = [k for k in range(a.n)
                             if a.degree_of_index(k) % 2 == parity]
-        self.pos = {g_idx: loc for loc, g_idx in enumerate(self.indices)}
         self.dim = len(self.indices)
         lf = lefschetz_operator(a, self.w)
         self.L = lf.submatrix(self.indices, self.indices)
