@@ -64,14 +64,17 @@ def _get(entry, key: str, what: str, kind: type, default=_REQUIRED):
 
     A missing field is an InputError unless a ``default`` is given.
     """
-    if key not in _typed(entry, dict, what):
-        if default is _REQUIRED:
-            raise InputError(f"{what} has no {key!r} field: {entry!r}")
-        return default
-    value = entry[key]
-    if type(value) is not kind:
-        _typed(value, kind, f"{what} field {key!r}")
-    return value
+    if type(entry) is not dict:
+        raise InputError(f"{what} must be an object, got {entry!r}")
+    value = entry.get(key, _REQUIRED)
+    if type(value) is kind:
+        return value
+    if value is not _REQUIRED:
+        raise InputError(f"{what} field {key!r} must be "
+                         f"{_TYPE_NAMES[kind]}, got {value!r}")
+    if default is _REQUIRED:
+        raise InputError(f"{what} has no {key!r} field: {entry!r}")
+    return default
 
 
 def _frac_doc(x: Fraction) -> dict:
