@@ -164,7 +164,12 @@ def cmd_catalog(args) -> int:
 def cmd_validate(args) -> int:
     report = Report("validate")
     loaded = _load_inputs(args.input, report)
-    pairs = {obj.name: obj for kind, obj, _ in loaded if kind == "pair"}
+    # pairs first, so that a module meets only a valid pair, split once
+    pairs, pair_reps = {}, {}
+    for kind, obj, _ in loaded:
+        if kind == "pair":
+            pair_reps[id(obj)] = rep = gkcoh.validate_pair(obj)
+            pairs[obj.name] = (obj, gkcoh.split_p(obj) if rep.ok else None)
     for kind, obj, path in loaded:
         t0 = time.perf_counter()
         label = f"{kind}:{os.path.basename(path)}"
@@ -172,14 +177,15 @@ def cmd_validate(args) -> int:
             rep = validate_algebra(obj)
             report.check(label, rep.ok, rep.summary())
         elif kind == "pair":
-            rep = gkcoh.validate_pair(obj)
+            rep = pair_reps[id(obj)]
             report.check(label, rep.ok, rep.summary())
         elif kind == "module":
-            pair = pairs.get(obj.pair_name)
+            pair, split = pairs.get(obj.pair_name, (None, None))
             if pair is None:
                 report.skip(label, f"pair {obj.pair_name!r} not supplied")
+            elif split is None:
+                report.skip(label, f"pair {obj.pair_name!r} failed validation")
             else:
-                split = gkcoh.split_p(pair)
                 rep = gkcoh.validate_module(pair, split, obj)
                 report.check(label, rep.ok, rep.summary())
         else:
@@ -335,7 +341,7 @@ def cmd_llgen(args) -> int:
         gens = []
         for tri in triples:
             gens.extend([tri.L, tri.Lambda])
-        lie = llgen.lie_closure(gens, cap=args.cap)
+        lie = llgen.lie_closure(gens)
         report.check(f"{base}:closure", lie.closed,
                      f"dimension {lie.dim} (mode {mode})")
         report.doc["summary"][f"{base}:dimension"] = lie.dim
@@ -442,7 +448,7 @@ def cmd_gkcoh(args) -> int:
                     for n in set(sums) | set(total))
         report.check(f"{label}:bigraded-total", match,
                      "sum of h^(p,q) equals ungraded dim H^n")
-        lap = gkcoh.laplacian_kernel_dims(pair, split, module, cx)
+        lap = gkcoh.laplacian_kernel_dims(module, cx)
         lap_ok = all(lap.get(n, 0) == total.get(n, 0)
                      for n in set(lap) | set(total))
         report.check(f"{label}:harmonic", lap_ok,
@@ -480,8 +486,15 @@ def cmd_assemble(args) -> int:
     if report.failed:
         report.write(args.report)
         return 1
-    analyses = {module.name: gkcoh.analyze_module(pair, split, module)
-                for module in modules}
+    analyses = {}
+    for module in modules:
+        try:
+            analyses[module.name] = gkcoh.analyze_module(pair, split, module)
+        except gkcoh.WindowError as exc:
+            report.check(f"{module.name}:window", False, str(exc))
+    if report.failed:
+        report.write(args.report)
+        return 1
     try:
         assembled = asm.assemble(entries, analyses)
     except KeyError as exc:
@@ -544,8 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     llg = sub.add_parser("llgen", help="operator Lie algebra battery")
     common(llg)
     llg.add_argument("--mode", default=None, choices=["full", "even", "odd"])
-    llg.add_argument("--cap", type=int, default=2000,
-                     help="closure basis cap")
     llg.add_argument("--force-large", action="store_true",
                      help="run closures on large even parts")
     llg.set_defaults(func=cmd_llgen)

@@ -358,8 +358,10 @@ def detect_kind(doc) -> str:
         return "spectrum"
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object or list")
-    kind = doc.get("kind")
-    if kind in ("algebra", "pair", "module", "spectrum"):
+    if "kind" in doc:
+        kind = doc["kind"]
+        if kind not in ("algebra", "pair", "module", "spectrum"):
+            raise InputError(f"unknown document kind {kind!r}")
         return kind
     if "basis" in doc and "g" in doc:
         return "algebra"

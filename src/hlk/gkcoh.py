@@ -30,7 +30,6 @@ from .exactlin import (
     inverse,
     kernel,
     quotient_cohomology,
-    rank,
     solve,
     unit_vector,
     vec_add,
@@ -280,7 +279,16 @@ class ModuleGenerator:
 
 
 class AdmissibleModule:
-    """K-weight graded module data over a finite window."""
+    """K-weight graded module data over a finite window, with its operator
+    calculus.
+
+    rho(x) is sum_k c_k A_k for the expansion x = sum_k c_k gamma_k in
+    the module's generators, where A_k(w) is the stored block of
+    generator k from weight w to w + shift_k.  Every operator here works
+    on those blocks, so its cost follows the weight spaces it touches,
+    not the window.  The generator inverse, the expansions and the
+    blocks are read once per module, whichever check or phase asks.
+    """
 
     def __init__(self, name, pair_name, window, weights, forms, generators,
                  actions, unitary=True):
@@ -302,32 +310,97 @@ class AdmissibleModule:
             off += self.weights[w]
         self.total_dim = off
         self.gen_by_name = {g.name: g for g in self.generators}
-
-    def dim_at(self, w: int) -> int:
-        if abs(w) > self.window:
-            raise WindowError(f"weight {w} is outside the stored window")
-        return self.weights.get(w, 0)
+        self._gamma_inv = None
+        self._expanded = {}
+        self._blocks = {}
 
     def slice_of(self, w: int):
         off = self.offsets[w]
         return off, off + self.weights[w]
 
-    def action_block(self, gen_name: str, from_w: int) -> DenseMatrix:
-        gen = self.gen_by_name[gen_name]
-        to_w = from_w + gen.shift
-        rows = self.dim_at(to_w)
-        cols = self.dim_at(from_w)
-        block = self.actions.get((gen_name, from_w))
-        if block is None:
-            if rows == 0 or cols == 0:
-                return DenseMatrix.zero(rows, cols)
+    def gamma_inv(self, n: int) -> DenseMatrix:
+        """Inverse of the matrix whose columns are the generators, as a
+        basis of g1_C of dimension n; ValueError when they are not one."""
+        if len(self.generators) != n:
+            raise ValueError("module generators must form a basis of g1_C")
+        if self._gamma_inv is None:
+            self._gamma_inv = inverse(DenseMatrix.from_columns(
+                [g.coords for g in self.generators], rows=n))
+            if self._gamma_inv is None:
+                raise ValueError("module generators are linearly dependent")
+        return self._gamma_inv
+
+    def expand(self, x) -> tuple:
+        """Coefficients of a g1_C vector in the module's generator basis,
+        computed once per distinct vector."""
+        x = tuple(Scalar.of(v) for v in x)
+        coeffs = self._expanded.get(x)
+        if coeffs is None:
+            coeffs = self._expanded[x] = self.gamma_inv(len(x)).apply(x)
+        return coeffs
+
+    def block(self, k: int, w: int):
+        """A_k(w) for a present weight w, or None when weight w + shift_k
+        carries no space.  WindowError when that weight or w is outside
+        the window or the block is missing; ValueError when the stored
+        block has the wrong shape."""
+        key = (k, w)
+        if key in self._blocks:
+            return self._blocks[key]
+        gen = self.generators[k]
+        target = w + gen.shift
+        if abs(target) > self.window:
             raise WindowError(
-                f"action block ({gen_name}, from weight {from_w}) is missing")
-        if block.rows != rows or block.cols != cols:
+                f"applying {gen.name} from weight {w} exits the window")
+        rows, cols = self.weights.get(target, 0), self.weights.get(w, 0)
+        block = self.actions.get((gen.name, w)) if rows else None
+        if rows and abs(w) > self.window:
+            raise WindowError(f"weight {w} is outside the stored window")
+        if rows and block is None:
+            raise WindowError(
+                f"action block ({gen.name}, from weight {w}) is missing")
+        if block is not None and (block.rows, block.cols) != (rows, cols):
             raise ValueError(
-                f"action block ({gen_name}, {from_w}) has shape "
+                f"action block ({gen.name}, {w}) has shape "
                 f"{block.rows}x{block.cols}, expected {rows}x{cols}")
+        self._blocks[key] = block
         return block
+
+    def combination(self, terms, w: int) -> dict:
+        """sum of c * A_k1 ... A_kr over the terms (c, (k1, ..., kr)), on
+        weight w, as {target weight: block}.  A word drops out once its
+        product is zero, without reading the blocks left of that point."""
+        out = {}
+        for c, word in terms:
+            prod, at = None, w
+            for k in reversed(word):
+                step = self.block(k, at)
+                if step is None:
+                    break
+                prod = step if prod is None else step.mul(prod)
+                at += self.generators[k].shift
+                if prod.is_zero_matrix():
+                    break
+            else:
+                if c != ONE:
+                    prod = prod.scale(c)
+                out[at] = out[at].add(prod) if at in out else prod
+        return out
+
+    def apply(self, x, vec) -> tuple:
+        """rho(x) on a flat windowed vector, from the weights where it
+        is nonzero."""
+        terms = [(c, (k,)) for k, c in enumerate(self.expand(x)) if c]
+        out = [ZERO] * self.total_dim
+        for w in self.sorted_weights:
+            piece = vec[slice(*self.slice_of(w))]
+            if vec_is_zero(piece):
+                continue
+            for target, block in self.combination(terms, w).items():
+                tlo, _ = self.slice_of(target)
+                for t, val in enumerate(block.apply(piece)):
+                    out[tlo + t] = out[tlo + t] + val
+        return tuple(out)
 
 
 def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix:
@@ -350,91 +423,6 @@ def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix
             start = (r0 + i) * cols + c0
             entries[start:start + m.cols] = m.row(i)
     return DenseMatrix(rows, cols, entries)
-
-
-class ModuleOps:
-    """Operator calculus for a module over a fixed pair and split.
-
-    rho(x) is sum_k c_k A_k for the expansion x = sum_k c_k gamma_k in
-    the module's generators, where A_k(w) is the stored block of
-    generator k from weight w to w + shift_k.  Every operator here works
-    on those blocks, so its cost follows the weight spaces it touches,
-    not the window.
-    """
-
-    def __init__(self, pair: ReductivePair, split: PSplit,
-                 module: AdmissibleModule):
-        self.module = module
-        gamma = DenseMatrix.from_columns(
-            [g.coords for g in module.generators], rows=pair.dim)
-        if gamma.cols != pair.dim:
-            raise ValueError("module generators must form a basis of g1_C")
-        self.gamma_inv = inverse(gamma)
-        if self.gamma_inv is None:
-            raise ValueError("module generators are linearly dependent")
-        self._expanded = {}
-        self._blocks = {}
-
-    def expand(self, x) -> tuple:
-        """Coefficients of a g1_C vector in the module's generator basis,
-        computed once per distinct vector."""
-        x = tuple(Scalar.of(v) for v in x)
-        coeffs = self._expanded.get(x)
-        if coeffs is None:
-            coeffs = self._expanded[x] = self.gamma_inv.apply(x)
-        return coeffs
-
-    def block(self, k: int, w: int):
-        """A_k(w), or None when weight w + shift_k carries no space;
-        WindowError when that weight is outside the window."""
-        key = (k, w)
-        if key not in self._blocks:
-            m = self.module
-            gen = m.generators[k]
-            target = w + gen.shift
-            if abs(target) > m.window:
-                raise WindowError(
-                    f"applying {gen.name} from weight {w} exits the window")
-            self._blocks[key] = m.action_block(gen.name, w) \
-                if m.weights.get(target, 0) else None
-        return self._blocks[key]
-
-    def combination(self, terms, w: int) -> dict:
-        """sum of c * A_k1 ... A_kr over the terms (c, (k1, ..., kr)), on
-        weight w, as {target weight: block}.  A word drops out once its
-        product is zero, without reading the blocks left of that point."""
-        out = {}
-        for c, word in terms:
-            prod, at = None, w
-            for k in reversed(word):
-                step = self.block(k, at)
-                if step is None:
-                    break
-                prod = step if prod is None else step.mul(prod)
-                at += self.module.generators[k].shift
-                if prod.is_zero_matrix():
-                    break
-            else:
-                if c != ONE:
-                    prod = prod.scale(c)
-                out[at] = out[at].add(prod) if at in out else prod
-        return out
-
-    def apply(self, x, vec) -> tuple:
-        """rho(x) on a flat windowed vector, from the weights where it
-        is nonzero."""
-        m = self.module
-        terms = [(c, (k,)) for k, c in enumerate(self.expand(x)) if c]
-        out = [ZERO] * m.total_dim
-        for w in m.sorted_weights:
-            piece = vec[slice(*m.slice_of(w))]
-            if vec_is_zero(piece):
-                continue
-            for target, block in self.combination(terms, w).items():
-                tlo, _ = m.slice_of(target)
-                for t, val in enumerate(block.apply(piece)):
-                    out[tlo + t] = out[tlo + t] + val
-        return tuple(out)
 
 
 def _interior_weights(module: AdmissibleModule) -> list:
@@ -480,9 +468,9 @@ def validate_module(pair: ReductivePair, split: PSplit,
         if in_k and g.shift != 0:
             rep.add("generator-shift", f"k-type generator {g.name} must have shift 0")
 
-    gamma = DenseMatrix.from_columns([g.coords for g in module.generators],
-                                     rows=n)
-    if gamma.cols != n or rank(gamma) != n:
+    try:
+        module.gamma_inv(n)
+    except ValueError:
         rep.add("generator-span", "generators do not form a basis of g1_C")
         return rep
 
@@ -515,7 +503,6 @@ def validate_module(pair: ReductivePair, split: PSplit,
     if not rep.ok:
         return rep
 
-    ops = ModuleOps(pair, split, module)
     interior = _interior_weights(module)
 
     # bracket compatibility on interior weights, as block products:
@@ -524,12 +511,12 @@ def validate_module(pair: ReductivePair, split: PSplit,
         for j, gj in enumerate(module.generators):
             if i == j:
                 continue
-            lie = ops.expand(pair.bracket(gi.coords, gj.coords))
+            lie = module.expand(pair.bracket(gi.coords, gj.coords))
             terms = [(ONE, (i, j)), (-ONE, (j, i))] + \
                 [(-c, (k,)) for k, c in enumerate(lie) if c]
             for w in interior:
                 if any(not b.is_zero_matrix()
-                       for b in ops.combination(terms, w).values()):
+                       for b in module.combination(terms, w).values()):
                     rep.add("bracket-compatibility",
                             f"rho([{gi.name},{gj.name}]) mismatch at "
                             f"weight {w}")
@@ -537,17 +524,17 @@ def validate_module(pair: ReductivePair, split: PSplit,
     # unitarity: rho(x)* = -rho(conj x), blockwise against the stored forms
     if not module.unitary:
         return rep
-    for g in module.generators:
+    for i, g in enumerate(module.generators):
         # the generators of rho(conj x) that lead back to the source weight
         back = [(c, (k,)) for k, c in enumerate(
-                    ops.expand(tuple(z.conjugate() for z in g.coords)))
+                    module.expand(tuple(z.conjugate() for z in g.coords)))
                 if c and module.generators[k].shift == -g.shift]
         for w in module.sorted_weights:
             target = w + g.shift
             if abs(target) > module.window or module.weights.get(target, 0) == 0:
                 continue
-            m_block = module.action_block(g.name, w)
-            n_block = ops.combination(back, target).get(w, DenseMatrix.zero(
+            m_block = module.block(i, w)
+            n_block = module.combination(back, target).get(w, DenseMatrix.zero(
                 module.weights[w], module.weights[target]))
             lhs = m_block.conj_transpose().mul(module.forms[target])
             rhs = module.forms[w].mul(n_block).scale(Scalar(-1))
@@ -637,7 +624,7 @@ def build_complex(pair: ReductivePair, split: PSplit,
     bidegree; the differential is the action-only alternating sum, the
     bracket terms being absent for a symmetric pair.
     """
-    ops = ModuleOps(pair, split, module)
+    module.gamma_inv(pair.dim)     # a bad generator basis fails first
     d = split.dim
     dv = module.total_dim
     slots = split.plus + split.minus
@@ -661,11 +648,11 @@ def build_complex(pair: ReductivePair, split: PSplit,
     rho_k = {}
     for ki in pair.k_indices:
         terms = [(c, (k,)) for k, c in
-                 enumerate(ops.expand(pair.basis_vector(ki))) if c]
+                 enumerate(module.expand(pair.basis_vector(ki))) if c]
         rows = rho_k[ki] = [{} for _ in range(dv)]
         for w in module.sorted_weights:
             lo, _ = module.slice_of(w)
-            for target, block in ops.combination(terms, w).items():
+            for target, block in module.combination(terms, w).items():
                 tlo, _ = module.slice_of(target)
                 for i in range(block.rows):
                     rows[tlo + i].update((lo + j, c) for j, c in
@@ -715,7 +702,7 @@ def build_complex(pair: ReductivePair, split: PSplit,
                 continue
             cols = []
             for f in src:
-                img = _apply_d(ops, slots, wedges, f, (p, q), (tp, tq), dv)
+                img = _apply_d(module, slots, wedges, f, (p, q), (tp, tq), dv)
                 coords = spans[(tp, tq)].coordinates(img)
                 if coords is None:
                     raise ArithmeticError(
@@ -775,7 +762,7 @@ def _coords_in(vectors, target):
     return solve(m, target)
 
 
-def _apply_d(ops: ModuleOps, slots, wedges, f, src_key, dst_key, dv):
+def _apply_d(module, slots, wedges, f, src_key, dst_key, dv):
     """d' (dst_key raises p) or d'' (dst_key raises q) of a flat cochain
     vector: on a target wedge w, the sum of (-1)^a rho(w[a]) f(w minus
     position a) over the positions a on the side that the part adds."""
@@ -790,7 +777,7 @@ def _apply_d(ops: ModuleOps, slots, wedges, f, src_key, dst_key, dv):
             if (s < d) != plus:
                 continue
             st = spos[w[:a] + w[a + 1:]]
-            img = ops.apply(slots[s], f[st * dv:(st + 1) * dv])
+            img = module.apply(slots[s], f[st * dv:(st + 1) * dv])
             acc = vec_sub(acc, img) if a % 2 else vec_add(acc, img)
         out[wt * dv:(wt + 1) * dv] = acc
     return tuple(out)
@@ -881,8 +868,7 @@ def _cochain_grams(module: AdmissibleModule, cx: RelativeComplex) -> dict:
     return grams
 
 
-def laplacian_kernel_dims(pair: ReductivePair, split: PSplit,
-                          module: AdmissibleModule,
+def laplacian_kernel_dims(module: AdmissibleModule,
                           cx: RelativeComplex) -> dict:
     """dim ker(dd* + d*d) per total degree, for the induced inner products."""
     grams = _cochain_grams(module, cx)
@@ -935,7 +921,7 @@ class CasimirResult:
         return next(iter(self.scalars.values()))
 
 
-def casimir_action(pair: ReductivePair, split: PSplit,
+def casimir_action(pair: ReductivePair,
                    module: AdmissibleModule) -> CasimirResult:
     """Scalar of C = sum_i rho(e_i) rho(e^i) on each interior weight space.
 
@@ -943,7 +929,7 @@ def casimir_action(pair: ReductivePair, split: PSplit,
     composition of generator shifts stays inside the window; if no
     present weight is interior the window is too small.
     """
-    ops = ModuleOps(pair, split, module)
+    module.gamma_inv(pair.dim)     # a bad generator basis fails first
     b_inv = inverse(pair.b_form)
     if b_inv is None:
         raise ValueError("B is degenerate")
@@ -953,8 +939,8 @@ def casimir_action(pair: ReductivePair, split: PSplit,
     # C = sum_kl M_kl A_k A_l, M_kl = sum_i expand(e_i)_k expand(e^i)_l
     coeffs = {}
     for i in range(pair.dim):
-        left = ops.expand(pair.basis_vector(i))
-        right = ops.expand(b_inv.column(i))
+        left = module.expand(pair.basis_vector(i))
+        right = module.expand(b_inv.column(i))
         for k, a in enumerate(left):
             for l, b in enumerate(right):
                 if a and b:
@@ -963,7 +949,7 @@ def casimir_action(pair: ReductivePair, split: PSplit,
     scalars = {}
     non_scalar = []
     for n in interior_weights:
-        blocks = ops.combination(terms, n)
+        blocks = module.combination(terms, n)
         dim_n = module.weights[n]
         diag = blocks.pop(n, DenseMatrix.zero(dim_n, dim_n))
         # off-weight components must cancel (C is central)
@@ -984,8 +970,7 @@ class DichotomyResult:
     detail: str
 
 
-def vanishing_dichotomy(pair: ReductivePair, split: PSplit,
-                        module: AdmissibleModule, cx: RelativeComplex,
+def vanishing_dichotomy(cx: RelativeComplex,
                         casimir: CasimirResult) -> DichotomyResult:
     """Either d vanishes identically (Casimir 0) or H vanishes entirely."""
     if not casimir.is_scalar:
@@ -1012,7 +997,6 @@ def vanishing_dichotomy(pair: ReductivePair, split: PSplit,
 
 
 def lefschetz_on_complex(pair: ReductivePair, split: PSplit,
-                         module: AdmissibleModule,
                          cx: RelativeComplex) -> dict:
     """Wedge with omega0(x, y) = -1/2 B(x, [z0, y]): C^(p,q) -> C^(p+1,q+1).
 
@@ -1091,11 +1075,11 @@ class ModuleAnalysis:
 def analyze_module(pair: ReductivePair, split: PSplit,
                    module: AdmissibleModule) -> ModuleAnalysis:
     cx = build_complex(pair, split, module)
-    cas = casimir_action(pair, split, module)
-    dich = vanishing_dichotomy(pair, split, module, cx, cas)
+    cas = casimir_action(pair, module)
+    dich = vanishing_dichotomy(cx, cas)
     lef = None
     if dich.branch == "casimir-zero" and dich.holds:
-        lef = lefschetz_on_complex(pair, split, module, cx)
+        lef = lefschetz_on_complex(pair, split, cx)
     return ModuleAnalysis(
         hodge_dims=cohomology_bigraded(cx),
         casimir=cas,

@@ -201,8 +201,8 @@ def test_criterion_8_gk_dichotomy():
 
     def analysis(module):
         cx = gkcoh.build_complex(pair, split, module)
-        cas = gkcoh.casimir_action(pair, split, module)
-        dich = gkcoh.vanishing_dichotomy(pair, split, module, cx, cas)
+        cas = gkcoh.casimir_action(pair, module)
+        dich = gkcoh.vanishing_dichotomy(cx, cas)
         dims = {k: v for k, v in gkcoh.cohomology_bigraded(cx).items() if v}
         return cx, cas, dich, dims
 

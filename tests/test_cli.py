@@ -185,6 +185,11 @@ MALFORMED_GK = {
     "action-row-object": ("sl2-ds-plus.module.json",
                           _set(0, {}, lambda doc: doc["weights"][0]
                                ["actions"][0]["matrix"])),
+    # a kind outside the four names fell back to shape detection (exit 0)
+    "kind-unknown": ("sl2R.pair.json", _set("kind", "x")),
+    "kind-bool": ("sl2R.pair.json", _set("kind", True)),
+    "kind-list": ("sl2R.pair.json", _set("kind", [1])),
+    "kind-object": ("sl2R.pair.json", _set("kind", {})),
 }
 
 
@@ -461,6 +466,79 @@ def test_gkcoh_builds_each_complex_once(catalog_dir, monkeypatch):
                 "--input", str(catalog_dir / "sl2-trivial.module.json"),
                 "--input", str(catalog_dir / "sl2-adjoint.module.json")]) == 0
     assert calls == ["sl2-trivial", "sl2-adjoint"]
+
+
+def test_gkcoh_inverts_each_generator_matrix_once(catalog_dir, monkeypatch):
+    from hlk import gkcoh
+
+    modules = [catalog_dir / f"{m}.module.json" for m in GK_MODULES]
+    gammas = [DenseMatrix.from_columns([g.coords for g in m.generators])
+              for m in (fileio.load_document(str(p))[1] for p in modules)]
+    inverted = []
+    invert = gkcoh.inverse
+
+    def counting(m):
+        if m in gammas:
+            inverted.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(gkcoh, "inverse", counting)
+    assert run(["gkcoh", "--input", str(catalog_dir / "sl2R.pair.json"),
+                *sum((["--input", str(p)] for p in modules), [])]) == 0
+    assert len(inverted) == len(modules)
+
+
+def test_validate_skips_module_of_failed_pair(catalog_dir, tmp_path,
+                                              monkeypatch):
+    from hlk import gkcoh
+
+    doc = json.loads((catalog_dir / "sl2R.pair.json").read_text())
+    doc["z0"] = [dict(x, num=2 * x["num"]) for x in doc["z0"]]
+    doubled = tmp_path / "sl2R.pair.json"
+    doubled.write_text(fileio.canonical_dumps(doc))
+    module = str(catalog_dir / "sl2-ds-plus.module.json")
+    report = tmp_path / "validate.json"
+    assert run(["validate", "--input", str(doubled), "--input", module,
+                "--report", str(report)]) == 1
+    assert [(c["name"], c["status"], c["detail"]) for c in
+            json.loads(report.read_text())["checks"]] == [
+        ("pair:sl2R.pair.json", "fail",
+         "z0-square: (ad z0)^2 is not -id on p"),
+        ("module:sl2-ds-plus.module.json", "skip",
+         "pair 'sl2R' failed validation")]
+    # a valid pair is split once, however many modules it serves
+    splits = []
+    split_p = gkcoh.split_p
+    monkeypatch.setattr(gkcoh, "split_p",
+                        lambda pair: splits.append(pair) or split_p(pair))
+    assert run(["validate", "--input", module,
+                "--input", str(catalog_dir / "sl2R.pair.json"),
+                "--input", str(catalog_dir / "sl2-trivial.module.json")]) == 0
+    assert len(splits) == 1
+
+
+def test_assemble_records_window_exit(tmp_path):
+    # the same module windows that gkcoh records as failed window checks
+    for name, window in (("sl2-pair", 6), ("genus2-spectrum", 6),
+                         ("sl2-trivial", 1), ("sl2-ds-plus", 2),
+                         ("sl2-ds-minus", 2)):
+        assert run(["catalog", name, "--window", str(window),
+                    "--out-dir", str(tmp_path)]) == 0
+    inputs = sum((["--input", str(tmp_path / f)] for f in (
+        "sl2R.pair.json", "sl2-trivial.module.json", "sl2-ds-plus.module.json",
+        "sl2-ds-minus.module.json", "genus2.spectrum.json")), [])
+    checks = {}
+    for command in ("gkcoh", "assemble"):
+        report = tmp_path / f"{command}.json"
+        assert run([command, *inputs, "--report", str(report)]) == 1
+        checks[command] = json.loads(report.read_text())["checks"]
+    window = [c for c in checks["assemble"] if c["name"].endswith(":window")]
+    assert window == [c for c in checks["gkcoh"]
+                      if c["name"].endswith(":window")]
+    assert window[0] == {"name": "sl2-trivial:window", "status": "fail",
+                         "detail": "applying e from weight 0 exits the window"}
+    assert not [c for c in checks["assemble"]
+                if c["name"].startswith("diamond:")]
 
 
 def test_internal_invariant_failure_exits_3(catalog_dir, monkeypatch,

@@ -150,7 +150,7 @@ def test_bigraded_sums_match_total(sl2, sl2_split, sl2_modules):
 def test_laplacian_matches_cohomology(sl2, sl2_split, sl2_modules):
     for module in sl2_modules.values():
         cx = gkcoh.build_complex(sl2, sl2_split, module)
-        lap = gkcoh.laplacian_kernel_dims(sl2, sl2_split, module, cx)
+        lap = gkcoh.laplacian_kernel_dims(module, cx)
         total = gkcoh.ungraded_cohomology_dims(cx)
         for n in set(lap) | set(total):
             assert lap.get(n, 0) == total.get(n, 0)
@@ -160,11 +160,11 @@ def test_laplacian_matches_cohomology(sl2, sl2_split, sl2_modules):
 
 
 def test_casimir_values(sl2, sl2_split, sl2_modules):
-    cas = gkcoh.casimir_action(sl2, sl2_split, sl2_modules["trivial"])
+    cas = gkcoh.casimir_action(sl2, sl2_modules["trivial"])
     assert cas.is_scalar and cas.scalar.is_zero()
-    cas = gkcoh.casimir_action(sl2, sl2_split, sl2_modules["adjoint"])
+    cas = gkcoh.casimir_action(sl2, sl2_modules["adjoint"])
     assert cas.is_scalar and cas.scalar == Scalar(4)
-    cas = gkcoh.casimir_action(sl2, sl2_split, sl2_modules["ds-plus"])
+    cas = gkcoh.casimir_action(sl2, sl2_modules["ds-plus"])
     assert cas.is_scalar and cas.scalar.is_zero()
 
 
@@ -175,8 +175,8 @@ def test_dichotomy_branches(sl2, sl2_split, sl2_modules):
                          ("adjoint", "casimir-nonzero")):
         module = sl2_modules[name]
         cx = gkcoh.build_complex(sl2, sl2_split, module)
-        cas = gkcoh.casimir_action(sl2, sl2_split, module)
-        res = gkcoh.vanishing_dichotomy(sl2, sl2_split, module, cx, cas)
+        cas = gkcoh.casimir_action(sl2, module)
+        res = gkcoh.vanishing_dichotomy(cx, cas)
         assert res.branch == branch and res.holds, (name, res.detail)
 
 
@@ -184,10 +184,10 @@ def test_dichotomy_not_applicable_for_direct_sum(sl2, sl2_split, sl2_modules):
     summed = direct_sum_module(sl2_modules["trivial"], sl2_modules["adjoint"])
     rep = gkcoh.validate_module(sl2, sl2_split, summed)
     assert rep.ok, rep.summary()
-    cas = gkcoh.casimir_action(sl2, sl2_split, summed)
+    cas = gkcoh.casimir_action(sl2, summed)
     assert not cas.is_scalar
     cx = gkcoh.build_complex(sl2, sl2_split, summed)
-    res = gkcoh.vanishing_dichotomy(sl2, sl2_split, summed, cx, cas)
+    res = gkcoh.vanishing_dichotomy(cx, cas)
     assert res.branch == "not-applicable"
 
 
@@ -199,8 +199,8 @@ def test_window_independence(sl2, sl2_split):
     for window in (6, 8):
         module = catalog.sl2_discrete_series_module(1, window)
         cx = gkcoh.build_complex(sl2, sl2_split, module)
-        cas = gkcoh.casimir_action(sl2, sl2_split, module)
-        res = gkcoh.vanishing_dichotomy(sl2, sl2_split, module, cx, cas)
+        cas = gkcoh.casimir_action(sl2, module)
+        res = gkcoh.vanishing_dichotomy(cx, cas)
         results.append((nonzero_dims(cx.dims()),
                         nonzero_dims(gkcoh.cohomology_bigraded(cx)),
                         res.branch, res.holds))
@@ -210,17 +210,16 @@ def test_window_independence(sl2, sl2_split):
 def test_window_too_small_raises(sl2, sl2_split):
     module = catalog.sl2_discrete_series_module(1, window=2)
     with pytest.raises(gkcoh.WindowError):
-        gkcoh.casimir_action(sl2, sl2_split, module)
+        gkcoh.casimir_action(sl2, module)
 
 
 def test_action_exit_detected(sl2, sl2_split):
     module = catalog.sl2_discrete_series_module(1, window=6)
-    ops = gkcoh.ModuleOps(sl2, sl2_split, module)
     vec = [ZERO] * module.total_dim
     lo, _ = module.slice_of(6)
     vec[lo] = ONE
     with pytest.raises(gkcoh.WindowError):
-        ops.apply(module.gen_by_name["e"].coords, tuple(vec))
+        module.apply(module.gen_by_name["e"].coords, tuple(vec))
 
 
 # -- the Lefschetz operator ---------------------------------------------------
@@ -229,7 +228,7 @@ def test_action_exit_detected(sl2, sl2_split):
 def test_lefschetz_on_trivial(sl2, sl2_split, sl2_modules):
     module = sl2_modules["trivial"]
     cx = gkcoh.build_complex(sl2, sl2_split, module)
-    lef = gkcoh.lefschetz_on_complex(sl2, sl2_split, module, cx)
+    lef = gkcoh.lefschetz_on_complex(sl2, sl2_split, cx)
     block = lef[(0, 0)]
     assert block.rows == block.cols == 1
     assert not block.at(0, 0).is_zero()
@@ -238,7 +237,7 @@ def test_lefschetz_on_trivial(sl2, sl2_split, sl2_modules):
 def test_lefschetz_on_ds(sl2, sl2_split, sl2_modules):
     module = sl2_modules["ds-plus"]
     cx = gkcoh.build_complex(sl2, sl2_split, module)
-    lef = gkcoh.lefschetz_on_complex(sl2, sl2_split, module, cx)
+    lef = gkcoh.lefschetz_on_complex(sl2, sl2_split, cx)
     assert all(m.is_zero_matrix() for m in lef.values())
 
 
@@ -246,7 +245,7 @@ def test_lefschetz_rejects_nonzero_differential(sl2, sl2_split, sl2_modules):
     module = sl2_modules["adjoint"]
     cx = gkcoh.build_complex(sl2, sl2_split, module)
     with pytest.raises(ValueError):
-        gkcoh.lefschetz_on_complex(sl2, sl2_split, module, cx)
+        gkcoh.lefschetz_on_complex(sl2, sl2_split, cx)
 
 
 # -- product pair complex -----------------------------------------------------
@@ -277,7 +276,7 @@ def test_trivial_module_over_product_pair():
     dims = nonzero_dims(gkcoh.cohomology_bigraded(cx))
     # H(sl2 x sl2, K, C) = H of a product of two diamonds: (1+t u)^2 pattern
     assert dims == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
-    lef = gkcoh.lefschetz_on_complex(pair, split, module, cx)
+    lef = gkcoh.lefschetz_on_complex(pair, split, cx)
     assert not lef[(0, 0)].is_zero_matrix()
 
 
@@ -337,8 +336,8 @@ def test_one_factor_kuenneth(product, sl2_modules, name, active):
     assert gkcoh.complex_sanity(cx)
     assert nonzero_dims(gkcoh.cohomology_bigraded(cx)) == KUENNETH[name]
     total = gkcoh.ungraded_cohomology_dims(cx)
-    assert gkcoh.laplacian_kernel_dims(pair, split, module, cx) == total
-    cas = gkcoh.casimir_action(pair, split, module)
+    assert gkcoh.laplacian_kernel_dims(module, cx) == total
+    cas = gkcoh.casimir_action(pair, module)
     if name == "adjoint":
         assert not cx.differential_is_zero()
         assert cas.scalar == Scalar(4)
@@ -369,7 +368,7 @@ def complex_digest(pair, split, module) -> str:
     for n, dn in enumerate(cx.total_differentials):
         put_matrix(f"d{n}", dn)
     if cx.differential_is_zero():
-        lef = gkcoh.lefschetz_on_complex(pair, split, module, cx)
+        lef = gkcoh.lefschetz_on_complex(pair, split, cx)
         for key in sorted(lef):
             put_matrix(f"L{key}", lef[key])
     return h.hexdigest()
@@ -428,6 +427,29 @@ def ref_sparse_add(a: dict, b: dict, c=None) -> dict:
     return {t: v for t, v in out.items() if v}
 
 
+def action_block(module, gen_name, from_w) -> DenseMatrix:
+    """The stored block of ``gen_name`` from weight ``from_w``, checked
+    against the window and the weight dimensions."""
+    def dim_at(w):
+        if abs(w) > module.window:
+            raise gkcoh.WindowError(f"weight {w} is outside the stored window")
+        return module.weights.get(w, 0)
+
+    rows = dim_at(from_w + module.gen_by_name[gen_name].shift)
+    cols = dim_at(from_w)
+    block = module.actions.get((gen_name, from_w))
+    if block is None:
+        if rows == 0 or cols == 0:
+            return DenseMatrix.zero(rows, cols)
+        raise gkcoh.WindowError(
+            f"action block ({gen_name}, from weight {from_w}) is missing")
+    if block.rows != rows or block.cols != cols:
+        raise ValueError(
+            f"action block ({gen_name}, {from_w}) has shape "
+            f"{block.rows}x{block.cols}, expected {rows}x{cols}")
+    return block
+
+
 class ReferenceOps:
     """rho(x) on sparse vectors {flat index: nonzero Scalar}."""
 
@@ -457,7 +479,7 @@ class ReferenceOps:
                     f"applying {gen.name} from weight {w} exits the window")
             if m.weights.get(target, 0) == 0:
                 continue
-            block = m.action_block(gen.name, w)
+            block = action_block(m, gen.name, w)
             lo, hi = m.slice_of(w)
             tlo, _ = m.slice_of(target)
             piece = [sv.get(t, ZERO) for t in range(lo, hi)]
@@ -577,14 +599,14 @@ def reference_validate_module(pair, split, module) -> ValidationReport:
             target = w + g.shift
             if abs(target) > module.window or module.weights.get(target, 0) == 0:
                 continue
-            m_block = module.action_block(g.name, w)
+            m_block = action_block(module, g.name, w)
             n_block = DenseMatrix.zero(module.weights[w],
                                        module.weights[target])
             for c, gen2 in zip(coeffs, module.generators):
                 if c.is_zero() or gen2.shift != -g.shift:
                     continue
                 n_block = n_block.add(
-                    module.action_block(gen2.name, target).scale(c))
+                    action_block(module, gen2.name, target).scale(c))
             lhs = m_block.conj_transpose().mul(module.forms[target])
             rhs = module.forms[w].mul(n_block).scale(Scalar(-1))
             if lhs != rhs:
@@ -856,8 +878,8 @@ def outcome(fn, *args):
 def compared(pair, split, module):
     """(new, reference) pairs of the validation summary, the Casimir
     result and the complex of one module."""
-    def casimir(fn):
-        res = outcome(fn, pair, split, module)
+    def casimir(fn, *args):
+        res = outcome(fn, *args)
         if isinstance(res, gkcoh.CasimirResult):
             return res.scalars, res.non_scalar, res.interior
         return res
@@ -869,7 +891,8 @@ def compared(pair, split, module):
     return [
         (gkcoh.validate_module(pair, split, module).summary(),
          reference_validate_module(pair, split, module).summary()),
-        (casimir(gkcoh.casimir_action), casimir(reference_casimir)),
+        (casimir(gkcoh.casimir_action, pair, module),
+         casimir(reference_casimir, pair, split, module)),
         (outcome(cochains), outcome(reference_complex, pair, split, module)),
     ]
 
