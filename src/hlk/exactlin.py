@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "Scalar",
@@ -40,35 +41,53 @@ __all__ = [
     "unit_vector",
 ]
 
-_F0 = Fraction(0)
 _new = object.__new__
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _mk(re: Fraction, im: Fraction) -> "Scalar":
-    """A Scalar from two Fractions, skipping ``__init__``'s coercion."""
+def _mk(a: int, b: int, d: int) -> "Scalar":
+    """The Scalar (a + b*i)/d from reduced ints, skipping ``__init__``."""
     s = _new(Scalar)
-    s.re = re
-    s.im = im
+    s._a = a
+    s._b = b
+    s._d = d
     return s
 
 
-class Scalar:
-    """An exact element re + im*i of Q(i).
+def _red(a: int, b: int, d: int) -> "Scalar":
+    """The Scalar (a + b*i)/d for any ints with d > 0."""
+    g = gcd(a, b, d)
+    return _mk(a, b, d) if g == 1 else _mk(a // g, b // g, d // g)
 
-    Instances are immutable by convention: nothing in this package ever
-    writes to ``re``/``im`` after construction, so the operators may
-    return an operand unchanged.  Both parts are always Fractions.
+
+def _part_str(n: int, d: int) -> str:
+    """n/d in lowest terms, formatted as ``str`` of the Fraction."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
+
+
+class Scalar:
+    """An exact element (a + b*i)/d of Q(i).
+
+    The slots hold ints with d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal slots.  Instances are immutable by convention: nothing
+    writes to the slots after construction, so the operators may return
+    an operand unchanged.  ``re`` and ``im`` give the parts as Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        q, s = re.denominator, im.denominator
+        d = lcm(q, s)     # over the lcm of lowest-terms parts: reduced
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
     @classmethod
     def of(cls, x) -> "Scalar":
@@ -76,100 +95,121 @@ class Scalar:
             return x
         return cls(x)
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def __add__(self, other):
         o = other if isinstance(other, Scalar) else Scalar(other)
-        if not o.re and not o.im:
+        c, e, f = o._a, o._b, o._d
+        if not c and not e:
             return self
-        if not self.re and not self.im:
+        a, b, d = self._a, self._b, self._d
+        if not a and not b:
             return o
-        if not o.im:
-            return _mk(self.re + o.re, self.im)
-        if not self.im:
-            return _mk(self.re + o.re, o.im)
-        return _mk(self.re + o.re, self.im + o.im)
+        if d == f:
+            if d == 1:
+                return _mk(a + c, b + e, 1)
+            return _red(a + c, b + e, d)
+        return _red(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = other if isinstance(other, Scalar) else Scalar(other)
-        if not o.re and not o.im:
+        c, e, f = o._a, o._b, o._d
+        if not c and not e:
             return self
-        if not self.re and not self.im:
-            return -o
-        if not o.im:
-            return _mk(self.re - o.re, self.im)
-        return _mk(self.re - o.re, self.im - o.im)
+        a, b, d = self._a, self._b, self._d
+        if not a and not b:
+            return _mk(-c, -e, f)
+        if d == f:
+            if d == 1:
+                return _mk(a - c, b - e, 1)
+            return _red(a - c, b - e, d)
+        return _red(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return Scalar(other) - self
 
     def __mul__(self, other):
         o = other if isinstance(other, Scalar) else Scalar(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        if not b:
-            if not d:
-                return _mk(a * c, _F0)
-            return _mk(a * c, a * d)
-        if not d:
-            return _mk(a * c, b * c)
-        return _mk(a * c - b * d, a * d + b * c)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o._a, o._b, o._d
+        if d == 1 and f == 1:
+            if not b and not e:
+                return _mk(a * c, 0, 1)
+            return _mk(a * c - b * e, a * e + b * c, 1)
+        if not b and not e:
+            return _red(a * c, 0, d * f)
+        return _red(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = other if isinstance(other, Scalar) else Scalar(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        if not d:
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o._a, o._b, o._d
+        if not e:
             if not c:
                 raise ZeroDivisionError("division by zero in Q(i)")
-            return _mk(a / c, b / c if b else _F0)
-        n = c * c + d * d
-        return _mk((a * c + b * d) / n, (b * c - a * d) / n)
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return _red(a * f, b * f, d * c)
+        # (a + bi)/d * f/(c + ei) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        return _red(f * (a * c + b * e), f * (b * c - a * e),
+                    d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         return Scalar(other) / self
 
     def __neg__(self):
-        return _mk(-self.re, -self.im if self.im else _F0)
+        return _mk(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "Scalar":
-        if not self.im:
-            return self
-        return _mk(self.re, -self.im)
+        return _mk(self._a, -self._b, self._d) if self._b else self
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b \
+                and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+            return not self._b and self._a == other.numerator \
+                and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self.re, self.im))
+        return hash(self._a) if self._d == 1 else hash(self.re)
 
     def __repr__(self):
-        if self.im == 0:
-            return f"Scalar({self.re})"
-        return f"Scalar({self.re}, {self.im})"
+        re = _part_str(self._a, self._d)
+        if not self._b:
+            return f"Scalar({re})"
+        return f"Scalar({re}, {_part_str(self._b, self._d)})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return str(a) if d == 1 else _part_str(a, d)
+        im = _part_str(abs(b), d)
+        if not a:
+            return f"-{im}i" if b < 0 else f"{im}i"
+        return f"{_part_str(a, d)}{'+' if b > 0 else '-'}{im}i"
 
 
 ZERO = Scalar(0)
@@ -616,7 +656,7 @@ def _inertia(g: DenseMatrix):
                     row[k] = row[k] + c * row[mate]
                 m[k] = [a + x * b for a, b in zip(m[k], m[mate])]
         pivot = m[k][k]
-        if pivot.re > 0:
+        if pivot._a > 0:   # a real pivot's sign is its numerator's
             plus += 1
         else:
             minus += 1

@@ -339,6 +339,16 @@ class AdmissibleModule:
             coeffs = self._expanded[x] = self.gamma_inv(len(x)).apply(x)
         return coeffs
 
+    @cached_property
+    def interior_weights(self) -> list:
+        """Present weights from which every one- and two-step composition
+        of generator shifts stays inside the window."""
+        shifts = [g.shift for g in self.generators]
+        w = self.window
+        return [n for n in self.sorted_weights
+                if all(abs(n + s) <= w for s in shifts)
+                and all(abs(n + s + t) <= w for s in shifts for t in shifts)]
+
     def block(self, k: int, w: int):
         """A_k(w) for a present weight w, or None when weight w + shift_k
         carries no space.  WindowError when that weight or w is outside
@@ -425,16 +435,6 @@ def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix
     return DenseMatrix(rows, cols, entries)
 
 
-def _interior_weights(module: AdmissibleModule) -> list:
-    """Present weights from which every one- and two-step composition of
-    generator shifts stays inside the window."""
-    shifts = [g.shift for g in module.generators]
-    w = module.window
-    return [n for n in module.sorted_weights
-            if all(abs(n + s) <= w for s in shifts)
-            and all(abs(n + s + t) <= w for s in shifts for t in shifts)]
-
-
 def validate_module(pair: ReductivePair, split: PSplit,
                     module: AdmissibleModule) -> ValidationReport:
     """Exact checks: purity and span of the generators, presence and
@@ -503,7 +503,7 @@ def validate_module(pair: ReductivePair, split: PSplit,
     if not rep.ok:
         return rep
 
-    interior = _interior_weights(module)
+    interior = module.interior_weights
 
     # bracket compatibility on interior weights, as block products:
     # A_i A_j - A_j A_i - sum_k c_k A_k = 0 for [gi, gj] = sum_k c_k gk
@@ -878,23 +878,19 @@ def laplacian_kernel_dims(module: AdmissibleModule,
         total_gram.append(
             _block_matrix(sizes, sizes, {(k, k): grams[k] for k in sizes}))
     tds = cx.total_differentials
+    # the adjoint d_n* = G_n^-1 d_n^H G_(n+1), once per degree, so each
+    # Gram is inverted once
+    stars = [inverse(total_gram[n]).mul(d_n.conj_transpose())
+             .mul(total_gram[n + 1]) if d_n.rows and d_n.cols else None
+             for n, d_n in enumerate(tds)]
     out = {}
     for n, d_n in enumerate(tds):
         lap = DenseMatrix.zero(d_n.cols, d_n.cols)
-        if d_n.rows and d_n.cols:
-            gn_inv = inverse(total_gram[n])
-            dn_star = gn_inv.mul(d_n.conj_transpose()).mul(total_gram[n + 1])
-            lap = lap.add(dn_star.mul(d_n))
-        if n > 0:
-            d_prev = tds[n - 1]
-            if d_prev.rows and d_prev.cols:
-                gp_inv = inverse(total_gram[n - 1])
-                dp_star = gp_inv.mul(d_prev.conj_transpose()).mul(total_gram[n])
-                lap = lap.add(d_prev.mul(dp_star))
-        if lap.rows == 0:
-            out[n] = 0
-        else:
-            out[n] = kernel(lap).dim
+        if stars[n] is not None:
+            lap = lap.add(stars[n].mul(d_n))
+        if n > 0 and stars[n - 1] is not None:
+            lap = lap.add(tds[n - 1].mul(stars[n - 1]))
+        out[n] = kernel(lap).dim if lap.rows else 0
     return out
 
 
@@ -933,7 +929,7 @@ def casimir_action(pair: ReductivePair,
     b_inv = inverse(pair.b_form)
     if b_inv is None:
         raise ValueError("B is degenerate")
-    interior_weights = _interior_weights(module)
+    interior_weights = module.interior_weights
     if module.sorted_weights and not interior_weights:
         raise WindowError("window too small for any Casimir composition")
     # C = sum_kl M_kl A_k A_l, M_kl = sum_i expand(e_i)_k expand(e^i)_l

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlk.exactlin import (
@@ -138,6 +139,16 @@ def test_signature_examples():
     assert symmetric_signature(
         DenseMatrix.from_rows([[0, 1], [1, 0]])) == (1, 1, 0)
     assert symmetric_signature(DenseMatrix.zero(2, 2)) == (0, 0, 2)
+    # non-integral negative pivots
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    g = DenseMatrix.diagonal([-third, 2 * fifth])
+    assert symmetric_signature(g) == ref_signature(g) == (1, 1, 0)
+    g = DenseMatrix.diagonal([-third, -2 * fifth, Fraction(-7, 2)])
+    assert symmetric_signature(g) == ref_signature(g) == (0, 3, 0)
+    # zero diagonal: the first pivot comes from the mate step
+    g = DenseMatrix.from_rows([[0, -third, 0], [-third, 0, 0],
+                               [0, 0, -fifth]])
+    assert symmetric_signature(g) == ref_signature(g) == (1, 2, 0)
 
 
 def test_signature_k3_intersection_form():
@@ -330,6 +341,17 @@ def test_hermitian_examples():
     assert determinant(m) == Scalar(3)
     with pytest.raises(ValueError):
         hermitian_definiteness(DenseMatrix.from_rows([[Scalar(0, 1)]]))
+    # entries in (1/2)Z[i], pivots non-integral and often negative
+    half = Fraction(1, 2)
+    w = Scalar(half, half)
+    for diag, inertia in (([-half, Fraction(3, 2)], (1, 1, 0)),
+                          ([Fraction(-3, 2), -half], (0, 2, 0)),
+                          ([half, Fraction(3, 2)], (2, 0, 0)),
+                          ([-half, -1], (0, 1, 1))):
+        h = DenseMatrix.from_rows([[diag[0], w], [w.conjugate(), diag[1]]])
+        assert _inertia(h) == inertia
+        assert hermitian_definiteness(h) == ref_definite(h) == \
+            (inertia == (2, 0, 0))
 
 
 @given(small_matrices(), st.lists(scalars, min_size=1, max_size=4))
@@ -404,6 +426,19 @@ def ref_hash(x):
     return hash(x[0]) if x[1] == 0 else hash(x)
 
 
+def ref_str(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def ref_repr(x):
+    return f"Scalar({x[0]})" if x[1] == 0 else f"Scalar({x[0]}, {x[1]})"
+
+
 # zero, one, real and non-real parts, with the special values drawn often
 special_parts = st.sampled_from(
     [(F0, F0), (Fraction(1), F0), (Fraction(-1), F0), (F0, Fraction(1)),
@@ -426,12 +461,23 @@ def assert_parts(value, expected):
     assert isinstance(value, Scalar)
     assert type(value.re) is Fraction and type(value.im) is Fraction
     assert (value.re, value.im) == expected
+    # the stored triple (a + b i)/d is reduced, so equal values have
+    # equal slots
+    a, b, d = value._a, value._b, value._d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and gcd(a, b, d) == 1
+    assert str(value) == ref_str(expected)
+    assert repr(value) == ref_repr(expected)
 
 
 @given(parts, operands)
+@example((Fraction(2, 4), Fraction(2, 4)), (Fraction(1, 2), Fraction(1, 2)))
+@example((Fraction(-7, 6), F0), (Fraction(5, 12), F0))
+@example((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3)))
 @settings(max_examples=250, deadline=None)
 def test_scalar_matches_fraction_pairs(xp, yop):
     x, y, yp = Scalar(*xp), as_scalar(yop), as_parts(yop)
+    assert_parts(x, xp)
     assert_parts(x + y, ref_add(xp, yp))
     assert_parts(y + x, ref_add(yp, xp))
     assert_parts(x - y, ref_sub(xp, yp))
@@ -454,13 +500,20 @@ def test_scalar_matches_fraction_pairs(xp, yop):
     assert x.is_zero() == (xp == (F0, F0))
     assert x.is_real() == (xp[1] == 0)
     assert (x == y) == (xp == yp)
+    if isinstance(y, Scalar) and x == y:
+        assert hash(x) == hash(y)
     assert (x != y) == (xp != yp)
     assert hash(x) == ref_hash(xp)
     if xp[1] == 0:
         assert x == xp[0] and hash(x) == hash(xp[0])
+    # the same value built another way has the same slots and hash
+    again = Scalar(6 * xp[0], 6 * xp[1]) / 6
+    assert (again._a, again._b, again._d) == (x._a, x._b, x._d)
+    assert again == x and hash(again) == hash(x)
     # operands come back unchanged from the fast paths
     assert (x.re, x.im) == xp
     assert Scalar.of(y) == Scalar(*yp)
+
 
 
 # -- rref, kernel and inverse against an independent elimination -----------

@@ -156,6 +156,41 @@ def test_laplacian_matches_cohomology(sl2, sl2_split, sl2_modules):
             assert lap.get(n, 0) == total.get(n, 0)
 
 
+def test_laplacian_inverts_each_gram_once(sl2, sl2_split, monkeypatch):
+    # the adjoint module has two total degrees with a nonzero differential
+    # into or out of them; each of their Grams is inverted once
+    module = catalog.sl2_adjoint_module(96)
+    cx = gkcoh.build_complex(sl2, sl2_split, module)
+    inverted = []
+    invert = gkcoh.inverse
+
+    def counting(m):
+        inverted.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(gkcoh, "inverse", counting)
+    assert gkcoh.laplacian_kernel_dims(module, cx) == \
+        gkcoh.ungraded_cohomology_dims(cx)
+    assert len(inverted) == 2
+
+
+def test_interior_weights_computed_once(sl2, sl2_split, monkeypatch):
+    module = catalog.sl2_discrete_series_module(1, 96)
+    prop = vars(AdmissibleModule)["interior_weights"]
+    computed = []
+    compute = prop.func
+
+    def counting(m):
+        computed.append(m)
+        return compute(m)
+
+    monkeypatch.setattr(prop, "func", counting)
+    assert gkcoh.validate_module(sl2, sl2_split, module).ok
+    gkcoh.analyze_module(sl2, sl2_split, module)
+    assert computed == [module]
+    assert module.interior_weights == ref_interior_weights(module)
+
+
 # -- Casimir and dichotomy ----------------------------------------------------
 
 
