@@ -313,6 +313,7 @@ class AdmissibleModule:
         self._gamma_inv = None
         self._expanded = {}
         self._blocks = {}
+        self.interior_weights = _interior_weights(self)
 
     def slice_of(self, w: int):
         off = self.offsets[w]
@@ -338,16 +339,6 @@ class AdmissibleModule:
         if coeffs is None:
             coeffs = self._expanded[x] = self.gamma_inv(len(x)).apply(x)
         return coeffs
-
-    @cached_property
-    def interior_weights(self) -> list:
-        """Present weights from which every one- and two-step composition
-        of generator shifts stays inside the window."""
-        shifts = [g.shift for g in self.generators]
-        w = self.window
-        return [n for n in self.sorted_weights
-                if all(abs(n + s) <= w for s in shifts)
-                and all(abs(n + s + t) <= w for s in shifts for t in shifts)]
 
     def block(self, k: int, w: int):
         """A_k(w) for a present weight w, or None when weight w + shift_k
@@ -433,6 +424,16 @@ def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix
             start = (r0 + i) * cols + c0
             entries[start:start + m.cols] = m.row(i)
     return DenseMatrix(rows, cols, entries)
+
+
+def _interior_weights(module: AdmissibleModule) -> list:
+    """Present weights from which every one- and two-step composition of
+    generator shifts stays inside the window."""
+    shifts = [g.shift for g in module.generators]
+    w = module.window
+    return [n for n in module.sorted_weights
+            if all(abs(n + s) <= w for s in shifts)
+            and all(abs(n + s + t) <= w for s in shifts for t in shifts)]
 
 
 def validate_module(pair: ReductivePair, split: PSplit,

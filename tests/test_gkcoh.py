@@ -175,16 +175,15 @@ def test_laplacian_inverts_each_gram_once(sl2, sl2_split, monkeypatch):
 
 
 def test_interior_weights_computed_once(sl2, sl2_split, monkeypatch):
-    module = catalog.sl2_discrete_series_module(1, 96)
-    prop = vars(AdmissibleModule)["interior_weights"]
     computed = []
-    compute = prop.func
+    compute = gkcoh._interior_weights
 
     def counting(m):
         computed.append(m)
         return compute(m)
 
-    monkeypatch.setattr(prop, "func", counting)
+    monkeypatch.setattr(gkcoh, "_interior_weights", counting)
+    module = catalog.sl2_discrete_series_module(1, 96)
     assert gkcoh.validate_module(sl2, sl2_split, module).ok
     gkcoh.analyze_module(sl2, sl2_split, module)
     assert computed == [module]
