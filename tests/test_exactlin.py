@@ -515,7 +515,6 @@ def test_scalar_matches_fraction_pairs(xp, yop):
     assert Scalar.of(y) == Scalar(*yp)
 
 
-
 # -- rref, kernel and inverse against an independent elimination -----------
 
 
