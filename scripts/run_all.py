@@ -59,10 +59,10 @@ def suites(cat):
                               "--input", p("genus2.spectrum.json")]
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="out")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     cat = os.path.join(args.out, "catalog")
     rep = os.path.join(args.out, "reports")
     os.makedirs(rep, exist_ok=True)

@@ -32,9 +32,7 @@ from .exactlin import (
     quotient_cohomology,
     solve,
     unit_vector,
-    vec_add,
     vec_is_zero,
-    vec_sub,
     zero_vector,
 )
 
@@ -694,26 +692,21 @@ def build_complex(pair: ReductivePair, split: PSplit,
             for vec in bases[(p, q)]:
                 spans[(p, q)].add(vec)
 
-    # differentials
-    d_plus, d_minus = {}, {}
-    for (p, q), src in bases.items():
-        for (tp, tq), store in (((p + 1, q), d_plus), ((p, q + 1), d_minus)):
-            if tp > d or tq > d:
-                store[(p, q)] = DenseMatrix.zero(0, len(src))
-                continue
-            cols = []
-            for f in src:
-                img = _apply_d(module, slots, wedges, f, (p, q), (tp, tq), dv)
-                coords = spans[(tp, tq)].coordinates(img)
-                if coords is None:
-                    raise ArithmeticError(
-                        "differential left the equivariant subspace")
-                cols.append(coords)
-            store[(p, q)] = DenseMatrix.from_columns(
-                cols, rows=len(bases[(tp, tq)]))
-    return RelativeComplex(p_dim=d, wedges=wedges, bases=bases,
-                           d_plus=d_plus, d_minus=d_minus, v_total=dv,
-                           spans=spans)
+    cx = RelativeComplex(p_dim=d, wedges=wedges, bases=bases, d_plus={},
+                         d_minus={}, v_total=dv, spans=spans)
+
+    def inserted(plus):
+        # one slot of p+ (p-) at position a, sign (-1)^a, acting by rho of it
+        return lambda w: [((a,), -ONE if a % 2 else ONE, slots[s])
+                          for a, s in enumerate(w) if (s < d) == plus]
+
+    for p, q in bases:
+        for tkey, store, plus in (((p + 1, q), cx.d_plus, True),
+                                  ((p, q + 1), cx.d_minus, False)):
+            store[(p, q)] = _wedge_map(
+                cx, module, (p, q), tkey, inserted(plus),
+                "differential left the equivariant subspace")
+    return cx
 
 
 def _blockwise_kernel(rows, ambient: int) -> tuple:
@@ -763,49 +756,55 @@ def _coords_in(vectors, target):
     return solve(m, target)
 
 
-def _apply_d(module, slots, wedges, f, src_key, dst_key, dv):
-    """d' (dst_key raises p) or d'' (dst_key raises q) of a flat cochain
-    vector: on a target wedge w, the sum of (-1)^a rho(w[a]) f(w minus
-    position a) over the positions a on the side that the part adds."""
-    d = len(slots) // 2
-    plus = dst_key[0] > src_key[0]
-    spos = {w: t for t, w in enumerate(wedges[src_key])}
-    dst_w = wedges[dst_key]
-    out = [ZERO] * (len(dst_w) * dv)
-    for wt, w in enumerate(dst_w):
-        acc = [ZERO] * dv
-        for a, s in enumerate(w):
-            if (s < d) != plus:
+def _wedge_map(cx: RelativeComplex, module, src_key, dst_key, terms,
+               error: str) -> DenseMatrix:
+    """Matrix from C^src to C^dst, in the echelon coordinates of both, of
+    the wedge operator g(w) = sum of c * rho(x)(f(w minus positions))
+    over ``terms(w)``, a list of (positions, c, x) for each target wedge
+    w; x None is the identity on V.  A C^dst beyond the top degree is
+    zero.  ArithmeticError(error) when an image leaves the equivariant
+    span."""
+    if dst_key not in cx.wedges:
+        return DenseMatrix.zero(0, cx.dim(*src_key))
+    dv = cx.v_total
+    spos = {w: t for t, w in enumerate(cx.wedges[src_key])}
+    # (target wedge, source wedge, c, x) for every term that meets C^src
+    pieces = []
+    for wt, w in enumerate(cx.wedges[dst_key]):
+        for positions, c, x in terms(w):
+            st = spos.get(tuple(s for a, s in enumerate(w)
+                                if a not in positions))
+            if st is not None:
+                pieces.append((wt * dv, st * dv, c, x))
+    cols = []
+    for f in cx.bases[src_key]:
+        img = [ZERO] * (len(cx.wedges[dst_key]) * dv)
+        for lo, slo, c, x in pieces:
+            piece = f[slo:slo + dv]
+            if vec_is_zero(piece):
                 continue
-            st = spos[w[:a] + w[a + 1:]]
-            img = module.apply(slots[s], f[st * dv:(st + 1) * dv])
-            acc = vec_sub(acc, img) if a % 2 else vec_add(acc, img)
-        out[wt * dv:(wt + 1) * dv] = acc
-    return tuple(out)
+            if x is not None:
+                piece = module.apply(x, piece)
+            for t, val in enumerate(piece):
+                if val:
+                    img[lo + t] = img[lo + t] + c * val
+        coords = cx.spans[dst_key].coordinates(tuple(img))
+        if coords is None:
+            raise ArithmeticError(error)
+        cols.append(coords)
+    return DenseMatrix.from_columns(cols, rows=cx.dim(*dst_key))
 
 
 # -- cohomology --------------------------------------------------------------
 
 
 def complex_sanity(cx: RelativeComplex) -> bool:
-    """d has pure (1,0) and (0,1) parts squaring and anticommuting to 0."""
-    d = cx.p_dim
-    for p in range(d + 1):
-        for q in range(d + 1):
-            dp = cx.d_plus[(p, q)]
-            dm = cx.d_minus[(p, q)]
-            if p + 1 <= d:
-                if not cx.d_plus[(p + 1, q)].mul(dp).is_zero_matrix():
-                    return False
-            if q + 1 <= d:
-                if not cx.d_minus[(p, q + 1)].mul(dm).is_zero_matrix():
-                    return False
-            if p + 1 <= d and q + 1 <= d:
-                anti = cx.d_minus[(p + 1, q)].mul(dp).add(
-                    cx.d_plus[(p, q + 1)].mul(dm))
-                if not anti.is_zero_matrix():
-                    return False
-    return True
+    """d_(n+1) d_n = 0 on the total complex.  On C^(p,q) the (p+2,q),
+    (p+1,q+1) and (p,q+2) blocks of that product are d'd', d''d'+d'd''
+    and d''d'', so d' and d'' square and anticommute to 0."""
+    tds = cx.total_differentials
+    return all(nxt.mul(cur).is_zero_matrix()
+               for cur, nxt in zip(tds, tds[1:]))
 
 
 def cohomology_bigraded(cx: RelativeComplex) -> dict:
@@ -1002,55 +1001,20 @@ def lefschetz_on_complex(pair: ReductivePair, split: PSplit,
     """
     if not cx.differential_is_zero():
         raise ValueError("Lefschetz operator requires the d = 0 branch")
-    d = cx.p_dim
-    dv = cx.v_total
     slots = split.plus + split.minus
-    z0 = pair.z0
     half = Scalar(Fraction(-1, 2))
+    w_gram = [[half * _bilinear(pair.b_form, x, pair.bracket(pair.z0, y))
+               for y in slots] for x in slots]
 
-    def omega0(x, y):
-        return half * _bilinear(pair.b_form, x, pair.bracket(z0, y))
+    def two_form(w):
+        # wedge-with-a-2-form sign (-1)^(a+b+1), 0-based
+        return [((a, b), -c if (a + b) % 2 == 0 else c, None)
+                for a in range(len(w)) for b in range(a + 1, len(w))
+                if (c := w_gram[w[a]][w[b]])]
 
-    w_gram = [[omega0(x, y) for y in slots] for x in slots]
-
-    out = {}
-    for p in range(d + 1):
-        for q in range(d + 1):
-            src = cx.bases[(p, q)]
-            tkey = (p + 1, q + 1)
-            if p + 1 > d or q + 1 > d:
-                out[(p, q)] = DenseMatrix.zero(0, len(src))
-                continue
-            spos = {wdg: t for t, wdg in enumerate(cx.wedges[(p, q)])}
-            cols = []
-            for f in src:
-                img = [ZERO] * (len(cx.wedges[tkey]) * dv)
-                for wt, w in enumerate(cx.wedges[tkey]):
-                    acc = [ZERO] * dv
-                    for a in range(len(w)):
-                        for b in range(a + 1, len(w)):
-                            c = w_gram[w[a]][w[b]]
-                            if c.is_zero():
-                                continue
-                            st = spos.get(w[:a] + w[a + 1:b] + w[b + 1:])
-                            if st is None:
-                                continue
-                            piece = f[st * dv:(st + 1) * dv]
-                            # wedge-with-a-2-form sign (-1)^(a+b+1), 0-based
-                            sgn = Scalar(-1 if (a + b + 1) % 2 else 1)
-                            coef = sgn * c
-                            for t, val in enumerate(piece):
-                                if not val.is_zero():
-                                    acc[t] = acc[t] + coef * val
-                    img[wt * dv:(wt + 1) * dv] = acc
-                coords = cx.spans[tkey].coordinates(tuple(img))
-                if coords is None:
-                    raise ArithmeticError(
-                        "Lefschetz image left the equivariant subspace")
-                cols.append(coords)
-            out[(p, q)] = DenseMatrix.from_columns(
-                cols, rows=len(cx.bases[tkey]))
-    return out
+    return {(p, q): _wedge_map(cx, None, (p, q), (p + 1, q + 1), two_form,
+                               "Lefschetz image left the equivariant subspace")
+            for p, q in cx.bases}
 
 
 # -- one-stop analysis bundle ------------------------------------------------

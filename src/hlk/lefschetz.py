@@ -612,9 +612,8 @@ def frobenius_check(a: BigradedAlgebra, w, f: DenseMatrix,
 # -- families of cone classes ---------------------------------------------
 
 
-def cone_check_family(a: BigradedAlgebra, omega0, mode: str = "full",
-                      limit: int = 6, want: int = 3):
-    """A deterministic family (>= want members) of cone classes.
+def cone_check_family(a: BigradedAlgebra, omega0, mode: str = "full"):
+    """A deterministic family of 3 to 6 cone classes.
 
     Starts from the distinguished class and perturbs the degree-2
     coordinate basis into the cone by adding small integer multiples of
@@ -625,7 +624,7 @@ def cone_check_family(a: BigradedAlgebra, omega0, mode: str = "full",
         raise ConeError("the distinguished class is not in the cone")
     family = [omega0]
     for k in a.degree_indices(2):
-        if len(family) >= limit:
+        if len(family) >= 6:
             break
         base = a.basis_vector(k)
         for lam in range(0, 5):
@@ -636,7 +635,7 @@ def cone_check_family(a: BigradedAlgebra, omega0, mode: str = "full",
                 family.append(cand)
                 break
     mult = 2
-    while len(family) < want:
+    while len(family) < 3:
         family.append(vec_scale(Scalar(mult), omega0))
         mult += 1
     return family

@@ -558,6 +558,22 @@ def test_internal_invariant_failure_exits_3(catalog_dir, monkeypatch,
     assert err.startswith("internal error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["report-dir-missing", "out-dir-is-file"])
+def test_unwritable_output_is_input_error(catalog_dir, tmp_path, capsys,
+                                          case):
+    if case == "report-dir-missing":
+        args = ["validate", "--input", str(catalog_dir / "torus.algebra.json"),
+                "--report", str(tmp_path / "no-such-dir" / "r.json")]
+    else:
+        taken = tmp_path / "F"
+        taken.write_text("")
+        args = ["catalog", "torus", "--out-dir", str(taken)]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write ") and \
+        "Traceback" not in err
+
+
 def test_catalog_list_order(capsys):
     assert run(["catalog", "--list"]) == 0
     assert capsys.readouterr().out.split() == [

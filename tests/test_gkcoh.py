@@ -122,6 +122,38 @@ def test_complex_sanity_all(sl2, sl2_split, sl2_modules):
         assert gkcoh.complex_sanity(cx)
 
 
+def synthetic_complex(plus: dict, minus: dict) -> gkcoh.RelativeComplex:
+    """p_dim 2 with every C^(p,q) one-dimensional; d' and d'' are the
+    1x1 blocks {(p,q): entry} given, zero elsewhere."""
+    keys = [(p, q) for p in range(3) for q in range(3)]
+
+    def blocks(entries, dp, dq):
+        return {(p, q): DenseMatrix.zero(0, 1) if max(p + dp, q + dq) > 2
+                else DenseMatrix.from_rows([[Scalar(entries.get((p, q), 0))]])
+                for p, q in keys}
+
+    return gkcoh.RelativeComplex(
+        p_dim=2, wedges={k: [()] for k in keys},
+        bases={k: (unit_vector(1, 0),) for k in keys},
+        d_plus=blocks(plus, 1, 0), d_minus=blocks(minus, 0, 1),
+        v_total=1, spans={})
+
+
+@pytest.mark.parametrize("plus, minus, ok", [
+    # d' from p = 0, d'' from q = 0, with d'(0,1) = -1: they anticommute
+    ({(0, 0): 1, (0, 1): -1}, {(0, 0): 1, (1, 0): 1}, True),
+    # the same with d'(0,1) = +1: d''d' + d'd'' = 2 from C^(0,0)
+    ({(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1}, False),
+    # d'd' = 1 from C^(0,q); d'' = 0
+    ({(p, q): 1 for p in (0, 1) for q in range(3)}, {}, False),
+    # d''d'' = 1 from C^(p,0); d' = 0
+    ({}, {(p, q): 1 for p in range(3) for q in (0, 1)}, False),
+], ids=["anticommuting", "anticommutator", "d-plus-squared",
+        "d-minus-squared"])
+def test_complex_sanity_synthetic(plus, minus, ok):
+    assert gkcoh.complex_sanity(synthetic_complex(plus, minus)) is ok
+
+
 def test_cohomology_bigraded(sl2, sl2_split, sl2_modules):
     expectations = {
         "trivial": {(0, 0): 1, (1, 1): 1},
