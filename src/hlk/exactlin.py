@@ -95,6 +95,8 @@ class Scalar:
             return x
         return cls(x)
 
+    triple = staticmethod(_red)     # (a + b*i)/d for any ints, d > 0
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)

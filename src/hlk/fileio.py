@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .algebra import BigradedAlgebra
 from .exactlin import DenseMatrix, Scalar, ZERO
@@ -81,12 +82,26 @@ def _frac_doc(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _frac_parse(doc) -> Fraction:
+def _frac_parse(doc) -> tuple:
+    """(num, den) of a fraction document, with den > 0."""
     num = _get(doc, "num", "fraction", int)
     den = _get(doc, "den", "fraction", int)
     if den == 0:
         raise InputError(f"bad fraction {doc!r}: zero denominator")
-    return Fraction(num, den)
+    return (-num, -den) if den < 0 else (num, den)
+
+
+def _real_parse(doc) -> Scalar:
+    num, den = _frac_parse(doc)
+    return Scalar.triple(num, 0, den)
+
+
+def _parts_parse(re_doc, im_doc) -> Scalar:
+    """The Scalar re + im*i of two fraction documents."""
+    a, q = _frac_parse(re_doc)
+    b, s = _frac_parse(im_doc)
+    d = lcm(q, s)
+    return Scalar.triple(a * (d // q), b * (d // s), d)
 
 
 def _coeff_doc(s: Scalar) -> dict:
@@ -94,8 +109,8 @@ def _coeff_doc(s: Scalar) -> dict:
 
 
 def _coeff_parse(doc) -> Scalar:
-    return Scalar(_frac_parse(_get(doc, "coeff_re", "coefficient", dict)),
-                  _frac_parse(_get(doc, "coeff_im", "coefficient", dict)))
+    return _parts_parse(_get(doc, "coeff_re", "coefficient", dict),
+                        _get(doc, "coeff_im", "coefficient", dict))
 
 
 def _scalar_doc(s: Scalar) -> dict:
@@ -103,8 +118,8 @@ def _scalar_doc(s: Scalar) -> dict:
 
 
 def _scalar_parse(doc) -> Scalar:
-    return Scalar(_frac_parse(_get(doc, "re", "scalar", dict)),
-                  _frac_parse(_get(doc, "im", "scalar", dict)))
+    return _parts_parse(_get(doc, "re", "scalar", dict),
+                        _get(doc, "im", "scalar", dict))
 
 
 def _matrix_doc(m: DenseMatrix) -> list:
@@ -113,15 +128,20 @@ def _matrix_doc(m: DenseMatrix) -> list:
 
 
 def _matrix_parse(doc: list, rows=None, cols=None) -> DenseMatrix:
-    data = [[_scalar_parse(x) for x in _typed(row, list, "matrix row")]
-            for row in doc]
-    if rows is not None and len(data) != rows:
-        raise InputError(f"matrix has {len(data)} rows, expected {rows}")
-    if data and cols is not None and len(data[0]) != cols:
-        raise InputError(f"matrix has {len(data[0])} cols, expected {cols}")
-    if not data:
+    flat, widths = [], []
+    for row in doc:
+        row = _typed(row, list, "matrix row")
+        widths.append(len(row))
+        flat += [_scalar_parse(x) for x in row]
+    if rows is not None and len(widths) != rows:
+        raise InputError(f"matrix has {len(widths)} rows, expected {rows}")
+    if widths and cols is not None and widths[0] != cols:
+        raise InputError(f"matrix has {widths[0]} cols, expected {cols}")
+    if not widths:
         return DenseMatrix.zero(rows or 0, cols or 0)
-    return DenseMatrix.from_rows(data)
+    if len(set(widths)) > 1:
+        raise InputError("ragged rows")
+    return DenseMatrix(len(widths), widths[0], flat)
 
 
 # -- algebra -----------------------------------------------------------------
@@ -176,36 +196,44 @@ def algebra_from_doc(doc) -> BigradedAlgebra:
             raise InputError(f"unknown basis element {nm!r}")
         return index[nm]
 
+    def coeffs(entries, what) -> dict:
+        """{basis index: coefficient} of a list of named coefficients."""
+        out = {}
+        for r in entries:
+            t = idx(r, "name", what)
+            if t in out:
+                raise InputError(f"duplicate {what} entry for {names[t]!r}")
+            out[t] = _coeff_parse(r)
+        return out
+
     products = {}
     for p in _get(doc, "products", "algebra", list, []):
         key = (idx(p, "left", "product"), idx(p, "right", "product"))
         if key in products:
             raise InputError(f"duplicate product entry for {p['left']},"
                              f" {p['right']}")
-        products[key] = {idx(r, "name", "product result"): _coeff_parse(r)
-                         for r in _get(p, "result", "product", list, [])}
+        products[key] = coeffs(_get(p, "result", "product", list, []),
+                               "product result")
     n = len(names)
-    conj_cols = [[ZERO] * n for _ in range(n)]
+    conj_of = {}
     for c in _get(doc, "conjugation", "algebra", list, []):
         j = idx(c, "of", "conjugation")
-        for r in _get(c, "result", "conjugation", list, []):
-            conj_cols[j][idx(r, "name", "conjugation result")] = \
-                _coeff_parse(r)
-    conj = DenseMatrix.from_columns(conj_cols, rows=n)
-    nu = [ZERO] * n
-    for e in _get(doc, "nu", "algebra", list, []):
-        nu[idx(e, "name", "nu")] = _coeff_parse(e)
-    kahler = None
-    kahler_doc = _get(doc, "kahler", "algebra", list, [])
-    if kahler_doc:
-        kahler = [ZERO] * n
-        for e in kahler_doc:
-            kahler[idx(e, "name", "kahler")] = _coeff_parse(e)
+        if j in conj_of:
+            raise InputError(f"duplicate conjugation entry for {names[j]!r}")
+        conj_of[j] = coeffs(_get(c, "result", "conjugation", list, []),
+                            "conjugation result")
+    conj = DenseMatrix.from_columns(
+        [[conj_of.get(j, {}).get(k, ZERO) for k in range(n)]
+         for j in range(n)], rows=n)
+    nu = coeffs(_get(doc, "nu", "algebra", list, []), "nu")
+    kahler = coeffs(_get(doc, "kahler", "algebra", list, []), "kahler")
     return BigradedAlgebra(
-        g, names, bidegrees, products, conj, nu,
+        g, names, bidegrees, products, conj,
+        [nu.get(k, ZERO) for k in range(n)],
         dense_leaf=dense_leaf,
         name=_get(doc, "name", "algebra", str, ""),
-        kahler=tuple(kahler) if kahler is not None else None)
+        kahler=tuple(kahler.get(k, ZERO) for k in range(n))
+        if kahler else None)
 
 
 # -- reductive pair ----------------------------------------------------------
@@ -248,12 +276,12 @@ def pair_from_doc(doc) -> ReductivePair:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise InputError("structure constant index out of range")
         vec = list(brackets.get((i, j), (ZERO,) * dim))
-        vec[k] = vec[k] + Scalar(_frac_parse(sc))
+        vec[k] = vec[k] + _real_parse(sc)
         brackets[(i, j)] = tuple(vec)
     b = DenseMatrix.from_rows(
-        [[Scalar(_frac_parse(x)) for x in _typed(row, list, "pair B row")]
+        [[_real_parse(x) for x in _typed(row, list, "pair B row")]
          for row in _get(doc, "B", "pair", list)])
-    z0 = tuple(Scalar(_frac_parse(x)) for x in _get(doc, "z0", "pair", list))
+    z0 = tuple(_real_parse(x) for x in _get(doc, "z0", "pair", list))
     k_indices = tuple(_typed(x, int, "pair k_indices entry")
                       for x in _get(doc, "k_indices", "pair", list))
     p_indices = tuple(_typed(x, int, "pair p_indices entry")
@@ -306,11 +334,15 @@ def module_from_doc(doc) -> AdmissibleModule:
             _get(g, "shift", "generator", int))
         for g in _get(doc, "generators", "module", list))
     gen_names = {g.name for g in generators}
+    if len(gen_names) != len(generators):
+        raise InputError("duplicate generator names")
     weights = {}
     forms = {}
     actions = {}
     for wd in _get(doc, "weights", "module", list):
         w = _get(wd, "weight", "weight space", int)
+        if w in weights:
+            raise InputError(f"duplicate weight {w}")
         d = _get(wd, "dim", "weight space", int)
         weights[w] = d
         forms[w] = _matrix_parse(_get(wd, "form", "weight space", list),
@@ -320,8 +352,11 @@ def module_from_doc(doc) -> AdmissibleModule:
             if gname not in gen_names:
                 raise InputError(f"action references unknown generator "
                                  f"{gname!r}")
-            actions[(gname, _get(act, "from_weight", "action", int))] = \
-                _matrix_parse(_get(act, "matrix", "action", list))
+            key = (gname, _get(act, "from_weight", "action", int))
+            if key in actions:
+                raise InputError(f"duplicate action block ({gname}, from "
+                                 f"weight {key[1]})")
+            actions[key] = _matrix_parse(_get(act, "matrix", "action", list))
     return AdmissibleModule(
         name=_get(doc, "name", "module", str, ""),
         pair_name=_get(doc, "pair", "module", str, ""),

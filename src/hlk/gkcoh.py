@@ -367,23 +367,34 @@ class AdmissibleModule:
 
     def combination(self, terms, w: int) -> dict:
         """sum of c * A_k1 ... A_kr over the terms (c, (k1, ..., kr)), on
-        weight w, as {target weight: block}.  A word drops out once its
-        product is zero, without reading the blocks left of that point."""
+        weight w, as {target weight: block}."""
+        cols = self.weights.get(w, 0)
+        return {at: DenseMatrix(self.weights[at], cols, e)
+                for at, e in self._word_sums(terms, w).items()}
+
+    def _word_sums(self, terms, w: int) -> dict:
+        """``combination`` as {target weight: row-major entry list}.  Each
+        word is composed on entry lists; it drops out once its product
+        is zero, without reading the blocks left of that point."""
         out = {}
+        cols = self.weights.get(w, 0)
         for c, word in terms:
             prod, at = None, w
             for k in reversed(word):
                 step = self.block(k, at)
                 if step is None:
                     break
-                prod = step if prod is None else step.mul(prod)
+                prod = step.entries if prod is None else _entry_product(
+                    step.entries, prod, step.rows, step.cols, cols)
                 at += self.generators[k].shift
-                if prod.is_zero_matrix():
+                if not any(prod):
                     break
             else:
                 if c != ONE:
-                    prod = prod.scale(c)
-                out[at] = out[at].add(prod) if at in out else prod
+                    prod = [c * x for x in prod]
+                total = out.get(at)
+                out[at] = prod if total is None else \
+                    [x + y for x, y in zip(total, prod)]
         return out
 
     def apply(self, x, vec) -> tuple:
@@ -400,6 +411,25 @@ class AdmissibleModule:
                 for t, val in enumerate(block.apply(piece)):
                     out[tlo + t] = out[tlo + t] + val
         return tuple(out)
+
+
+def _entry_product(a, b, n: int, m: int, p: int) -> list:
+    """The n x p product of row-major entry lists, a n x m and b m x p."""
+    if len(a) == 1 and len(b) == 1:
+        return [a[0] * b[0]]
+    out = [ZERO] * (n * p)
+    for i in range(n):
+        orow = i * p
+        for k in range(m):
+            aik = a[i * m + k]
+            if not aik:
+                continue
+            brow = k * p
+            for j in range(p):
+                bkj = b[brow + j]
+                if bkj:
+                    out[orow + j] = out[orow + j] + aik * bkj
+    return out
 
 
 def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix:
@@ -505,22 +535,29 @@ def validate_module(pair: ReductivePair, split: PSplit,
     interior = module.interior_weights
 
     # bracket compatibility on interior weights, as block products:
-    # A_i A_j - A_j A_i - sum_k c_k A_k = 0 for [gi, gj] = sum_k c_k gk
+    # A_i A_j - A_j A_i - sum_k c_k A_k = 0 for [gi, gj] = sum_k c_k gk.
+    # When [gj, gi] expands to exactly minus [gi, gj], the (j, i)
+    # identity is minus the (i, j) one and fails at the same weights.
+    lies, bad = {}, {}
     for i, gi in enumerate(module.generators):
         for j, gj in enumerate(module.generators):
             if i == j:
                 continue
-            lie = module.expand(pair.bracket(gi.coords, gj.coords))
-            terms = [(ONE, (i, j)), (-ONE, (j, i))] + \
-                [(-c, (k,)) for k, c in enumerate(lie) if c]
-            for w in interior:
-                if any(not b.is_zero_matrix()
-                       for b in module.combination(terms, w).values()):
-                    rep.add("bracket-compatibility",
-                            f"rho([{gi.name},{gj.name}]) mismatch at "
-                            f"weight {w}")
+            lie = lies[(i, j)] = module.expand(
+                pair.bracket(gi.coords, gj.coords))
+            if (j, i) in bad and lie == tuple(-c for c in lies[(j, i)]):
+                bad[(i, j)] = bad[(j, i)]
+            else:
+                terms = [(ONE, (i, j)), (-ONE, (j, i))] + \
+                    [(-c, (k,)) for k, c in enumerate(lie) if c]
+                bad[(i, j)] = [w for w in interior if any(
+                    any(e) for e in module._word_sums(terms, w).values())]
+            for w in bad[(i, j)]:
+                rep.add("bracket-compatibility",
+                        f"rho([{gi.name},{gj.name}]) mismatch at weight {w}")
 
-    # unitarity: rho(x)* = -rho(conj x), blockwise against the stored forms
+    # unitarity: rho(x)* = -rho(conj x), blockwise against the stored
+    # forms: M^H F_target = -F_w N on entry lists
     if not module.unitary:
         return rep
     for i, g in enumerate(module.generators):
@@ -532,11 +569,15 @@ def validate_module(pair: ReductivePair, split: PSplit,
             target = w + g.shift
             if abs(target) > module.window or module.weights.get(target, 0) == 0:
                 continue
-            m_block = module.block(i, w)
-            n_block = module.combination(back, target).get(w, DenseMatrix.zero(
-                module.weights[w], module.weights[target]))
-            lhs = m_block.conj_transpose().mul(module.forms[target])
-            rhs = module.forms[w].mul(n_block).scale(Scalar(-1))
+            r, c = module.weights[target], module.weights[w]
+            m = module.block(i, w).entries
+            m_h = [m[t * c + s].conjugate()
+                   for s in range(c) for t in range(r)]
+            lhs = _entry_product(m_h, module.forms[target].entries, c, r, r)
+            n_back = module._word_sums(back, target).get(w)
+            rhs = [ZERO] * (c * r) if n_back is None else [
+                -x for x in _entry_product(module.forms[w].entries, n_back,
+                                           c, c, r)]
             if lhs != rhs:
                 rep.add("unitarity",
                         f"{g.name} is not skew-adjoint from weight {w}")
@@ -945,13 +986,14 @@ def casimir_action(pair: ReductivePair,
     scalars = {}
     non_scalar = []
     for n in interior_weights:
-        blocks = module.combination(terms, n)
+        blocks = module._word_sums(terms, n)
         dim_n = module.weights[n]
-        diag = blocks.pop(n, DenseMatrix.zero(dim_n, dim_n))
+        diag = blocks.pop(n, None) or [ZERO] * (dim_n * dim_n)
         # off-weight components must cancel (C is central)
-        first = diag.at(0, 0)
-        if all(b.is_zero_matrix() for b in blocks.values()) and \
-                diag == DenseMatrix.diagonal([first] * dim_n):
+        first = diag[0]
+        if not any(any(b) for b in blocks.values()) and all(
+                x == (first if t % (dim_n + 1) == 0 else ZERO)
+                for t, x in enumerate(diag)):
             scalars[n] = first
         else:
             non_scalar.append(n)

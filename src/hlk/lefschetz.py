@@ -263,17 +263,11 @@ def primitive_decompose(a: BigradedAlgebra, w, x):
 
 @dataclass(frozen=True)
 class SL2Triple:
-    """The sl2 triple (L, Lambda, B) on a graded space.
-
-    ``lambda_solve`` is the independent linear-algebra solution of
-    [Lambda, L] = B in degree -2, kept alongside the constructive
-    operator so the two routes can be compared entrywise.
-    """
+    """The sl2 triple (L, Lambda, B) on a graded space."""
 
     L: DenseMatrix
     Lambda: DenseMatrix
     B: DenseMatrix
-    lambda_solve: DenseMatrix
     indices: tuple
 
     def relations_hold(self) -> bool:
@@ -352,12 +346,11 @@ def dual_lefschetz(a: BigradedAlgebra, w, mode: str = "full") -> SL2Triple:
     ctx = _context(a, w, mode)
     ctx.require_cone()
     lam_c = _lambda_constructive(ctx)
-    lam_s = _lambda_by_solve(ctx)
-    if lam_c != lam_s:
+    if lam_c != _lambda_by_solve(ctx):
         raise ArithmeticError(
             "constructive Lambda differs from the linear-solve Lambda")
     return SL2Triple(L=ctx.L, Lambda=lam_c, B=ctx.B,
-                     lambda_solve=lam_s, indices=tuple(ctx.indices))
+                     indices=tuple(ctx.indices))
 
 
 # -- polarization ---------------------------------------------------------

@@ -87,7 +87,7 @@ def test_criterion_2_sl2_triples():
     for alg in catalog_algebras():
         for w in lz.cone_check_family(alg, alg.kahler):
             tri = lz.dual_lefschetz(alg, w)
-            assert tri.Lambda == tri.lambda_solve
+            assert tri.Lambda == lz._lambda_by_solve(lz._context(alg, w))
             assert tri.relations_hold()
             checked += 1
         if alg.g == 2:

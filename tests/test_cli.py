@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -112,6 +113,16 @@ def _set(key, value, where=lambda doc: doc):
     return edit
 
 
+def _dup(path):
+    """Append a copy of the list element at ``path`` to its list."""
+    def edit(doc):
+        *parents, key = path
+        for step in parents:
+            doc = doc[step]
+        doc.append(copy.deepcopy(doc[key]))
+    return edit
+
+
 MALFORMED_ALGEBRAS = {
     # a missing key ended in a KeyError traceback
     "missing-left": _drop(["products", 0, "left"]),
@@ -137,6 +148,12 @@ MALFORMED_ALGEBRAS = {
                            ["coeff_re"]),
     # a non-string name was coerced by str(): 3 loaded as "3"
     "name-int": _set("name", 3),
+    # a repeated entry replaced the earlier one (exit 0)
+    "duplicate-conjugation-of": _dup(["conjugation", 0]),
+    "duplicate-conjugation-result": _dup(["conjugation", 1, "result", 0]),
+    "duplicate-product-result": _dup(["products", 0, "result", 0]),
+    "duplicate-nu-name": _dup(["nu", 0]),
+    "duplicate-kahler-name": _dup(["kahler", 0]),
 }
 
 
@@ -152,6 +169,8 @@ def test_malformed_algebra_is_input_error(catalog_dir, tmp_path, capsys,
     assert run(["validate", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
+    assert err.startswith("input error: duplicate") == \
+        case.startswith("duplicate")
 
 
 MALFORMED_GK = {
@@ -190,6 +209,12 @@ MALFORMED_GK = {
     "kind-bool": ("sl2R.pair.json", _set("kind", True)),
     "kind-list": ("sl2R.pair.json", _set("kind", [1])),
     "kind-object": ("sl2R.pair.json", _set("kind", {})),
+    # a repeated entry replaced the earlier one (exit 0)
+    "duplicate-weight": ("sl2-ds-plus.module.json", _dup(["weights", 0])),
+    "duplicate-action": ("sl2-ds-plus.module.json",
+                         _dup(["weights", 1, "actions", 0])),
+    "duplicate-generator-name": ("sl2-ds-plus.module.json",
+                                 _dup(["generators", 0])),
 }
 
 
@@ -206,6 +231,8 @@ def test_malformed_gk_document_is_input_error(catalog_dir, tmp_path, capsys,
     assert run(["validate", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
+    assert err.startswith("input error: duplicate") == \
+        case.startswith("duplicate")
 
 
 FUZZ_DOCUMENTS = ("torus.algebra.json", "sl2R.pair.json",
@@ -223,15 +250,33 @@ def _positions(node, path=()):
         yield from _positions(child, path + (key,))
 
 
+# a pair is validated with a module and a module against its pair
+FUZZ_PARTNER = {"sl2R.pair.json": "sl2-ds-plus.module.json",
+                "sl2-ds-plus.module.json": "sl2R.pair.json"}
+
+
+def _validate_mutant(catalog_dir, tmp_path, capsys, fname, doc, label):
+    """validate answers 0, 1 or 2 on a mutant document, with no traceback."""
+    bad = tmp_path / f"mutant.{fname}"
+    bad.write_text(json.dumps(doc))
+    argv = ["validate", "--input", str(bad)]
+    if fname in FUZZ_PARTNER:
+        argv += ["--input", str(catalog_dir / FUZZ_PARTNER[fname])]
+    try:
+        code = run(argv)
+    except Exception as exc:  # report the mutant, not just the error
+        pytest.fail(f"{label}: {exc!r}")
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), label
+    assert "Traceback" not in err, label
+
+
 def test_mutation_fuzz_exit_status(catalog_dir, tmp_path, capsys):
     # each mutant deletes one object key or sets one slot to a wrong-typed
     # value; whatever it breaks, validate must answer 0, 1 or 2
     rng = random.Random("hlk-fuzz")
     texts = {f: (catalog_dir / f).read_text() for f in FUZZ_DOCUMENTS}
     slots = {f: list(_positions(json.loads(t))) for f, t in texts.items()}
-    # a pair is validated with a module and a module against its pair
-    partner = {"sl2R.pair.json": "sl2-ds-plus.module.json",
-               "sl2-ds-plus.module.json": "sl2R.pair.json"}
     for trial in range(500):
         fname = FUZZ_DOCUMENTS[trial % len(FUZZ_DOCUMENTS)]
         doc = json.loads(texts[fname])
@@ -244,19 +289,49 @@ def test_mutation_fuzz_exit_status(catalog_dir, tmp_path, capsys):
             del parent[path[-1]]
         else:
             parent[path[-1]] = op
-        bad = tmp_path / f"mutant.{fname}"
-        bad.write_text(json.dumps(doc))
-        argv = ["validate", "--input", str(bad)]
-        if fname in partner:
-            argv += ["--input", str(catalog_dir / partner[fname])]
-        label = f"{fname} {list(path)} <- {op!r}"
-        try:
-            code = run(argv)
-        except Exception as exc:  # report the mutant, not just the error
-            pytest.fail(f"{label}: {exc!r}")
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2), label
-        assert "Traceback" not in err, label
+        _validate_mutant(catalog_dir, tmp_path, capsys, fname, doc,
+                         f"{fname} {list(path)} <- {op!r}")
+
+
+def test_duplicate_fuzz_exit_status(catalog_dir, tmp_path, capsys):
+    # each mutant appends a copy of one list element to its list
+    rng = random.Random("hlk-fuzz-duplicates")
+    texts = {f: (catalog_dir / f).read_text() for f in FUZZ_DOCUMENTS}
+    slots = {f: [path for path, is_key in _positions(json.loads(t))
+                 if not is_key] for f, t in texts.items()}
+    for trial in range(500):
+        fname = FUZZ_DOCUMENTS[trial % len(FUZZ_DOCUMENTS)]
+        doc = json.loads(texts[fname])
+        path = rng.choice(slots[fname])
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent.append(copy.deepcopy(parent[path[-1]]))
+        _validate_mutant(catalog_dir, tmp_path, capsys, fname, doc,
+                         f"{fname} {list(path)} appended again")
+
+
+def test_fraction_parts_parse_to_reduced_triples():
+    # negative and unreduced denominators give the slots and hash of the
+    # Fraction route; every part is checked as before
+    def frac(num, den):
+        return {"num": num, "den": den}
+
+    for re, im in (((3, -6), (-4, 8)), ((0, -5), (2, -4)), ((6, 4), (0, 1)),
+                   ((-1, 3), (5, -6)), ((4, 2), (-9, 3)), ((0, 7), (0, -2))):
+        want = Scalar(Fraction(*re), Fraction(*im))
+        for got in (
+                fileio._scalar_parse({"re": frac(*re), "im": frac(*im)}),
+                fileio._coeff_parse({"coeff_re": frac(*re),
+                                     "coeff_im": frac(*im)})):
+            assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+            assert hash(got) == hash(want) and got == want
+    for bad in (frac(1, 0), frac(True, 2), frac(1, True), frac(1.5, 2),
+                frac(1, 2.0)):
+        with pytest.raises(fileio.InputError):
+            fileio._scalar_parse({"re": bad, "im": frac(0, 1)})
+        with pytest.raises(fileio.InputError):
+            fileio._coeff_parse({"coeff_re": frac(0, 1), "coeff_im": bad})
 
 
 def test_lefschetz_unknown_omega_is_input_error(catalog_dir, capsys):

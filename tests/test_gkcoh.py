@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlk import catalog, gkcoh
 from hlk.algebra import ValidationReport
@@ -1037,3 +1039,102 @@ def test_blockwise_kernel_matches_dense_kernel():
         want = kernel(DenseMatrix.from_rows(dense)).basis if rows \
             else full_basis(ambient)
         assert gkcoh._blockwise_kernel(rows, ambient) == want
+
+
+# -- block words on entry lists ----------------------------------------------
+
+
+WORD_ENTRIES = (ZERO, ZERO, ZERO, ONE, -ONE, Scalar(2), Scalar(0, 1),
+                Scalar(Fraction(1, 2), -1))
+
+
+@st.composite
+def word_combinations(draw):
+    """Blocks of sl2R's generators h, e, f (shifts 0, 2, -2) on weights
+    -4..4, each weight space of dim 1-3 or absent, with mostly zero
+    entries (so products vanish midway), a present weight and terms of
+    words up to length 3.  The window 12 holds every path, so no block
+    read fails."""
+    weights = {w: d for w in range(-4, 5, 2)
+               if (d := draw(st.integers(1 if w == 0 else 0, 3)))}
+    gens = catalog.sl2_trivial_module().generators
+    actions = {}
+    for g in gens:
+        for w, d in weights.items():
+            r = weights.get(w + g.shift, 0)
+            if r:
+                actions[(g.name, w)] = DenseMatrix(r, d, draw(st.lists(
+                    st.sampled_from(WORD_ENTRIES), min_size=r * d,
+                    max_size=r * d)))
+    module = AdmissibleModule(
+        name="words", pair_name="", window=12, weights=weights, forms={},
+        generators=gens, actions=actions, unitary=False)
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from(WORD_ENTRIES[3:]),
+        st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)),
+        max_size=6))
+    return module, terms, draw(st.sampled_from(sorted(weights)))
+
+
+def reference_combination(module, terms, w) -> dict:
+    """Whole DenseMatrix products: a word counts unless it reaches an
+    absent weight space or its full product is zero."""
+    out = {}
+    for c, word in terms:
+        prod, at = DenseMatrix.identity(module.weights[w]), w
+        for k in reversed(word):
+            gen = module.generators[k]
+            if not module.weights.get(at + gen.shift):
+                break
+            prod = module.actions[(gen.name, at)].mul(prod)
+            at += gen.shift
+        else:
+            if not prod.is_zero_matrix():
+                prod = prod.scale(c)
+                out[at] = out[at].add(prod) if at in out else prod
+    return out
+
+
+@given(word_combinations())
+@settings(max_examples=150, deadline=None)
+def test_block_words_match_dense_references(sl2, sl2_split, case):
+    module, terms, w = case
+    assert module.combination(terms, w) == \
+        reference_combination(module, terms, w)
+    got = gkcoh.casimir_action(sl2, module)
+    want = reference_casimir(sl2, sl2_split, module)
+    assert (got.scalars, got.non_scalar, got.interior) == \
+        (want.scalars, want.non_scalar, want.interior)
+
+
+def test_module_checks_make_no_matrix_products(sl2, sl2_split, monkeypatch):
+    # the bracket, unitarity and Casimir checks compose blocks on entry
+    # lists, whatever the window
+    calls = []
+    mul = DenseMatrix.mul
+
+    def counting(self, other):
+        calls.append((self.rows, self.cols, other.cols))
+        return mul(self, other)
+
+    monkeypatch.setattr(DenseMatrix, "mul", counting)
+    module = catalog.sl2_discrete_series_module(1, 96)
+    assert gkcoh.validate_module(sl2, sl2_split, module).ok
+    assert gkcoh.casimir_action(sl2, module).is_scalar
+    assert calls == []
+
+
+def test_bracket_check_on_a_non_antisymmetric_table(sl2):
+    # [A, W] given as [W, A]: [gj, gi] is not minus [gi, gj], so each
+    # ordered pair of generators is checked on its own
+    brackets = dict(sl2.brackets)
+    brackets[(1, 0)] = brackets[(0, 1)]
+    pair = ReductivePair(sl2.names, brackets, sl2.k_indices, sl2.p_indices,
+                         sl2.b_form, sl2.z0, name="sl2R-symmetric-WA")
+    split = gkcoh.split_p(pair)
+    for module in (catalog.sl2_discrete_series_module(1, 10),
+                   catalog.sl2_adjoint_module(6)):
+        got = gkcoh.validate_module(pair, split, module).summary()
+        assert got == reference_validate_module(pair, split, module).summary()
+        assert "rho([e,h]) mismatch" in got
+        assert "rho([h,e])" not in got
