@@ -303,10 +303,7 @@ def test_duplicate_fuzz_exit_status(catalog_dir, tmp_path, capsys):
         fname = FUZZ_DOCUMENTS[trial % len(FUZZ_DOCUMENTS)]
         doc = json.loads(texts[fname])
         path = rng.choice(slots[fname])
-        parent = doc
-        for step in path[:-1]:
-            parent = parent[step]
-        parent.append(copy.deepcopy(parent[path[-1]]))
+        _dup(path)(doc)
         _validate_mutant(catalog_dir, tmp_path, capsys, fname, doc,
                          f"{fname} {list(path)} appended again")
 
