@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import os
 import sys
@@ -418,7 +419,13 @@ def _pair_and_modules(loaded):
         raise fileio.InputError("exactly one pair input is required")
     if not modules:
         raise fileio.InputError("at least one module input is required")
-    return pairs[0][0], [m for m, _ in modules]
+    pair = pairs[0][0]
+    for m, _ in modules:
+        if m.pair_name != pair.name:
+            raise fileio.InputError(
+                f"module {m.name!r} names pair {m.pair_name!r}, "
+                f"but the supplied pair is {pair.name!r}")
+    return pair, [m for m, _ in modules]
 
 
 def cmd_gkcoh(args) -> int:
@@ -583,9 +590,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -20,6 +20,7 @@ __all__ = [
     "ONE",
     "i_power",
     "DenseMatrix",
+    "entry_product",
     "Subspace",
     "SpanBuilder",
     "rref",
@@ -344,22 +345,8 @@ class DenseMatrix:
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        n, m, p = self.rows, self.cols, other.cols
-        out = [ZERO] * (n * p)
-        a, b = self.entries, other.entries
-        for i in range(n):
-            base = i * m
-            for k in range(m):
-                aik = a[base + k]
-                if aik.is_zero():
-                    continue
-                brow = k * p
-                orow = i * p
-                for j in range(p):
-                    bkj = b[brow + j]
-                    if not bkj.is_zero():
-                        out[orow + j] = out[orow + j] + aik * bkj
-        return DenseMatrix(n, p, out)
+        return DenseMatrix(self.rows, other.cols, entry_product(
+            self.entries, other.entries, self.rows, self.cols, other.cols))
 
     __matmul__ = mul
 
@@ -423,6 +410,25 @@ class DenseMatrix:
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def entry_product(a, b, n: int, m: int, p: int) -> list:
+    """The n x p product of row-major entry lists, a n x m and b m x p."""
+    if len(a) == 1 and len(b) == 1:
+        return [a[0] * b[0]]
+    out = [ZERO] * (n * p)
+    for i in range(n):
+        orow = i * p
+        for k in range(m):
+            aik = a[i * m + k]
+            if aik.is_zero():
+                continue
+            brow = k * p
+            for j in range(p):
+                bkj = b[brow + j]
+                if not bkj.is_zero():
+                    out[orow + j] = out[orow + j] + aik * bkj
+    return out
 
 
 def rref(row_vectors):

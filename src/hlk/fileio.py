@@ -268,6 +268,8 @@ def pair_to_doc(p: ReductivePair) -> dict:
 def pair_from_doc(doc) -> ReductivePair:
     names = [_typed(x, str, "pair basis name")
              for x in _get(doc, "basis", "pair", list)]
+    if len(set(names)) != len(names):
+        raise InputError("duplicate pair basis names")
     dim = len(names)
     brackets = {}
     for sc in _get(doc, "structure_constants", "pair", list):
@@ -286,6 +288,9 @@ def pair_from_doc(doc) -> ReductivePair:
                       for x in _get(doc, "k_indices", "pair", list))
     p_indices = tuple(_typed(x, int, "pair p_indices entry")
                       for x in _get(doc, "p_indices", "pair", list))
+    for key, indices in (("k_indices", k_indices), ("p_indices", p_indices)):
+        if len(set(indices)) != len(indices):
+            raise InputError(f"duplicate {key} entries")
     return ReductivePair(names, brackets, k_indices, p_indices, b, z0,
                          name=_get(doc, "name", "pair", str, ""))
 

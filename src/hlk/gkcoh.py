@@ -26,6 +26,7 @@ from .exactlin import (
     SpanBuilder,
     ZERO,
     ONE,
+    entry_product,
     hermitian_definiteness,
     inverse,
     kernel,
@@ -174,17 +175,17 @@ def validate_pair(pair: ReductivePair) -> ValidationReport:
         if not x.is_real():
             rep.add("b-real", "B has non-real entries")
             break
-    if b.transpose() != b:
+    b_t = b.transpose()
+    if b_t != b:
         rep.add("b-symmetric", "B is not symmetric")
     for i in range(n):
-        ei = pair.basis_vector(i)
+        # column j of ad(e_i) is [e_i, e_j], so B^T ad(e_i) at [k, j] is
+        # B([e_i, e_j], e_k) and B ad(e_i) at [j, k] is B(e_j, [e_i, e_k])
+        ad_i = pair.ad(pair.basis_vector(i))
+        lhs, rhs = b_t.mul(ad_i), b.mul(ad_i)
         for j in range(n):
-            ej = pair.basis_vector(j)
             for k in range(n):
-                ek = pair.basis_vector(k)
-                lhs = _bilinear(b, pair.bracket(ei, ej), ek)
-                rhs = _bilinear(b, ej, pair.bracket(ei, ek))
-                if lhs + rhs != ZERO:
+                if lhs.at(k, j) + rhs.at(j, k) != ZERO:
                     rep.add("b-invariance",
                             f"B([{pair.names[i]},{pair.names[j]}],"
                             f"{pair.names[k]}) + ... != 0")
@@ -222,17 +223,6 @@ def validate_pair(pair: ReductivePair) -> ValidationReport:
             rep.add("z0-square", "(ad z0)^2 is not -id on p")
             break
     return rep
-
-
-def _bilinear(b: DenseMatrix, x, y) -> Scalar:
-    acc = ZERO
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y):
-            if not yj.is_zero():
-                acc = acc + xi * b.at(i, j) * yj
-    return acc
 
 
 @dataclass(frozen=True)
@@ -365,17 +355,11 @@ class AdmissibleModule:
         self._blocks[key] = block
         return block
 
-    def combination(self, terms, w: int) -> dict:
-        """sum of c * A_k1 ... A_kr over the terms (c, (k1, ..., kr)), on
-        weight w, as {target weight: block}."""
-        cols = self.weights.get(w, 0)
-        return {at: DenseMatrix(self.weights[at], cols, e)
-                for at, e in self._word_sums(terms, w).items()}
-
     def _word_sums(self, terms, w: int) -> dict:
-        """``combination`` as {target weight: row-major entry list}.  Each
-        word is composed on entry lists; it drops out once its product
-        is zero, without reading the blocks left of that point."""
+        """sum of c * A_k1 ... A_kr over the terms (c, (k1, ..., kr)), on
+        weight w, as {target weight: row-major entry list}.  Each word
+        is composed on entry lists; it drops out once its product is
+        zero, without reading the blocks left of that point."""
         out = {}
         cols = self.weights.get(w, 0)
         for c, word in terms:
@@ -384,7 +368,7 @@ class AdmissibleModule:
                 step = self.block(k, at)
                 if step is None:
                     break
-                prod = step.entries if prod is None else _entry_product(
+                prod = step.entries if prod is None else entry_product(
                     step.entries, prod, step.rows, step.cols, cols)
                 at += self.generators[k].shift
                 if not any(prod):
@@ -406,30 +390,12 @@ class AdmissibleModule:
             piece = vec[slice(*self.slice_of(w))]
             if vec_is_zero(piece):
                 continue
-            for target, block in self.combination(terms, w).items():
+            for target, e in self._word_sums(terms, w).items():
                 tlo, _ = self.slice_of(target)
-                for t, val in enumerate(block.apply(piece)):
+                for t, val in enumerate(entry_product(
+                        e, piece, self.weights[target], len(piece), 1)):
                     out[tlo + t] = out[tlo + t] + val
         return tuple(out)
-
-
-def _entry_product(a, b, n: int, m: int, p: int) -> list:
-    """The n x p product of row-major entry lists, a n x m and b m x p."""
-    if len(a) == 1 and len(b) == 1:
-        return [a[0] * b[0]]
-    out = [ZERO] * (n * p)
-    for i in range(n):
-        orow = i * p
-        for k in range(m):
-            aik = a[i * m + k]
-            if not aik:
-                continue
-            brow = k * p
-            for j in range(p):
-                bkj = b[brow + j]
-                if bkj:
-                    out[orow + j] = out[orow + j] + aik * bkj
-    return out
 
 
 def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix:
@@ -573,11 +539,11 @@ def validate_module(pair: ReductivePair, split: PSplit,
             m = module.block(i, w).entries
             m_h = [m[t * c + s].conjugate()
                    for s in range(c) for t in range(r)]
-            lhs = _entry_product(m_h, module.forms[target].entries, c, r, r)
+            lhs = entry_product(m_h, module.forms[target].entries, c, r, r)
             n_back = module._word_sums(back, target).get(w)
             rhs = [ZERO] * (c * r) if n_back is None else [
-                -x for x in _entry_product(module.forms[w].entries, n_back,
-                                           c, c, r)]
+                -x for x in entry_product(module.forms[w].entries, n_back,
+                                          c, c, r)]
             if lhs != rhs:
                 rep.add("unitarity",
                         f"{g.name} is not skew-adjoint from weight {w}")
@@ -670,14 +636,15 @@ def build_complex(pair: ReductivePair, split: PSplit,
     slots = split.plus + split.minus
 
     # ad-action of each k-basis element on p+ (+) p-: slot -> {slot: coeff}
+    sides = [("+", 0, split.plus), ("-", d, split.minus)]
+    columns = [DenseMatrix.from_columns(v, rows=pair.dim) for _, _, v in sides]
     k_act = {}
     for ki in pair.k_indices:
         h = pair.basis_vector(ki)
         table = []
-        for sign, first, vectors in (("+", 0, split.plus),
-                                     ("-", d, split.minus)):
+        for (sign, first, vectors), m in zip(sides, columns):
             for u in vectors:
-                coords = _coords_in(vectors, pair.bracket(h, u))
+                coords = solve(m, pair.bracket(h, u))
                 if coords is None:
                     raise ValueError(
                         f"[k, p{sign}] is not contained in p{sign}")
@@ -692,11 +659,12 @@ def build_complex(pair: ReductivePair, split: PSplit,
         rows = rho_k[ki] = [{} for _ in range(dv)]
         for w in module.sorted_weights:
             lo, _ = module.slice_of(w)
-            for target, block in module.combination(terms, w).items():
+            cols = module.weights[w]
+            for target, e in module._word_sums(terms, w).items():
                 tlo, _ = module.slice_of(target)
-                for i in range(block.rows):
-                    rows[tlo + i].update((lo + j, c) for j, c in
-                                         enumerate(block.row(i)) if c)
+                for t, c in enumerate(e):
+                    if c:
+                        rows[tlo + t // cols][lo + t % cols] = c
 
     wedges, bases, spans = {}, {}, {}
     for p in range(d + 1):
@@ -787,14 +755,6 @@ def _blockwise_kernel(rows, ambient: int) -> tuple:
             basis.append(tuple(full))
     return tuple(sorted(basis, key=lambda v: next(t for t, x in enumerate(v)
                                                   if x)))
-
-
-def _coords_in(vectors, target):
-    """Coordinates of ``target`` in the span of ``vectors``, or None."""
-    if not vectors:
-        return None if any(not x.is_zero() for x in target) else ()
-    m = DenseMatrix.from_columns(list(vectors), rows=len(vectors[0]))
-    return solve(m, target)
 
 
 def _wedge_map(cx: RelativeComplex, module, src_key, dst_key, terms,
@@ -1043,16 +1003,16 @@ def lefschetz_on_complex(pair: ReductivePair, split: PSplit,
     """
     if not cx.differential_is_zero():
         raise ValueError("Lefschetz operator requires the d = 0 branch")
-    slots = split.plus + split.minus
-    half = Scalar(Fraction(-1, 2))
-    w_gram = [[half * _bilinear(pair.b_form, x, pair.bracket(pair.z0, y))
-               for y in slots] for x in slots]
+    # omega0(x, y) on the slots: -1/2 S^T B ad(z0) S, columns of S the slots
+    s = DenseMatrix.from_columns(split.plus + split.minus, rows=pair.dim)
+    w_gram = s.transpose().mul(pair.b_form).mul(pair.ad(pair.z0)).mul(s) \
+        .scale(Scalar(Fraction(-1, 2)))
 
     def two_form(w):
         # wedge-with-a-2-form sign (-1)^(a+b+1), 0-based
         return [((a, b), -c if (a + b) % 2 == 0 else c, None)
                 for a in range(len(w)) for b in range(a + 1, len(w))
-                if (c := w_gram[w[a]][w[b]])]
+                if (c := w_gram.at(w[a], w[b]))]
 
     return {(p, q): _wedge_map(cx, None, (p, q), (p + 1, q + 1), two_form,
                                "Lefschetz image left the equivariant subspace")

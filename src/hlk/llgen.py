@@ -19,11 +19,10 @@ from .exactlin import (
     Subspace,
     ZERO,
     ONE,
+    entry_product,
     rank,
     unit_vector,
-    vec_add,
     vec_neg,
-    vec_scale,
     zero_vector,
 )
 
@@ -170,15 +169,13 @@ def _as_ideal(lie: OperatorLieAlgebra, rows) -> OperatorLieAlgebra:
     # lie.basis is reduced echelon with an identity block at its pivot
     # columns, so the images of reduced echelon coordinate rows are
     # already the reduced echelon basis of the ideal
-    n = lie.ambient
-    basis = []
-    for row in rows:
-        entries = zero_vector(n * n)
-        for c, b in zip(row, lie.basis):
-            if not c.is_zero():
-                entries = vec_add(entries, vec_scale(c, b.entries))
-        basis.append(DenseMatrix(n, n, entries))
-    return OperatorLieAlgebra(ambient=n, basis=tuple(basis), closed=True)
+    n2 = lie.ambient * lie.ambient
+    flat = entry_product([c for row in rows for c in row],
+                         [x for b in lie.basis for x in b.entries],
+                         len(rows), lie.dim, n2)
+    basis = tuple(DenseMatrix(lie.ambient, lie.ambient, flat[t:t + n2])
+                  for t in range(0, len(flat), n2))
+    return OperatorLieAlgebra(ambient=lie.ambient, basis=basis, closed=True)
 
 
 def ideal_probe(lie: OperatorLieAlgebra, seed: DenseMatrix) -> OperatorLieAlgebra:

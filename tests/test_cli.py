@@ -215,6 +215,10 @@ MALFORMED_GK = {
                          _dup(["weights", 1, "actions", 0])),
     "duplicate-generator-name": ("sl2-ds-plus.module.json",
                                  _dup(["generators", 0])),
+    # a repeated pair basis name or index failed a pair check (exit 1)
+    "duplicate-pair-basis-name": ("sl2R.pair.json", _dup(["basis", 0])),
+    "duplicate-k-index": ("sl2R.pair.json", _dup(["k_indices", 0])),
+    "duplicate-p-index": ("sl2R.pair.json", _dup(["p_indices", 0])),
 }
 
 
@@ -520,6 +524,40 @@ def test_assemble_stops_on_invalid_module(catalog_dir, tmp_path):
     assert checks["sl2-ds-plus:validate"]["status"] == "fail"
     assert "form-positive" in checks["sl2-ds-plus:validate"]["detail"]
     assert not [name for name in checks if name.startswith("diamond:")]
+
+
+@pytest.mark.parametrize("command", ["gkcoh", "assemble"])
+def test_module_of_another_pair_is_input_error(catalog_dir, tmp_path, capsys,
+                                               command):
+    # both commands used to run on the supplied pair and exit 0
+    doc = json.loads((catalog_dir / "sl2-trivial.module.json").read_text())
+    doc["pair"] = "no-such-pair"
+    other = tmp_path / "sl2-trivial.module.json"
+    other.write_text(json.dumps(doc))
+    inputs = ["--input", str(catalog_dir / "sl2R.pair.json"),
+              "--input", str(other)]
+    if command == "assemble":
+        for name in ("sl2-ds-plus.module.json", "sl2-ds-minus.module.json",
+                     "genus2.spectrum.json"):
+            inputs += ["--input", str(catalog_dir / name)]
+    assert run([command, *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert "'no-such-pair'" in err and "'sl2R'" in err
+
+
+def test_parser_is_built_once(catalog_dir, monkeypatch):
+    from hlk import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run(["validate", "--input",
+                    str(catalog_dir / "torus.algebra.json")]) == 0
+    assert built == [1]
 
 
 def test_gkcoh_builds_each_complex_once(catalog_dir, monkeypatch):

@@ -9,6 +9,7 @@ from hlk.exactlin import (
     DenseMatrix,
     _inertia,
     Scalar,
+    entry_product,
     SpanBuilder,
     Subspace,
     hermitian_definiteness,
@@ -616,3 +617,30 @@ def test_inverse_examples():
     assert inverse(DenseMatrix.from_rows([[1, 2], [2, 4]])) is None
     assert inverse(DenseMatrix.zero(2, 3)) is None
     assert inverse(DenseMatrix.zero(0, 0)) == DenseMatrix.zero(0, 0)
+
+
+@st.composite
+def product_operands(draw):
+    """Row-major n x m and m x p entry lists, n, m, p in 0..4, mostly
+    zero entries."""
+    n, m, p = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.one_of(st.just(Scalar(0)), st.just(Scalar(0)), scalars)
+    a = draw(st.lists(entry, min_size=n * m, max_size=n * m))
+    b = draw(st.lists(entry, min_size=m * p, max_size=m * p))
+    return a, b, n, m, p
+
+
+@given(product_operands())
+@example(([Scalar(0, 1)], [Scalar(2)], 1, 1, 1))
+@example(([Scalar(0)], [Scalar(3)], 1, 1, 1))
+@example(([], [], 0, 0, 0))
+@example(([], [], 3, 0, 2))
+@example(([], [Scalar(1)] * 6, 0, 2, 3))
+@settings(max_examples=150, deadline=None)
+def test_entry_product_matches_triple_sum(case):
+    a, b, n, m, p = case
+    want = [sum((a[i * m + k] * b[k * p + j] for k in range(m)), Scalar(0))
+            for i in range(n) for j in range(p)]
+    assert entry_product(a, b, n, m, p) == want
+    assert DenseMatrix(n, m, a).mul(DenseMatrix(m, p, b)) == \
+        DenseMatrix(n, p, want)

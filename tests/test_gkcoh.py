@@ -11,7 +11,7 @@ from hlk import catalog, gkcoh
 from hlk.algebra import ValidationReport
 from hlk.exactlin import (DenseMatrix, Scalar, SpanBuilder, ZERO, ONE,
                           hermitian_definiteness, inverse, kernel, rref,
-                          unit_vector)
+                          solve, unit_vector)
 from hlk.gkcoh import AdmissibleModule, ModuleGenerator, ReductivePair
 
 
@@ -48,6 +48,82 @@ def test_wrong_b_sign_rejected(sl2):
     report = gkcoh.validate_pair(flipped)
     assert "b-k-negative" in report.codes()
     assert "b-p-positive" in report.codes()
+
+
+def reference_b_invariance(pair) -> list:
+    """b-invariance details from the literal sums B([e_i, e_j], e_k) +
+    B(e_j, [e_i, e_k]), in (i, j, k) order."""
+    b = pair.b_form
+
+    def bilinear(x, y):
+        acc = ZERO
+        for i, xi in enumerate(x):
+            if xi.is_zero():
+                continue
+            for j, yj in enumerate(y):
+                if not yj.is_zero():
+                    acc = acc + xi * b.at(i, j) * yj
+        return acc
+
+    n = pair.dim
+    out = []
+    for i in range(n):
+        ei = pair.basis_vector(i)
+        for j in range(n):
+            ej = pair.basis_vector(j)
+            for k in range(n):
+                ek = pair.basis_vector(k)
+                lhs = bilinear(pair.bracket(ei, ej), ek)
+                rhs = bilinear(ej, pair.bracket(ei, ek))
+                if lhs + rhs != ZERO:
+                    out.append(f"B([{pair.names[i]},{pair.names[j]}],"
+                               f"{pair.names[k]}) + ... != 0")
+    return out
+
+
+def b_invariance_mutants(rng):
+    """sl2R and sl2R-x-sl2R, a non-symmetric B, a non-antisymmetric
+    bracket table, and seeded changes of one B entry or one structure
+    constant."""
+    bases = [catalog.sl2_pair(), catalog.sl2_product_pair()]
+    sl2 = bases[0]
+    b = list(sl2.b_form.entries)
+    b[1] = ONE
+    brackets = dict(sl2.brackets)
+    brackets[(1, 0)] = brackets[(0, 1)]
+    out = list(bases) + [
+        ReductivePair(sl2.names, sl2.brackets, sl2.k_indices, sl2.p_indices,
+                      DenseMatrix(3, 3, b), sl2.z0),
+        ReductivePair(sl2.names, brackets, sl2.k_indices, sl2.p_indices,
+                      sl2.b_form, sl2.z0)]
+    values = (ZERO, ONE, -ONE, Scalar(2), Scalar(Fraction(1, 2)))
+    for _ in range(24):
+        base = rng.choice(bases)
+        n = base.dim
+        b = list(base.b_form.entries)
+        brackets = dict(base.brackets)
+        if rng.random() < 0.5:
+            b[rng.randrange(n * n)] = rng.choice(values)
+        else:
+            i, j = rng.randrange(n), rng.randrange(n)
+            vec = list(base.bracket_basis(i, j))
+            vec[rng.randrange(n)] = rng.choice(values)
+            brackets[(i, j)] = tuple(vec)
+        out.append(ReductivePair(base.names, brackets, base.k_indices,
+                                 base.p_indices, DenseMatrix(n, n, b),
+                                 base.z0))
+    return out
+
+
+def test_b_invariance_matches_literal_sums():
+    failing = 0
+    for pair in b_invariance_mutants(random.Random("b-invariance")):
+        got = [v.detail for v in gkcoh.validate_pair(pair).violations
+               if v.code == "b-invariance"]
+        want = reference_b_invariance(pair)
+        assert got == want, pair.names
+        failing += bool(want)
+    assert failing >= 10
 
 
 def test_split_p_dims(sl2, sl2_split):
@@ -760,7 +836,9 @@ def reference_complex(pair, split, module):
         for sign, first, vectors in (("+", 0, split.plus),
                                      ("-", d, split.minus)):
             for u in vectors:
-                coords = gkcoh._coords_in(vectors, pair.bracket(h, u))
+                coords = solve(
+                    DenseMatrix.from_columns(vectors, rows=pair.dim),
+                    pair.bracket(h, u))
                 if coords is None:
                     raise ValueError(
                         f"[k, p{sign}] is not contained in p{sign}")
@@ -1099,7 +1177,9 @@ def reference_combination(module, terms, w) -> dict:
 @settings(max_examples=150, deadline=None)
 def test_block_words_match_dense_references(sl2, sl2_split, case):
     module, terms, w = case
-    assert module.combination(terms, w) == \
+    cols = module.weights[w]
+    assert {at: DenseMatrix(module.weights[at], cols, e)
+            for at, e in module._word_sums(terms, w).items()} == \
         reference_combination(module, terms, w)
     got = gkcoh.casimir_action(sl2, module)
     want = reference_casimir(sl2, sl2_split, module)
