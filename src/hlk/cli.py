@@ -326,6 +326,10 @@ def cmd_llgen(args) -> int:
     for alg, path in algebras:
         base = alg.name or os.path.basename(path)
         t0 = time.perf_counter()
+        rep = validate_algebra(alg)
+        if not rep.ok:
+            report.check(f"{base}:validate", False, rep.summary())
+            continue
         mode = args.mode or ("even" if alg.g == 2 else "full")
         omega = alg.kahler
         if omega is None:

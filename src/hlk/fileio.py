@@ -284,6 +284,9 @@ def pair_from_doc(doc) -> ReductivePair:
         [[_real_parse(x) for x in _typed(row, list, "pair B row")]
          for row in _get(doc, "B", "pair", list)])
     z0 = tuple(_real_parse(x) for x in _get(doc, "z0", "pair", list))
+    if len(z0) != dim:
+        raise InputError(f"pair z0 has {len(z0)} entries for {dim} basis "
+                         "elements")
     k_indices = tuple(_typed(x, int, "pair k_indices entry")
                       for x in _get(doc, "k_indices", "pair", list))
     p_indices = tuple(_typed(x, int, "pair p_indices entry")

@@ -219,6 +219,10 @@ MALFORMED_GK = {
     "duplicate-pair-basis-name": ("sl2R.pair.json", _dup(["basis", 0])),
     "duplicate-k-index": ("sl2R.pair.json", _dup(["k_indices", 0])),
     "duplicate-p-index": ("sl2R.pair.json", _dup(["p_indices", 0])),
+    # a z0 of the wrong length loaded, and validated with exit 0
+    "z0-short": ("sl2R.pair.json", lambda doc: doc["z0"].pop()),
+    "z0-long": ("sl2R.pair.json",
+                lambda doc: doc["z0"].append({"num": 0, "den": 1})),
 }
 
 
@@ -393,6 +397,25 @@ def test_llgen_golden_summary(tmp_path, catalog_args, model, expected):
     assert (summary[f"{model}:dimension"],
             summary[f"{model}:bracket-digest"],
             summary[f"{model}:minimal-ideals"]) == expected
+
+
+def test_llgen_stops_on_invalid_algebra(tmp_path):
+    # an extra product om.f1 = top breaks graded commutativity; llgen
+    # passed its closure and census on it
+    assert run(["catalog", "g2-family", "--k", "3",
+                "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "g2-k3.algebra.json").read_text())
+    one = {"num": 1, "den": 1}
+    doc["products"].append({"left": "om", "right": "f1", "result": [
+        {"name": "top", "coeff_re": one, "coeff_im": {"num": 0, "den": 1}}]})
+    bad = tmp_path / "bad.algebra.json"
+    bad.write_text(json.dumps(doc))
+    report = tmp_path / "llgen.json"
+    assert run(["llgen", "--input", str(bad), "--report", str(report)]) == 1
+    checks = json.loads(report.read_text())["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == \
+        [("g2-k3:validate", "fail")]
+    assert checks[0]["detail"].startswith("graded-commutativity")
 
 
 def test_llgen_large_even_part_skips(catalog_dir):

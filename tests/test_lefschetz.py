@@ -14,6 +14,7 @@ from hlk.exactlin import (
     ZERO,
     ONE,
     hermitian_definiteness,
+    inverse,
     rref,
     solve,
     vec_add,
@@ -315,6 +316,33 @@ def test_primitive_gram_positive_definite(k3):
 # they replaced; both are kept here as references.
 
 
+def unitriangular_rebase(alg, seed):
+    """``alg`` in the basis e'_j = sum_i P[i, j] e_i, where P is an
+    integer matrix, zero across bidegree blocks and unitriangular inside
+    each, so that the Lefschetz coordinates of the new basis are denser
+    than on the catalog basis."""
+    rng = random.Random(seed)
+    rows = [[ONE if i == j else ZERO for j in range(alg.n)]
+            for i in range(alg.n)]
+    for idxs in alg.by_bidegree.values():
+        for t, i in enumerate(idxs):
+            for j in idxs[t + 1:]:
+                rows[i][j] = Scalar(rng.choice((-2, -1, 1, 2)))
+    p = DenseMatrix.from_rows(rows)
+    p_inv = inverse(p)
+    cols = [p.column(j) for j in range(alg.n)]
+    products = {(i, j): dict(enumerate(p_inv.apply(alg.mulvec(x, y))))
+                for i, x in enumerate(cols) for j, y in enumerate(cols)}
+    # conjugation is antilinear and P is real: conj' = P^-1 C P
+    out = BigradedAlgebra(
+        alg.g, alg.names, alg.bidegrees, products,
+        p_inv.mul(alg.conj_matrix).mul(p),
+        [alg.nu_of(x) for x in cols], name=f"{alg.name}-rebased",
+        kahler=p_inv.apply(alg.kahler))
+    assert validate_algebra(out).ok
+    return out
+
+
 REFERENCE_MODELS = {
     "torus": catalog.torus_algebra,
     "abelian-surface": catalog.abelian_surface_algebra,
@@ -322,6 +350,10 @@ REFERENCE_MODELS = {
     "g2-k2": lambda: catalog.g2_family_algebra(2),
     "g2-k3": lambda: catalog.g2_family_algebra(3),
     "g2-k4": lambda: catalog.g2_family_algebra(4),
+    "abelian-surface-rebased": lambda: unitriangular_rebase(
+        catalog.abelian_surface_algebra(), "abelian-surface"),
+    "g2-k3-rebased": lambda: unitriangular_rebase(
+        catalog.g2_family_algebra(3), "g2-k3"),
 }
 
 
@@ -394,7 +426,7 @@ def test_decompose_matches_level_induction(model):
         # the context keeps no per-vector cache
         sizes = {k: len(v) for k, v in vars(ctx).items()
                  if isinstance(v, dict)}
-        ctx.decompose(random_combination(alg, alg.g, rng))
+        lz.primitive_decompose(alg, w, random_combination(alg, alg.g, rng))
         assert sizes == {k: len(v) for k, v in vars(ctx).items()
                          if isinstance(v, dict)}
 
@@ -619,3 +651,44 @@ def test_frobenius_determinant_consequence(torus):
     block = f.submatrix(idxs, idxs)
     det = block.at(0, 0) * block.at(1, 1) - block.at(0, 1) * block.at(1, 0)
     assert det * det.conjugate() == Fraction(2) ** (1 * len(idxs))
+
+
+def test_frobenius_class_outside_cone_fails_every_degree(torus):
+    zero = tuple(ZERO for _ in range(torus.n))
+    rep = lz.frobenius_check(torus, zero, DenseMatrix.identity(torus.n), 1)
+    assert not rep.precondition_violations
+    assert rep.failing_degrees() == [0, 1, 2]
+
+
+def test_frobenius_degree_moving_map_fails_that_degree(torus):
+    # f(dz1) = dz1 + dz1^dzb1 moves part of degree 1 into degree 2
+    f = DenseMatrix.identity(torus.n).row_lists()
+    f[torus.index_of("dz1^dzb1")][torus.index_of("dz1")] = ONE
+    rep = lz.frobenius_check(torus, torus.kahler, DenseMatrix.from_rows(f), 1)
+    assert rep.failing_degrees() == [1]
+
+
+def test_q_grams_and_frobenius_read_no_entrywise_form(monkeypatch):
+    # Q is M^T D M on the Lefschetz basis, and Frobenius one Gram identity
+    # per degree: neither decomposes basis vectors nor evaluates T per entry
+    calls = []
+    decompose = getattr(lz._Context, "decompose", None)
+    inner = lz.hodge_inner_product
+
+    def counting_decompose(self, x):
+        calls.append("decompose")
+        return decompose(self, x)
+
+    def counting_inner(*args):
+        calls.append("hodge_inner_product")
+        return inner(*args)
+
+    monkeypatch.setattr(lz._Context, "decompose", counting_decompose,
+                        raising=False)
+    monkeypatch.setattr(lz, "hodge_inner_product", counting_inner)
+    alg = catalog.k3_algebra()
+    for r in sorted(alg.by_degree):
+        lz.polarization_gram(alg, alg.kahler, r)
+    assert calls == []
+    rep = lz.frobenius_check(alg, alg.kahler, DenseMatrix.identity(alg.n), 1)
+    assert rep.ok and calls == []
