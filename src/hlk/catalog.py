@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import BigradedAlgebra
+from .assembler import SpectrumEntry
 from .exactlin import DenseMatrix, Scalar, ZERO, ONE
 from .gkcoh import AdmissibleModule, ModuleGenerator, ReductivePair, _sort_sign
 
@@ -223,6 +224,8 @@ def _one(x) -> DenseMatrix:
 
 
 def sl2_trivial_module(window: int = 6) -> AdmissibleModule:
+    if window < 0:
+        raise ValueError("window must reach weight 0")
     actions = {("h", 0): _one(0)}
     return AdmissibleModule(
         name="sl2-trivial", pair_name="sl2R", window=window,
@@ -237,6 +240,8 @@ def sl2_adjoint_module(window: int = 6) -> AdmissibleModule:
     with positive forms and flagged non-unitary.  Its Casimir scalar is
     4 for the trace-form normalization.
     """
+    if window < 2:
+        raise ValueError("window must reach weights -2 and 2")
     i2 = Scalar(0, 2)
     i4 = Scalar(0, 4)
     actions = {
@@ -290,11 +295,9 @@ def sl2_discrete_series_module(sign: int, window: int = 6) -> AdmissibleModule:
         generators=_sl2_generators(), actions=actions)
 
 
-def genus2_spectrum():
+def genus2_spectrum() -> list:
     """Mock spectrum of a genus-2 curve leaf space: trivial once, each
     discrete series twice, all with one-dimensional K2-invariants."""
-    return [
-        {"module": "sl2-trivial", "multiplicity": 1, "k2_inv_dim": 1},
-        {"module": "sl2-ds-plus", "multiplicity": 2, "k2_inv_dim": 1},
-        {"module": "sl2-ds-minus", "multiplicity": 2, "k2_inv_dim": 1},
-    ]
+    return [SpectrumEntry("sl2-trivial", 1, 1),
+            SpectrumEntry("sl2-ds-plus", 2, 1),
+            SpectrumEntry("sl2-ds-minus", 2, 1)]

@@ -85,27 +85,11 @@ def _writing(path):
             f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _load_inputs(paths, report: Report):
-    loaded = []
-    for path in paths:
-        kind, obj = fileio.load_document(path)
-        report.add_input(path)
-        loaded.append((kind, obj, path))
-    return loaded
-
-
 # -- catalog -----------------------------------------------------------------
 
 
 def _module_file(fname, build):
     return lambda args: [(fname, fileio.module_to_doc(build(args.window)))]
-
-
-def _genus2_spectrum_files(args):
-    from .assembler import SpectrumEntry
-
-    entries = [SpectrumEntry(**e) for e in catalog.genus2_spectrum()]
-    return [("genus2.spectrum.json", fileio.spectrum_to_doc(entries))]
 
 
 def _genus2_suite_files(args):
@@ -146,7 +130,9 @@ CATALOG = {
     "sl2-ds-minus": _module_file(
         "sl2-ds-minus.module.json",
         lambda window: catalog.sl2_discrete_series_module(-1, window)),
-    "genus2-spectrum": _genus2_spectrum_files,
+    "genus2-spectrum": lambda args: [(
+        "genus2.spectrum.json",
+        fileio.spectrum_to_doc(catalog.genus2_spectrum()))],
     "genus2-suite": _genus2_suite_files,
 }
 
@@ -175,9 +161,7 @@ def cmd_catalog(args) -> int:
 # -- validate ----------------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
-    report = Report("validate")
-    loaded = _load_inputs(args.input, report)
+def cmd_validate(args, report: Report, loaded):
     # pairs first, so that a module meets only a valid pair, split once
     pairs, pair_reps = {}, {}
     for kind, obj, _ in loaded:
@@ -206,8 +190,6 @@ def cmd_validate(args) -> int:
             ok = all(e.multiplicity >= 0 and e.k2_inv_dim >= 0 for e in obj)
             report.check(label, ok, f"{len(obj)} entries")
         report.timing(label, time.perf_counter() - t0)
-    report.write(args.report)
-    return 1 if report.failed else 0
 
 
 # -- lefschetz ---------------------------------------------------------------
@@ -225,9 +207,7 @@ def _designated_kahler(alg, args):
     return alg.kahler
 
 
-def cmd_lefschetz(args) -> int:
-    report = Report("lefschetz")
-    loaded = _load_inputs(args.input, report)
+def cmd_lefschetz(args, report: Report, loaded):
     algebras = [(obj, path) for kind, obj, path in loaded if kind == "algebra"]
     if not algebras:
         raise fileio.InputError("lefschetz needs an algebra input")
@@ -294,8 +274,6 @@ def cmd_lefschetz(args) -> int:
         report.check(f"{base}:hodge-filtration", filt_ok,
                      "F^i opposed to conj F^(n-i+1)")
         report.timing(base, time.perf_counter() - t0)
-    report.write(args.report)
-    return 1 if report.failed else 0
 
 
 def _polarization_symmetries(alg, omega):
@@ -317,9 +295,7 @@ def _polarization_symmetries(alg, omega):
 # -- llgen -------------------------------------------------------------------
 
 
-def cmd_llgen(args) -> int:
-    report = Report("llgen")
-    loaded = _load_inputs(args.input, report)
+def cmd_llgen(args, report: Report, loaded):
     algebras = [(obj, path) for kind, obj, path in loaded if kind == "algebra"]
     if not algebras:
         raise fileio.InputError("llgen needs an algebra input")
@@ -409,39 +385,51 @@ def cmd_llgen(args) -> int:
                      f"{len(ideals)} minimal ideal(s), dims "
                      f"{sorted(i.dim for i in ideals)}")
         report.timing(base, time.perf_counter() - t0)
-    report.write(args.report)
-    return 1 if report.failed else 0
 
 
 # -- gkcoh -------------------------------------------------------------------
 
 
-def _pair_and_modules(loaded):
-    pairs = [(obj, path) for kind, obj, path in loaded if kind == "pair"]
-    modules = [(obj, path) for kind, obj, path in loaded if kind == "module"]
+def _pair_and_modules(loaded, report: Report):
+    """The one pair among the inputs and its modules, with the pair's
+    validation recorded as ``pair:<name>``.  Returns (pair, split,
+    modules); split is None when the pair fails validation."""
+    pairs = [obj for kind, obj, _ in loaded if kind == "pair"]
+    modules = [obj for kind, obj, _ in loaded if kind == "module"]
     if len(pairs) != 1:
         raise fileio.InputError("exactly one pair input is required")
     if not modules:
         raise fileio.InputError("at least one module input is required")
-    pair = pairs[0][0]
-    for m, _ in modules:
+    pair = pairs[0]
+    for m in modules:
         if m.pair_name != pair.name:
             raise fileio.InputError(
                 f"module {m.name!r} names pair {m.pair_name!r}, "
                 f"but the supplied pair is {pair.name!r}")
-    return pair, [m for m, _ in modules]
-
-
-def cmd_gkcoh(args) -> int:
-    report = Report("gkcoh")
-    loaded = _load_inputs(args.input, report)
-    pair, modules = _pair_and_modules(loaded)
     rep = gkcoh.validate_pair(pair)
     report.check(f"pair:{pair.name}", rep.ok, rep.summary())
-    if not rep.ok:
-        report.write(args.report)
-        return 1
-    split = gkcoh.split_p(pair)
+    return pair, gkcoh.split_p(pair) if rep.ok else None, modules
+
+
+def _analysis(pair, split, module, report: Report):
+    """The module's analysis, or None after recording a failed
+    ``<module>:window`` check when its operators leave the window."""
+    try:
+        return gkcoh.analyze_module(pair, split, module)
+    except gkcoh.WindowError as exc:
+        report.check(f"{module.name}:window", False, str(exc))
+        return None
+
+
+def _same_dims(a: dict, b: dict) -> bool:
+    """Two {degree: dimension} maps agree, a missing degree counting 0."""
+    return all(a.get(n, 0) == b.get(n, 0) for n in a.keys() | b.keys())
+
+
+def cmd_gkcoh(args, report: Report, loaded):
+    pair, split, modules = _pair_and_modules(loaded, report)
+    if split is None:
+        return
     report.doc["summary"]["p-split-dims"] = [len(split.plus), len(split.minus)]
     for module in modules:
         t0 = time.perf_counter()
@@ -450,10 +438,8 @@ def cmd_gkcoh(args) -> int:
         report.check(f"{label}:validate", vrep.ok, vrep.summary())
         if not vrep.ok:
             continue
-        try:
-            analysis = gkcoh.analyze_module(pair, split, module)
-        except gkcoh.WindowError as exc:
-            report.check(f"{label}:window", False, str(exc))
+        analysis = _analysis(pair, split, module, report)
+        if analysis is None:
             continue
         cx = analysis.cx
         report.check(f"{label}:d-squared", gkcoh.complex_sanity(cx),
@@ -467,59 +453,39 @@ def cmd_gkcoh(args) -> int:
         sums = {}
         for (p, q), d in graded.items():
             sums[p + q] = sums.get(p + q, 0) + d
-        match = all(sums.get(n, 0) == total.get(n, 0)
-                    for n in set(sums) | set(total))
-        report.check(f"{label}:bigraded-total", match,
+        report.check(f"{label}:bigraded-total", _same_dims(sums, total),
                      "sum of h^(p,q) equals ungraded dim H^n")
         lap = gkcoh.laplacian_kernel_dims(module, cx)
-        lap_ok = all(lap.get(n, 0) == total.get(n, 0)
-                     for n in set(lap) | set(total))
-        report.check(f"{label}:harmonic", lap_ok,
+        report.check(f"{label}:harmonic", _same_dims(lap, total),
                      "dim ker Laplacian = dim H^n")
         report.doc["summary"][f"{label}:hodge"] = \
             {f"{p},{q}": d for (p, q), d in sorted(graded.items()) if d}
         report.doc["summary"][f"{label}:casimir"] = \
             {str(w): str(s) for w, s in analysis.casimir.scalars.items()}
         report.timing(label, time.perf_counter() - t0)
-    report.write(args.report)
-    return 1 if report.failed else 0
 
 
 # -- assemble ----------------------------------------------------------------
 
 
-def cmd_assemble(args) -> int:
-    report = Report("assemble")
-    loaded = _load_inputs(args.input, report)
-    pair, modules = _pair_and_modules(loaded)
+def cmd_assemble(args, report: Report, loaded):
     spectra = [obj for kind, obj, _ in loaded if kind == "spectrum"]
     if len(spectra) != 1:
         raise fileio.InputError("exactly one spectrum input is required")
-    entries = spectra[0]
-    rep = gkcoh.validate_pair(pair)
-    report.check(f"pair:{pair.name}", rep.ok, rep.summary())
-    if not rep.ok:
-        report.write(args.report)
-        return 1
-    split = gkcoh.split_p(pair)
+    pair, split, modules = _pair_and_modules(loaded, report)
+    if split is None:
+        return
     for module in modules:
         vrep = gkcoh.validate_module(pair, split, module)
         report.check(f"{module.name}:validate", vrep.ok, vrep.summary())
     # diamond verdicts computed from an invalid module would mean nothing
     if report.failed:
-        report.write(args.report)
-        return 1
-    analyses = {}
-    for module in modules:
-        try:
-            analyses[module.name] = gkcoh.analyze_module(pair, split, module)
-        except gkcoh.WindowError as exc:
-            report.check(f"{module.name}:window", False, str(exc))
+        return
+    analyses = {m.name: _analysis(pair, split, m, report) for m in modules}
     if report.failed:
-        report.write(args.report)
-        return 1
+        return
     try:
-        assembled = asm.assemble(entries, analyses)
+        assembled = asm.assemble(spectra[0], analyses)
     except KeyError as exc:
         raise fileio.InputError(f"spectrum references unknown module {exc}")
     report.doc["summary"]["hodge-table"] = \
@@ -534,8 +500,6 @@ def cmd_assemble(args) -> int:
     report.check("diamond:hard-lefschetz", checks.lefschetz_injective, "")
     if checks.failures:
         report.doc["summary"]["diamond-failures"] = checks.failures
-    report.write(args.report)
-    return 1 if report.failed else 0
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -559,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--n", type=int, default=3, help="factors for s1s2")
     cat.add_argument("--window", type=int, default=6,
                      help="weight window for module files")
-    cat.set_defaults(func=cmd_catalog)
 
     def common(p):
         p.add_argument("--input", action="append", required=True,
@@ -600,9 +563,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Every subcommand but ``catalog`` loads its
+    inputs into a report, runs its battery on them and writes the report;
+    an exception leaves without writing it."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "catalog":
+            return cmd_catalog(args)
+        report = Report(args.command)
+        loaded = []
+        for path in args.input:
+            kind, obj = fileio.load_document(path)
+            report.add_input(path)
+            loaded.append((kind, obj, path))
+        args.func(args, report, loaded)
+        report.write(args.report)
+        return 1 if report.failed else 0
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

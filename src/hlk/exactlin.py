@@ -348,24 +348,15 @@ class DenseMatrix:
         return DenseMatrix(self.rows, other.cols, entry_product(
             self.entries, other.entries, self.rows, self.cols, other.cols))
 
-    __matmul__ = mul
-
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         self._same_shape(other)
         return DenseMatrix(self.rows, self.cols,
                            [x + y for x, y in zip(self.entries, other.entries)])
 
-    __add__ = add
-
     def sub(self, other: "DenseMatrix") -> "DenseMatrix":
         self._same_shape(other)
         return DenseMatrix(self.rows, self.cols,
                            [x - y for x, y in zip(self.entries, other.entries)])
-
-    __sub__ = sub
-
-    def __neg__(self):
-        return DenseMatrix(self.rows, self.cols, [-x for x in self.entries])
 
     def scale(self, c) -> "DenseMatrix":
         c = Scalar.of(c)

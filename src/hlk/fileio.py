@@ -283,6 +283,9 @@ def pair_from_doc(doc) -> ReductivePair:
     b = DenseMatrix.from_rows(
         [[_real_parse(x) for x in _typed(row, list, "pair B row")]
          for row in _get(doc, "B", "pair", list)])
+    if (b.rows, b.cols) != (dim, dim):
+        raise InputError(f"pair B is {b.rows} x {b.cols} for {dim} basis "
+                         "elements")
     z0 = tuple(_real_parse(x) for x in _get(doc, "z0", "pair", list))
     if len(z0) != dim:
         raise InputError(f"pair z0 has {len(z0)} entries for {dim} basis "

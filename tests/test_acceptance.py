@@ -239,7 +239,7 @@ def test_criterion_9_assembly():
                catalog.sl2_discrete_series_module(1),
                catalog.sl2_discrete_series_module(-1)]
     analyses = {m.name: gkcoh.analyze_module(pair, split, m) for m in modules}
-    entries = [asm.SpectrumEntry(**e) for e in catalog.genus2_spectrum()]
+    entries = catalog.genus2_spectrum()
     out = asm.assemble(entries, analyses)
     assert out.betti_numbers() == [1, 4, 1]
     assert out.h(1, 0) == out.h(0, 1) == 2

@@ -11,7 +11,7 @@ def analyses(sl2, sl2_split, sl2_modules):
 
 
 def genus2_entries():
-    return [asm.SpectrumEntry(**e) for e in catalog.genus2_spectrum()]
+    return catalog.genus2_spectrum()
 
 
 def test_empty_spectrum(analyses):

@@ -36,9 +36,19 @@ def test_catalog_unknown_name(tmp_path):
     assert run(["catalog", "not-a-model", "--out-dir", str(tmp_path)]) == 2
 
 
-def test_catalog_invalid_params(tmp_path):
-    assert run(["catalog", "g2-family", "--k", "0",
-                "--out-dir", str(tmp_path)]) == 2
+@pytest.mark.parametrize("argv", [
+    pytest.param(["g2-family", "--k", "0"], id="g2-k0"),
+    # windows that miss one of the module's weights wrote a module that
+    # validate fails (exit 0, then exit 1)
+    pytest.param(["sl2-adjoint", "--window", "1"], id="adjoint-window1"),
+    pytest.param(["sl2-adjoint", "--window", "0"], id="adjoint-window0"),
+    pytest.param(["sl2-adjoint", "--window", "-1"], id="adjoint-window-1"),
+    pytest.param(["sl2-trivial", "--window", "-1"], id="trivial-window-1"),
+])
+def test_catalog_invalid_params(tmp_path, capsys, argv):
+    assert run(["catalog", *argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not list(tmp_path.iterdir())
 
 
 # sha256 of the catalog documents whose algebras are built from wedge
@@ -223,6 +233,11 @@ MALFORMED_GK = {
     "z0-short": ("sl2R.pair.json", lambda doc: doc["z0"].pop()),
     "z0-long": ("sl2R.pair.json",
                 lambda doc: doc["z0"].append({"num": 0, "den": 1})),
+    # a B of the wrong shape loaded, and failed the b-shape check (exit 1)
+    "pair-b-2x2": ("sl2R.pair.json", lambda doc: doc.update(
+        B=[row[:2] for row in doc["B"][:2]])),
+    "pair-b-extra-row": ("sl2R.pair.json",
+                         lambda doc: doc["B"].append(doc["B"][0])),
 }
 
 
@@ -567,6 +582,40 @@ def test_module_of_another_pair_is_input_error(catalog_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
     assert "'no-such-pair'" in err and "'sl2R'" in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    pytest.param("assemble", (), id="assemble-no-spectrum"),
+    pytest.param("assemble", ("genus2.spectrum.json",) * 2,
+                 id="assemble-two-spectra"),
+    pytest.param("gkcoh", ("sl2R.pair.json",), id="gkcoh-two-pairs"),
+])
+def test_intake_error_writes_no_report(catalog_dir, tmp_path, capsys,
+                                       command, extra):
+    files = ("sl2R.pair.json", "sl2-trivial.module.json") + extra
+    report = tmp_path / "report.json"
+    assert run([command, *sum((["--input", str(catalog_dir / f)]
+                               for f in files), []),
+                "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: exactly one ")
+    assert not report.exists()
+
+
+def test_gkcoh_stops_on_failed_pair(catalog_dir, tmp_path):
+    doc = json.loads((catalog_dir / "sl2R.pair.json").read_text())
+    doc["z0"] = [{"num": int(name == "W"), "den": 1} for name in doc["basis"]]
+    pair = tmp_path / "sl2R.pair.json"
+    pair.write_text(fileio.canonical_dumps(doc))
+    report = tmp_path / "gk.json"
+    assert run(["gkcoh", "--input", str(pair),
+                "--input", str(catalog_dir / "sl2-trivial.module.json"),
+                "--report", str(report)]) == 1
+    doc = json.loads(report.read_text())
+    assert [(c["name"], c["status"]) for c in doc["checks"]] == \
+        [("pair:sl2R", "fail")]
+    assert doc["checks"][0]["detail"].startswith("z0-square")
+    assert doc["summary"] == {}
 
 
 def test_parser_is_built_once(catalog_dir, monkeypatch):
