@@ -20,6 +20,7 @@ from .exactlin import (
     ZERO,
     ONE,
     SpanBuilder,
+    muladd,
     rank,
     solve,
     vec_add,
@@ -223,7 +224,7 @@ def _sparse_sum(terms) -> dict:
     out = {}
     for c, vec in terms:
         for k, x in vec.items():
-            out[k] = out.get(k, ZERO) + c * x
+            out[k] = muladd(out.get(k, ZERO), c, x)
     return {k: x for k, x in out.items() if x}
 
 
@@ -301,22 +302,28 @@ def validate_algebra(a: BigradedAlgebra) -> ValidationReport:
                         f"{a.names[i]} cup {a.names[j]} != "
                         f"(-1)^(rs) {a.names[j]} cup {a.names[i]}")
 
-    # associativity: sum_t P[i,j]_t P[t,k] = sum_t P[j,k]_t P[i,t]
+    # associativity: sum_t P[i,j]_t P[t,k] = sum_t P[j,k]_t P[i,t], over
+    # the nonzero products only; for each i the two sides are collected
+    # as terms by (j, k) and compared in (j, k) order
+    by_result = {}     # t -> [((j, k), P[j,k]_t)]
+    for jk, entry in table.items():
+        for t, c in entry.items():
+            by_result.setdefault(t, []).append((jk, c))
     for i in range(n):
-        for j in range(n):
-            ij = table.get((i, j), {})
-            for k in range(n):
-                jk = table.get((j, k), {})
-                if not (ij or jk):
-                    continue
-                left = _sparse_sum((c, table.get((t, k), {}))
-                                   for t, c in ij.items())
-                right = _sparse_sum((c, table.get((i, t), {}))
-                                    for t, c in jk.items())
-                if left != right:
-                    rep.add("associativity",
-                            f"({a.names[i]} {a.names[j]}) {a.names[k]} != "
-                            f"{a.names[i]} ({a.names[j]} {a.names[k]})")
+        left, right = {}, {}
+        for j, ij in a._by_left.get(i, ()):
+            for t, c in ij.items():
+                for k, tk in a._by_left.get(t, ()):
+                    left.setdefault((j, k), []).append((c, tk))
+        for t, it in a._by_left.get(i, ()):
+            for jk, c in by_result.get(t, ()):
+                right.setdefault(jk, []).append((c, it))
+        for j, k in sorted(left.keys() | right.keys()):
+            if _sparse_sum(left.get((j, k), ())) != \
+                    _sparse_sum(right.get((j, k), ())):
+                rep.add("associativity",
+                        f"({a.names[i]} {a.names[j]}) {a.names[k]} != "
+                        f"{a.names[i]} ({a.names[j]} {a.names[k]})")
 
     # conjugation: antilinear involution, algebra map, swaps (p,q) <-> (q,p)
     cc = a.conj_matrix.mul(a.conj_matrix.conj())

@@ -472,6 +472,14 @@ def cmd_assemble(args, report: Report, loaded):
     spectra = [obj for kind, obj, _ in loaded if kind == "spectrum"]
     if len(spectra) != 1:
         raise fileio.InputError("exactly one spectrum input is required")
+    # a bad spectrum is an input error before any check is recorded
+    names = {obj.name for kind, obj, _ in loaded if kind == "module"}
+    for entry in spectra[0]:
+        if entry.multiplicity < 0 or entry.k2_inv_dim < 0:
+            raise fileio.InputError("multiplicities must be nonnegative")
+        if entry.weight() and entry.module not in names:
+            raise fileio.InputError(
+                f"spectrum references unknown module {entry.module!r}")
     pair, split, modules = _pair_and_modules(loaded, report)
     if split is None:
         return
@@ -484,10 +492,7 @@ def cmd_assemble(args, report: Report, loaded):
     analyses = {m.name: _analysis(pair, split, m, report) for m in modules}
     if report.failed:
         return
-    try:
-        assembled = asm.assemble(spectra[0], analyses)
-    except KeyError as exc:
-        raise fileio.InputError(f"spectrum references unknown module {exc}")
+    assembled = asm.assemble(spectra[0], analyses)
     report.doc["summary"]["hodge-table"] = \
         {f"{p},{q}": d for (p, q), d in sorted(assembled.table.items())}
     report.doc["summary"]["betti"] = assembled.betti_numbers()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,6 +22,7 @@ __all__ = [
     "i_power",
     "DenseMatrix",
     "entry_product",
+    "muladd",
     "Subspace",
     "SpanBuilder",
     "rref",
@@ -58,6 +60,26 @@ def _red(a: int, b: int, d: int) -> "Scalar":
     """The Scalar (a + b*i)/d for any ints with d > 0."""
     g = gcd(a, b, d)
     return _mk(a, b, d) if g == 1 else _mk(a // g, b // g, d // g)
+
+
+def muladd(s: "Scalar", f: "Scalar", x: "Scalar") -> "Scalar":
+    """s + f*x as one int computation on the slots with one reduction.
+
+    The loops that subtract multiples of a row pass -f, formed once.
+    """
+    c, e, q = f._a, f._b, f._d
+    h, k, m = x._a, x._b, x._d
+    if e or k:
+        re, im = c * h - e * k, c * k + e * h
+    else:
+        re, im = c * h, 0
+    q *= m
+    a, b, d = s._a, s._b, s._d
+    if d == q:
+        if d == 1:
+            return _mk(a + re, b + im, 1)
+        return _red(a + re, b + im, d)
+    return _red(a * q + re * d, b * q + im * d, d * q)
 
 
 def _part_str(n: int, d: int) -> str:
@@ -257,7 +279,10 @@ def vec_conj(a):
 
 
 def vec_is_zero(a) -> bool:
-    return not any(a)
+    for x in a:
+        if x._a or x._b:
+            return False
+    return True
 
 
 class DenseMatrix:
@@ -334,12 +359,12 @@ class DenseMatrix:
         e = self.entries
         c = self.cols
         for j, x in enumerate(vec):
-            if x.is_zero():
+            if not (x._a or x._b):
                 continue
             for i in range(self.rows):
                 a = e[i * c + j]
-                if not a.is_zero():
-                    out[i] = out[i] + a * x
+                if a._a or a._b:
+                    out[i] = muladd(out[i], a, x)
         return tuple(out)
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
@@ -412,13 +437,13 @@ def entry_product(a, b, n: int, m: int, p: int) -> list:
         orow = i * p
         for k in range(m):
             aik = a[i * m + k]
-            if aik.is_zero():
+            if not (aik._a or aik._b):
                 continue
             brow = k * p
             for j in range(p):
                 bkj = b[brow + j]
-                if not bkj.is_zero():
-                    out[orow + j] = out[orow + j] + aik * bkj
+                if bkj._a or bkj._b:
+                    out[orow + j] = muladd(out[orow + j], aik, bkj)
     return out
 
 
@@ -436,7 +461,7 @@ def rref(row_vectors):
         span.add(row)
         if span.dim == span.ambient:
             break
-    return list(span.basis), [p for p, _ in span._rows]
+    return list(span.basis), [p for p, _, _ in span._rows]
 
 
 def rank(m: DenseMatrix) -> int:
@@ -444,22 +469,39 @@ def rank(m: DenseMatrix) -> int:
     return len(rref(m.row_lists())[0])
 
 
+def _support(vector) -> list:
+    """The ascending columns where ``vector`` is nonzero."""
+    return [j for j, x in enumerate(vector) if x._a or x._b]
+
+
+def _echelon(rows) -> list:
+    """(pivot column, row, support) of each reduced echelon row."""
+    out = []
+    for row in rows:
+        support = _support(row)
+        if not support:
+            raise ValueError("zero row has no leading index")
+        out.append((support[0], row, support))
+    return out
+
+
 def _reduce(vector, echelon):
     """Reduce ``vector`` against reduced echelon rows.
 
-    ``echelon`` yields (pivot column, row) pairs with ascending pivots.
+    ``echelon`` yields (pivot column, row, support) triples with
+    ascending pivots, the support being the row's nonzero columns.
     Returns the residual as a list and the coefficient of each row.
     """
     v = list(vector)
     coeffs = []
-    for p, row in echelon:
+    for p, row, support in echelon:
         f = v[p]
         coeffs.append(f)
-        if f:
-            for j in range(p, len(row)):
-                x = row[j]
-                if x:
-                    v[j] = v[j] - f * x
+        if f._a or f._b:
+            v[p] = ZERO     # row[p] is ONE, so the pivot cancels exactly
+            f = -f
+            for j in support[1:]:
+                v[j] = muladd(v[j], f, row[j])
     return v, coeffs
 
 
@@ -479,9 +521,12 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _rows(self) -> list:
+        return _echelon(self.basis)
+
     def contains(self, vector) -> bool:
-        v, _ = _reduce(vector, ((_leading_index(row), row)
-                                for row in self.basis))
+        v, _ = _reduce(vector, self._rows)
         return vec_is_zero(v)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
@@ -490,19 +535,14 @@ class Subspace:
         return Subspace.from_vectors(self.ambient, list(self.basis) + list(other.basis))
 
 
-def _leading_index(row) -> int:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    raise ValueError("zero row has no leading index")
-
-
 class SpanBuilder:
     """Incrementally maintained reduced-echelon span of vectors."""
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self._rows = []   # list of (pivot_col, row-list), sorted by pivot
+        # (pivot_col, row-list, support), sorted by pivot; the support
+        # lists the row's nonzero columns in ascending order
+        self._rows = []
 
     @property
     def dim(self) -> int:
@@ -515,24 +555,25 @@ class SpanBuilder:
     def add(self, vector) -> bool:
         """Insert a vector; returns True when the span grew."""
         v, _ = _reduce(vector, self._rows)
-        pivot = None
-        for j, x in enumerate(v):
-            if x:
-                pivot = j
-                break
-        if pivot is None:
+        support = _support(v)
+        if not support:
             return False
-        support = [j for j in range(pivot, self.ambient) if v[j]]
-        if v[pivot] != ONE:
-            inv = ONE / v[pivot]
+        pivot = support[0]
+        x = v[pivot]
+        if x._b or x._a != x._d:     # x != 1
+            inv = ONE / x
             for j in support:
                 v[j] = inv * v[j]
-        for p, row in self._rows:
+        for p, row, rsup in self._rows:
             f = row[pivot]
-            if f:
+            if f._a or f._b:
+                f = -f
                 for j in support:
-                    row[j] = row[j] - f * v[j]
-        insort(self._rows, (pivot, v))   # pivots are distinct
+                    row[j] = muladd(row[j], f, v[j])
+                cols = set(rsup)
+                cols.update(support)
+                rsup[:] = [j for j in sorted(cols) if row[j]._a or row[j]._b]
+        insort(self._rows, (pivot, v, support))   # pivots are distinct
         return True
 
     def coordinates(self, vector):
@@ -544,7 +585,7 @@ class SpanBuilder:
 
     @property
     def basis(self) -> tuple:
-        return tuple(tuple(row) for _, row in self._rows)
+        return tuple(tuple(row) for _, row, _ in self._rows)
 
 
 def solve(a: DenseMatrix, b):
@@ -617,8 +658,8 @@ def quotient_cohomology(d_in: DenseMatrix, d_out: DenseMatrix) -> Subspace:
         raise ValueError("middle dimensions of the complex do not match")
     if d_in.cols and d_out.rows and not d_out.mul(d_in).is_zero_matrix():
         raise ValueError("composition d_out . d_in is nonzero")
-    image_rows, image_pivots = rref([d_in.column(j) for j in range(d_in.cols)])
-    image = list(zip(image_pivots, image_rows))
+    image_rows, _ = rref([d_in.column(j) for j in range(d_in.cols)])
+    image = _echelon(image_rows)
     reduced = []
     for v in kernel(d_out).basis:
         w, _ = _reduce(v, image)
@@ -662,10 +703,11 @@ def _inertia(g: DenseMatrix):
         # the trailing block becomes the Hermitian Schur complement
         for r in range(k + 1, n):
             f = m[r][k] / pivot
-            if f:
+            if f._a or f._b:
+                f = -f
                 rr, rk = m[r], m[k]
                 for j in range(k + 1, n):
-                    rr[j] = rr[j] - f * rk[j]
+                    rr[j] = muladd(rr[j], f, rk[j])
     return plus, minus, zero
 
 

@@ -1,7 +1,7 @@
 import functools
 import random
 
-from hlk import catalog, llgen
+from hlk import algebra, catalog, llgen
 from hlk.algebra import BigradedAlgebra, ValidationReport, validate_algebra
 from hlk.exactlin import (
     DenseMatrix,
@@ -312,3 +312,17 @@ def test_validate_matches_dense_reference():
                      "conjugation-involution", "conjugation-swap",
                      "conjugation-multiplicative", "unit",
                      "pairing-degenerate"}, sorted(codes)
+
+
+def test_validate_visits_only_nonzero_products(monkeypatch):
+    # associativity over all n^3 triples made 4478 sparse sums on the
+    # abelian surface and 6494 on k3-mock
+    calls = []
+    sparse_sum = algebra._sparse_sum
+    monkeypatch.setattr(algebra, "_sparse_sum",
+                        lambda terms: calls.append(1) or sparse_sum(terms))
+    for build, limit in ((catalog.abelian_surface_algebra, 1500),
+                         (catalog.k3_algebra, 2000)):
+        calls.clear()
+        assert validate_algebra(build()).ok
+        assert len(calls) <= limit

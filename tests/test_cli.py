@@ -584,21 +584,41 @@ def test_module_of_another_pair_is_input_error(catalog_dir, tmp_path, capsys,
     assert "'no-such-pair'" in err and "'sl2R'" in err
 
 
-@pytest.mark.parametrize("command, extra", [
-    pytest.param("assemble", (), id="assemble-no-spectrum"),
-    pytest.param("assemble", ("genus2.spectrum.json",) * 2,
-                 id="assemble-two-spectra"),
-    pytest.param("gkcoh", ("sl2R.pair.json",), id="gkcoh-two-pairs"),
+SPECTRUM_MODULES = ("sl2-ds-plus.module.json", "sl2-ds-minus.module.json")
+
+
+@pytest.mark.parametrize("command, extra, entry, message", [
+    pytest.param("assemble", (), None, "exactly one ",
+                 id="assemble-no-spectrum"),
+    pytest.param("assemble", ("genus2.spectrum.json",) * 2, None,
+                 "exactly one ", id="assemble-two-spectra"),
+    pytest.param("gkcoh", ("sl2R.pair.json",), None, "exactly one ",
+                 id="gkcoh-two-pairs"),
+    # both spectrum errors used to come after the pair and module checks
+    # had been printed
+    pytest.param("assemble", SPECTRUM_MODULES, (1, "multiplicity", -1),
+                 "multiplicities must be nonnegative",
+                 id="assemble-negative-multiplicity"),
+    pytest.param("assemble", SPECTRUM_MODULES, (2, "module", "nosuch"),
+                 "spectrum references unknown module 'nosuch'",
+                 id="assemble-unknown-module"),
 ])
 def test_intake_error_writes_no_report(catalog_dir, tmp_path, capsys,
-                                       command, extra):
-    files = ("sl2R.pair.json", "sl2-trivial.module.json") + extra
+                                       command, extra, entry, message):
+    files = [str(catalog_dir / f) for f in
+             ("sl2R.pair.json", "sl2-trivial.module.json") + extra]
+    if entry is not None:
+        # the catalog spectrum with one field of one entry replaced
+        doc = json.loads((catalog_dir / "genus2.spectrum.json").read_text())
+        k, key, value = entry
+        doc[k][key] = value
+        files.append(str(tmp_path / "bad.spectrum.json"))
+        (tmp_path / "bad.spectrum.json").write_text(json.dumps(doc))
     report = tmp_path / "report.json"
-    assert run([command, *sum((["--input", str(catalog_dir / f)]
-                               for f in files), []),
+    assert run([command, *sum((["--input", f] for f in files), []),
                 "--report", str(report)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("input error: exactly one ")
+    assert out == "" and err.startswith(f"input error: {message}")
     assert not report.exists()
 
 

@@ -9,6 +9,7 @@ from hlk.exactlin import (
     DenseMatrix,
     _inertia,
     Scalar,
+    ZERO,
     entry_product,
     SpanBuilder,
     Subspace,
@@ -16,11 +17,13 @@ from hlk.exactlin import (
     inverse,
     kernel,
     kernel_image,
+    muladd,
     quotient_cohomology,
     rank,
     rref,
     solve,
     symmetric_signature,
+    vec_is_zero,
 )
 
 def determinant(a):
@@ -644,3 +647,66 @@ def test_entry_product_matches_triple_sum(case):
     assert entry_product(a, b, n, m, p) == want
     assert DenseMatrix(n, m, a).mul(DenseMatrix(m, p, b)) == \
         DenseMatrix(n, p, want)
+
+
+# -- the fused multiply-accumulate, echelon supports and zero tests --------
+
+
+def slots(x):
+    return x._a, x._b, x._d
+
+
+@given(parts, parts, parts)
+# content that must be divided out: 1/6 + 1/2 * 1/3 = 2/6 = 1/3
+@example((Fraction(1, 6), F0), (Fraction(1, 2), F0), (Fraction(1, 3), F0))
+@example((F0, Fraction(1, 2)), (F0, Fraction(1)), (Fraction(3, 2), F0))
+# s = f*x, real and non-real: s - f*x is zero
+@example((Fraction(2), F0), (Fraction(1), F0), (Fraction(2), F0))
+@example((Fraction(-1, 3), Fraction(1, 3)), (F0, Fraction(1)),
+         (Fraction(1, 3), Fraction(1, 3)))
+@example((F0, F0), (F0, F0), (Fraction(1, 2), F0))
+@settings(max_examples=250, deadline=None)
+def test_fused_multiply_accumulate_matches_operators(sp, fp, xp):
+    # s - f*x is computed as muladd(s, -f, x)
+    s, f, x = Scalar(*sp), Scalar(*fp), Scalar(*xp)
+    assert slots(muladd(s, f, x)) == slots(s + f * x)
+    assert slots(muladd(s, -f, x)) == slots(s - f * x)
+    assert slots(muladd(s, f, x)) == \
+        slots(Scalar(*ref_add(sp, ref_mul(fp, xp))))
+    assert slots(muladd(s, -f, x)) == \
+        slots(Scalar(*ref_sub(sp, ref_mul(fp, xp))))
+    assert slots(muladd(f * x, -f, x)) == slots(ZERO)
+    assert slots(muladd(-(f * x), f, x)) == slots(ZERO)
+
+
+@given(sparse_matrices())
+@settings(max_examples=100, deadline=None)
+def test_span_builder_supports_match_rows(m):
+    ref_rows, ref_pivots = ref_rref(to_parts(m.row_lists()))
+    sb = SpanBuilder(m.cols)
+    for vector in m.row_lists():
+        sb.add(vector)
+        # every stored support is its row's nonzero columns, pivot first
+        for p, row, support in sb._rows:
+            assert support == [j for j, x in enumerate(row) if x]
+            assert p == support[0] and row[p] == Scalar(1)
+    assert to_parts(sb.basis) == ref_rows
+    assert [p for p, _, _ in sb._rows] == ref_pivots
+    for vector in m.row_lists():
+        # in a reduced echelon basis, coordinates are the pivot entries
+        want = tuple(vector[p] for p in ref_pivots)
+        assert sb.coordinates(vector) == want
+        assert sb.contains(vector)
+        assert Subspace(m.cols, sb.basis).contains(vector)
+
+
+def test_vec_is_zero():
+    assert vec_is_zero(())
+    assert vec_is_zero((ZERO,) * 5)
+    assert vec_is_zero((Scalar(0), Scalar(Fraction(0, 3), 0), ZERO - ZERO))
+    for n in (1, 4):
+        for k in range(n):
+            for x in (Scalar(1), Scalar(0, -1), Scalar(Fraction(1, 3))):
+                v = [ZERO] * n
+                v[k] = x
+                assert not vec_is_zero(v)
