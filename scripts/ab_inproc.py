@@ -13,15 +13,18 @@ Each checkout's ``src/hlk`` is copied into a temporary directory under
 its own package name (``hlk_parent``, ``hlk_change``); every import
 inside ``hlk`` is relative, so the copies load side by side.  The
 workload's inputs are built once with PARENT_DIR's
-``perfbench.workloads.prepare``.  Every repetition then runs one pass
-of each side, the parent first on even repetitions and the change first
-on odd ones.
+``perfbench.workloads.prepare``.  Every repetition then runs each
+invocation on both sides back to back, the side that goes first
+alternating from one invocation to the next and from one repetition to
+the next, so a change of machine speed during a run falls on both sides
+alike.  A side's pass time is the sum of its invocations in one
+repetition.
 
 Prints the median seconds of each invocation and of a whole pass on
-each side, the change in percent and the repetitions the change wins,
-then one JSON line with the same numbers.  Exits 1 when the two sides'
-reports differ outside ``timings`` or their exit statuses differ, 0
-otherwise.
+each side, the change in percent, the median of the paired
+change/parent ratios and the repetitions the change wins, then one JSON
+line with the same numbers.  Exits 1 when the two sides' reports differ
+outside ``timings`` or their exit statuses differ, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -50,20 +53,14 @@ def load_main(checkout: Path, side: str, tmp: str):
     return importlib.import_module(f"hlk_{side}.cli").main
 
 
-def run_pass(main, invs, reports: str):
-    """Every invocation once; returns their seconds and exit statuses."""
-    seconds, codes = [], []
-    gc.collect()
-    for k, inv in enumerate(invs):
-        sink = io.StringIO()
-        argv = inv.argv + ["--report", os.path.join(reports, f"{k:02d}.json")]
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(sink), \
-                contextlib.redirect_stderr(sink):
-            code = main(argv)
-        seconds.append(time.perf_counter() - t0)
-        codes.append(code)
-    return seconds, codes
+def run_one(main, inv, report: str):
+    """One invocation; returns its seconds and exit status."""
+    sink = io.StringIO()
+    argv = inv.argv + ["--report", report]
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(argv)
+    return time.perf_counter() - t0, code
 
 
 def read_report(path: str) -> dict:
@@ -78,23 +75,30 @@ def summary(parent, change) -> dict:
     pm, cm = statistics.median(parent), statistics.median(change)
     return {"parent": pm, "change": cm,
             "change_pct": 100 * (cm - pm) / pm if pm else 0.0,
+            "ratio": statistics.median(c / p for p, c in zip(parent, change)),
             "wins": sum(c < p for p, c in zip(parent, change))}
 
 
 def compare(invs, main, work: str, reps: int):
-    """Run ``reps`` alternating repetitions; returns the per-invocation
-    timings of each side and the labels whose reports or statuses
-    differ."""
+    """Run ``reps`` repetitions, alternating sides per invocation;
+    returns the per-invocation timings of each side and the labels whose
+    reports or statuses differ."""
     dirs = {side: os.path.join(work, f"reports-{side}") for side in SIDES}
     times = {side: [] for side in SIDES}       # per repetition, per inv
     codes = {side: [] for side in SIDES}
     for d in dirs.values():
         os.makedirs(d)
     for rep in range(reps):
-        for side in (SIDES if rep % 2 == 0 else SIDES[::-1]):
-            seconds, status = run_pass(main[side], invs, dirs[side])
-            times[side].append(seconds)
-            codes[side].append(status)
+        for side in SIDES:
+            times[side].append([])
+            codes[side].append([])
+        gc.collect()
+        for k, inv in enumerate(invs):
+            for side in (SIDES if (rep + k) % 2 == 0 else SIDES[::-1]):
+                seconds, status = run_one(
+                    main[side], inv, os.path.join(dirs[side], f"{k:02d}.json"))
+                times[side][-1].append(seconds)
+                codes[side][-1].append(status)
     differ = [inv.label for k, inv in enumerate(invs)
               if [c[k] for c in codes["parent"]] !=
               [c[k] for c in codes["change"]]
@@ -134,8 +138,10 @@ def main(argv=None) -> int:
     out = {"workload": args.workload, "seed": args.seed, "reps": args.reps,
            "invocations": {}, "pass": None, "differ": differ}
     print(f"workload {args.workload}, seed {args.seed}, {args.reps} "
-          f"alternating repetitions, median seconds")
-    print(f"  {'':24s} {'parent':>9s} {'change':>9s} {'change':>8s} wins")
+          f"repetitions alternating per invocation, median seconds and "
+          f"median paired change/parent ratio")
+    print(f"  {'':24s} {'parent':>9s} {'change':>9s} {'change':>8s} "
+          f"{'ratio':>6s} wins")
     rows = [(inv.label, [t[k] for t in times["parent"]],
              [t[k] for t in times["change"]]) for k, inv in enumerate(invs)]
     rows.append(("pass", [sum(t) for t in times["parent"]],
@@ -147,7 +153,8 @@ def main(argv=None) -> int:
         else:
             out["invocations"][label] = s
         print(f"  {label:24s} {s['parent']:9.4f} {s['change']:9.4f} "
-              f"{s['change_pct']:+7.1f}% {s['wins']}/{args.reps}")
+              f"{s['change_pct']:+7.1f}% {s['ratio']:6.3f} "
+              f"{s['wins']}/{args.reps}")
     print(f"{len(invs)} reports, {len(differ)} differ"
           + "".join(f"\n  {label}: differs outside timings"
                     for label in differ))

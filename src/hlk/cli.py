@@ -164,6 +164,7 @@ def cmd_catalog(args) -> int:
 def cmd_validate(args, report: Report, loaded):
     # pairs first, so that a module meets only a valid pair, split once
     pairs, pair_reps = {}, {}
+    modules = {obj.name for kind, obj, _ in loaded if kind == "module"}
     for kind, obj, _ in loaded:
         if kind == "pair":
             pair_reps[id(obj)] = rep = gkcoh.validate_pair(obj)
@@ -187,9 +188,25 @@ def cmd_validate(args, report: Report, loaded):
                 rep = gkcoh.validate_module(pair, split, obj)
                 report.check(label, rep.ok, rep.summary())
         else:
-            ok = all(e.multiplicity >= 0 and e.k2_inv_dim >= 0 for e in obj)
-            report.check(label, ok, f"{len(obj)} entries")
+            faults = _spectrum_faults(obj, modules)
+            report.check(label, not faults,
+                         "; ".join(faults) or f"{len(obj)} entries")
         report.timing(label, time.perf_counter() - t0)
+
+
+def _spectrum_faults(spectrum, modules) -> list:
+    """What is wrong with each spectrum entry, one text per offending
+    field.  A module name counts only when some module was supplied."""
+    faults = []
+    for t, e in enumerate(spectrum):
+        for fld, value in (("multiplicity", e.multiplicity),
+                           ("k2_inv_dim", e.k2_inv_dim)):
+            if value < 0:
+                faults.append(f"entry {t} {fld} {value} < 0")
+        if modules and e.module not in modules:
+            faults.append(f"entry {t} module {e.module!r} not among the "
+                          f"supplied modules")
+    return faults
 
 
 # -- lefschetz ---------------------------------------------------------------

@@ -265,7 +265,7 @@ def vec_sub(a, b):
 
 
 def vec_neg(a):
-    return tuple(-x for x in a)
+    return tuple(_mk(-x._a, -x._b, x._d) if x._a or x._b else x for x in a)
 
 
 def vec_scale(c: Scalar, a):
@@ -385,7 +385,9 @@ class DenseMatrix:
 
     def scale(self, c) -> "DenseMatrix":
         c = Scalar.of(c)
-        return DenseMatrix(self.rows, self.cols, [c * x for x in self.entries])
+        return DenseMatrix(self.rows, self.cols,
+                           [c * x if x._a or x._b else ZERO
+                            for x in self.entries])
 
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(self.cols, self.rows,
@@ -400,7 +402,23 @@ class DenseMatrix:
         return self.transpose().conj()
 
     def commutator(self, other: "DenseMatrix") -> "DenseMatrix":
-        return self.mul(other).sub(other.mul(self))
+        """AB - BA, both products accumulated into one entry list."""
+        n = self.rows
+        if self.cols != n or other.rows != n or other.cols != n:
+            raise ValueError("commutator needs square matrices of one size")
+        a = _row_nonzeros(self.entries, n)
+        b = _row_nonzeros(other.entries, n)
+        out = [ZERO] * (n * n)
+        for i in range(n):
+            o = i * n
+            for k, x in a[i]:
+                for j, y in b[k]:
+                    out[o + j] = muladd(out[o + j], x, y)
+            for k, y in b[i]:
+                y = -y
+                for j, x in a[k]:
+                    out[o + j] = muladd(out[o + j], y, x)
+        return DenseMatrix(n, n, out)
 
     def is_zero_matrix(self) -> bool:
         return all(x.is_zero() for x in self.entries)
@@ -426,6 +444,12 @@ class DenseMatrix:
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def _row_nonzeros(entries, n: int) -> list:
+    """Per row of an n x n entry list, the (column, entry) of its nonzeros."""
+    return [[(j, x) for j, x in enumerate(entries[i * n:(i + 1) * n])
+             if x._a or x._b] for i in range(n)]
 
 
 def entry_product(a, b, n: int, m: int, p: int) -> list:

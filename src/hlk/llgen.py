@@ -8,7 +8,7 @@ product-foliation phenomenon (N commuting sl2 blocks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .algebra import BigradedAlgebra
@@ -20,8 +20,10 @@ from .exactlin import (
     ZERO,
     ONE,
     entry_product,
+    muladd,
     rank,
     unit_vector,
+    vec_is_zero,
     vec_neg,
     zero_vector,
 )
@@ -51,12 +53,17 @@ class OperatorLieAlgebra:
     ``basis`` is the reduced row echelon basis of the span (flattened
     matrices as rows), so the coordinates of a member are its entries at
     the pivot columns.  The echelon span, the structure constants and
-    the adjoint matrices are computed once, on first use.
+    the adjoint matrices are computed once, on first use, unless the
+    constructor is handed the span (``echelon``) and the table
+    (``table``), as ``lie_closure`` does.
     """
 
     ambient: int
     basis: tuple            # DenseMatrix members, canonical order
     closed: bool
+    echelon: SpanBuilder | None = field(default=None, compare=False,
+                                        repr=False)
+    table: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -71,7 +78,7 @@ class OperatorLieAlgebra:
 
     @cached_property
     def _echelon(self) -> SpanBuilder:
-        return self.span()
+        return self.span() if self.echelon is None else self.echelon
 
     def contains(self, mat: DenseMatrix) -> bool:
         return self._echelon.contains(mat.entries)
@@ -82,35 +89,58 @@ class OperatorLieAlgebra:
 
     @cached_property
     def _table(self) -> dict:
-        # [b_j, b_i] = -[b_i, b_j]: one commutator per unordered pair
-        dim = self.dim
-        table = {}
-        for i in range(dim):
-            table[(i, i)] = zero_vector(dim)
-            for j in range(i + 1, dim):
-                coords = self.coordinates(self.basis[i].commutator(self.basis[j]))
-                if coords is None:
-                    raise ValueError("algebra is not bracket closed")
-                table[(i, j)] = coords
-                table[(j, i)] = vec_neg(coords)
+        if self.table is not None:
+            return self.table
+        table, outside = _bracket_pairs(self.basis, self._echelon)
+        if outside:
+            raise ValueError("algebra is not bracket closed")
         return table
 
     @cached_property
     def _ad(self) -> tuple:
-        """ad(b_i) as dim x dim matrices acting on coordinate columns."""
+        """ad(b_i) by sparse columns: ``_ad[i][j]`` lists the (k, c(i, j)_k)
+        with c(i, j)_k nonzero, where [b_i, b_j] = sum_k c(i, j)_k b_k."""
         table = structure_constants(self)
         return tuple(
-            DenseMatrix.from_columns([table[(i, j)] for j in range(self.dim)],
-                                     rows=self.dim)
+            tuple([(k, c) for k, c in enumerate(table[(i, j)])
+                   if c._a or c._b] for j in range(self.dim))
             for i in range(self.dim))
+
+
+def _bracket_pairs(basis, echelon: SpanBuilder):
+    """Bracket each pair i < j of ``basis``, the echelon basis of
+    ``echelon``, once.
+
+    Returns the structure constants {(i, j): coordinates of [b_i, b_j]}
+    over all ordered pairs and the brackets outside the span.  When some
+    bracket is outside, the table is incomplete and comes back as None.
+    """
+    dim = len(basis)
+    zero = zero_vector(dim)
+    table, outside = {}, []
+    for i in range(dim):
+        table[(i, i)] = zero
+        for j in range(i + 1, dim):
+            c = basis[i].commutator(basis[j])
+            coords = echelon.coordinates(c.entries)
+            if coords is None:
+                outside.append(c)
+            elif not outside:
+                # [b_j, b_i] = -[b_i, b_j]
+                table[(i, j)] = coords
+                table[(j, i)] = vec_neg(coords)
+    return (None if outside else table), outside
 
 
 def lie_closure(generators, cap: int = 2000) -> OperatorLieAlgebra:
     """Smallest bracket-closed span containing the generators.
 
-    Span growth by pairwise commutators until stable; the echelon span
-    makes the result independent of generator enumeration order.  When
-    the basis would exceed ``cap`` the partial result is returned with
+    Grows the span by rounds: each round brackets every pair of the
+    current echelon basis once and adds the brackets outside the span.
+    A round with nothing outside has the algebra's structure constants,
+    which the result keeps.  The echelon span makes the result
+    independent of generator enumeration order.  When a round would
+    start above ``cap`` the partial result is returned with
     ``closed=False``.
     """
     generators = list(generators)
@@ -121,22 +151,18 @@ def lie_closure(generators, cap: int = 2000) -> OperatorLieAlgebra:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must share one ambient dimension")
     sb = SpanBuilder(n * n)
-    members = [g for g in generators if sb.add(g.entries)]
-    # one worklist: member t is bracketed once with each earlier member,
-    # so every pair of members is bracketed exactly once
-    closed = True
-    for t, x in enumerate(members):
+    for g in generators:
+        sb.add(g.entries)
+    while True:
+        basis = tuple(DenseMatrix(n, n, row) for row in sb.basis)
         if sb.dim > cap:
-            closed = False
-            break
-        for y in members[:t]:
-            c = x.commutator(y)
-            if sb.add(c.entries):
-                members.append(c)
-    return OperatorLieAlgebra(
-        ambient=n,
-        basis=tuple(DenseMatrix(n, n, row) for row in sb.basis),
-        closed=closed)
+            return OperatorLieAlgebra(ambient=n, basis=basis, closed=False)
+        table, outside = _bracket_pairs(basis, sb)
+        if not outside:
+            return OperatorLieAlgebra(ambient=n, basis=basis, closed=True,
+                                      echelon=sb, table=table)
+        for c in outside:
+            sb.add(c.entries)
 
 
 # -- ideals in structure-constant coordinates ------------------------------
@@ -153,8 +179,15 @@ def _ideal_coords(lie: OperatorLieAlgebra, seed) -> tuple:
     todo = [seed] if sb.add(seed) else []
     while todo and sb.dim < dim:
         x = todo.pop()
+        support = [(j, v) for j, v in enumerate(x) if v._a or v._b]
         for ad in lie._ad:
-            y = ad.apply(x)
+            # ad_i x = sum_j x_j ad_i e_j over the nonzero x_j
+            y = [ZERO] * dim
+            for j, v in support:
+                for k, c in ad[j]:
+                    y[k] = muladd(y[k], c, v)
+            if vec_is_zero(y):
+                continue
             if sb.add(y):
                 todo.append(y)
                 if sb.dim == dim:
@@ -207,17 +240,16 @@ def killing_form(lie: OperatorLieAlgebra) -> DenseMatrix:
     """
     dim = lie.dim
     table = structure_constants(lie)
-    nonzero = [[(k, l, x) for l in range(dim)
-                for k, x in enumerate(table[(i, l)]) if not x.is_zero()]
-               for i in range(dim)]
+    nonzero = [[(k, l, x) for l, col in enumerate(ad) for k, x in col]
+               for ad in lie._ad]
     entries = [ZERO] * (dim * dim)
     for i in range(dim):
         for j in range(i, dim):
             tr = ZERO
             for k, l, x in nonzero[i]:
                 y = table[(j, k)][l]
-                if not y.is_zero():
-                    tr = tr + x * y
+                if y._a or y._b:
+                    tr = muladd(tr, x, y)
             entries[i * dim + j] = entries[j * dim + i] = tr
     return DenseMatrix(dim, dim, entries)
 
@@ -255,10 +287,9 @@ def bracket_table_digest(lie: OperatorLieAlgebra) -> str:
     h = hashlib.sha256()
     for i in range(lie.dim):
         for j in range(lie.dim):
-            for c in table[(i, j)]:
-                h.update(str(c).encode())
-                h.update(b",")
-            h.update(b";")
+            # "c_0,c_1,...,c_last,;" for each pair
+            h.update("".join([f"{c}," if c._a or c._b else "0,"
+                              for c in table[(i, j)]]).encode() + b";")
     return h.hexdigest()
 
 

@@ -18,3 +18,37 @@ def test_repository_against_itself(capsys):
     assert doc["differ"] == [] and doc["reps"] == 2
     assert sorted(doc["invocations"]) == ["assemble:genus2", "gkcoh:sl2"]
     assert doc["pass"]["parent"] > 0 and doc["pass"]["change"] > 0
+    # the median paired change/parent ratio of every row
+    for row in [doc["pass"], *doc["invocations"].values()]:
+        assert row["ratio"] > 0
+
+
+def test_sides_alternate_per_invocation(monkeypatch, tmp_path):
+    # each invocation runs on both sides back to back, the side that
+    # goes first switching from one invocation and repetition to the next
+    order = []
+
+    def fake_run(main, inv, report):
+        order.append((inv.label, main))
+        with open(report, "w", encoding="utf-8") as fh:
+            json.dump({"checks": []}, fh)
+        return {"parent": 2.0, "change": 1.0}[main], 0
+
+    class Inv:
+        def __init__(self, label):
+            self.label = label
+
+    monkeypatch.setattr(ab_inproc, "run_one", fake_run)
+    invs = [Inv("a"), Inv("b"), Inv("c")]
+    times, differ = ab_inproc.compare(
+        invs, {"parent": "parent", "change": "change"}, str(tmp_path), 2)
+    assert differ == []
+    assert order == [("a", "parent"), ("a", "change"),
+                     ("b", "change"), ("b", "parent"),
+                     ("c", "parent"), ("c", "change"),
+                     ("a", "change"), ("a", "parent"),
+                     ("b", "parent"), ("b", "change"),
+                     ("c", "change"), ("c", "parent")]
+    assert times == {"parent": [[2.0] * 3] * 2, "change": [[1.0] * 3] * 2}
+    summary = ab_inproc.summary([2.0, 4.0, 1.0], [1.0, 3.0, 1.5])
+    assert summary["ratio"] == 0.75 and summary["wins"] == 2

@@ -622,6 +622,49 @@ def test_intake_error_writes_no_report(catalog_dir, tmp_path, capsys,
     assert not report.exists()
 
 
+GENUS2_MODULES = ("sl2-trivial.module.json",) + SPECTRUM_MODULES
+
+
+@pytest.mark.parametrize("entry, code, detail", [
+    pytest.param(None, 0, "3 entries", id="catalog"),
+    pytest.param((2, "module", "nosuch"), 1,
+                 "entry 2 module 'nosuch' not among the supplied modules",
+                 id="unknown-module"),
+    pytest.param((1, "multiplicity", -1), 1, "entry 1 multiplicity -1 < 0",
+                 id="negative-multiplicity"),
+    pytest.param((0, "k2_inv_dim", -2), 1, "entry 0 k2_inv_dim -2 < 0",
+                 id="negative-k2-invariants"),
+])
+def test_validate_names_spectrum_faults(catalog_dir, tmp_path, entry, code,
+                                        detail):
+    # with the sl2 pair and the genus-2 modules, a spectrum entry is
+    # checked for its signs and for the module it names
+    doc = json.loads((catalog_dir / "genus2.spectrum.json").read_text())
+    if entry is not None:
+        k, key, value = entry
+        doc[k][key] = value
+    spectrum = tmp_path / "genus2.spectrum.json"
+    spectrum.write_text(json.dumps(doc))
+    files = [str(catalog_dir / f)
+             for f in ("sl2R.pair.json",) + GENUS2_MODULES] + [str(spectrum)]
+    report = tmp_path / "report.json"
+    assert run(["validate", *sum((["--input", f] for f in files), []),
+                "--report", str(report)]) == code
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    check = checks["spectrum:genus2.spectrum.json"]
+    assert check["status"] == ("pass" if code == 0 else "fail")
+    assert check["detail"] == detail
+
+
+def test_validate_spectrum_without_modules_checks_signs_only(catalog_dir,
+                                                             tmp_path):
+    doc = json.loads((catalog_dir / "genus2.spectrum.json").read_text())
+    doc[2]["module"] = "nosuch"
+    spectrum = tmp_path / "genus2.spectrum.json"
+    spectrum.write_text(json.dumps(doc))
+    assert run(["validate", "--input", str(spectrum)]) == 0
+
+
 def test_gkcoh_stops_on_failed_pair(catalog_dir, tmp_path):
     doc = json.loads((catalog_dir / "sl2R.pair.json").read_text())
     doc["z0"] = [{"num": int(name == "W"), "den": 1} for name in doc["basis"]]

@@ -710,3 +710,74 @@ def test_vec_is_zero():
                 v = [ZERO] * n
                 v[k] = x
                 assert not vec_is_zero(v)
+
+
+# -- the fused commutator and zero-keeping scale ---------------------------
+
+
+@st.composite
+def square_pairs(draw):
+    """Two n x n matrices, n in 1..5, mostly zero entries."""
+    n = draw(st.integers(1, 5))
+
+    def square():
+        rows = draw(st.lists(st.lists(sparse_parts, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        return DenseMatrix.from_rows([[Scalar(*x) for x in row]
+                                      for row in rows])
+
+    return square(), square()
+
+
+@given(square_pairs())
+@example((DenseMatrix.identity(3), DenseMatrix.identity(3)))
+@example((DenseMatrix.from_rows([[0, 1], [0, 0]]),
+          DenseMatrix.from_rows([[0, 0], [1, 0]])))
+@settings(max_examples=150, deadline=None)
+def test_commutator_matches_products(case):
+    a, b = case
+    want = a.mul(b).sub(b.mul(a))
+    got = a.commutator(b)
+    assert got == want
+    assert [slots(x) for x in got.entries] == \
+        [slots(x) for x in want.entries]
+    assert b.commutator(a) == want.scale(-1)
+
+
+def test_commutator_forms_no_products(monkeypatch):
+    a = DenseMatrix.from_rows([[1, 2], [0, Scalar(0, 1)]])
+    b = DenseMatrix.from_rows([[0, 1], [3, 0]])
+    want = a.mul(b).sub(b.mul(a))
+
+    def forbidden(*args):
+        raise AssertionError("commutator called a product or a difference")
+
+    monkeypatch.setattr(DenseMatrix, "mul", forbidden)
+    monkeypatch.setattr(DenseMatrix, "sub", forbidden)
+    assert a.commutator(b) == want
+
+
+@pytest.mark.parametrize("a, b", [
+    (DenseMatrix.zero(2, 2), DenseMatrix.zero(3, 3)),
+    (DenseMatrix.zero(2, 3), DenseMatrix.zero(3, 2)),
+    (DenseMatrix.zero(2, 3), DenseMatrix.zero(2, 3)),
+    (DenseMatrix.zero(2, 2), DenseMatrix.zero(2, 3)),
+])
+def test_commutator_rejects_mismatched_shapes(a, b):
+    with pytest.raises(ValueError):
+        a.commutator(b)
+    with pytest.raises(ValueError):
+        b.commutator(a)
+
+
+@given(sparse_matrices(), operands)
+@example(DenseMatrix.from_rows([[0, 1], [2, 0]]), 0)
+@settings(max_examples=100, deadline=None)
+def test_scale_keeps_values_and_zeros(m, cop):
+    c = as_scalar(cop)
+    got = m.scale(c)
+    assert (got.rows, got.cols) == (m.rows, m.cols)
+    assert [slots(x) for x in got.entries] == \
+        [slots(c * x) for x in m.entries]
+    assert all(x is ZERO for x, y in zip(got.entries, m.entries)
+               if not y)

@@ -1,9 +1,12 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlk import catalog, fileio
 from hlk import lefschetz as lz
 from hlk import llgen
 from hlk.exactlin import (
@@ -346,3 +349,150 @@ def test_spanning_family_stable_under_enlargement(g2k2):
     tri = lz.dual_lefschetz(g2k2, extra, mode="even")
     enlarged = llgen.lie_closure(gens + [tri.L, tri.Lambda])
     assert enlarged.basis == base.basis
+
+
+# -- closure by bracket rounds against the pairwise worklist ------------------
+
+
+def reference_closure(generators):
+    """(basis, closed) of the pairwise worklist that the bracket rounds
+    replaced: each new member is bracketed once with every earlier one."""
+    n = generators[0].rows
+    sb = SpanBuilder(n * n)
+    members = [g for g in generators if sb.add(g.entries)]
+    for t, x in enumerate(members):
+        for y in members[:t]:
+            c = x.mul(y).sub(y.mul(x))
+            if sb.add(c.entries):
+                members.append(c)
+    return tuple(DenseMatrix(n, n, row) for row in sb.basis), True
+
+
+def reference_table(basis):
+    """Coordinates of [b_i, b_j] in ``basis`` for every ordered pair, from
+    two products and a difference against a fresh echelon span."""
+    n = basis[0].rows if basis else 0
+    sb = SpanBuilder(n * n)
+    for b in basis:
+        sb.add(b.entries)
+    return {(i, j): sb.coordinates(a.mul(b).sub(b.mul(a)).entries)
+            for i, a in enumerate(basis) for j, b in enumerate(basis)}
+
+
+def reference_digest(lie):
+    """The table digest hashed one entry at a time."""
+    import hashlib
+
+    table = llgen.structure_constants(lie)
+    h = hashlib.sha256()
+    for i in range(lie.dim):
+        for j in range(lie.dim):
+            for c in table[(i, j)]:
+                h.update(str(c).encode())
+                h.update(b",")
+            h.update(b";")
+    return h.hexdigest()
+
+
+def llgen_generators(alg):
+    """The L and Lambda of the spanning cone family that ``hlk llgen``
+    brackets, with its fallback class when ``alg`` designates none."""
+    mode = "even" if alg.g == 2 else "full"
+    omega = alg.kahler
+    if omega is None:
+        omega = tuple(Scalar(int(k in alg.degree_indices(2)))
+                      for k in range(alg.n))
+    family, _ = lz.spanning_cone_family(alg, omega, mode=mode)
+    gens = []
+    for w in family:
+        tri = lz.dual_lefschetz(alg, w, mode=mode)
+        gens.extend([tri.L, tri.Lambda])
+    return gens
+
+
+def strict_upper_chain(n):
+    """E_12, E_23, ..., E_(n-1)n: they generate the strictly upper
+    triangular n x n matrices, one superdiagonal per bracket depth."""
+    out = []
+    for k in range(n - 1):
+        entries = [ZERO] * (n * n)
+        entries[k * n + k + 1] = Scalar(1)
+        out.append(DenseMatrix(n, n, entries))
+    return out
+
+
+def closure_cases():
+    rng = random.Random(19)
+    for k in range(2, 7):
+        yield f"g2-k{k}", llgen_generators(catalog.g2_family_algebra(k)), 2
+    for n in (3, 5):
+        yield f"s1s2-N{n}", llgen_generators(llgen.product_model(n)[0]), 2
+    for n in (2, 3):
+        _, conjugated, _ = conjugated_product_closure(n, rng)
+        yield f"conjugated-N{n}", list(conjugated.basis), 1
+    # the rounds start at dimensions 4, 7 and 10: the second round's
+    # brackets reach both the third and the fourth superdiagonal
+    yield "upper-chain-5", strict_upper_chain(5), 3
+
+
+@pytest.mark.parametrize("label, gens, rounds",
+                         list(closure_cases()),
+                         ids=[c[0] for c in closure_cases()])
+def test_closure_matches_worklist_reference(monkeypatch, label, gens, rounds):
+    calls = []
+    bracket_pairs = llgen._bracket_pairs
+    monkeypatch.setattr(llgen, "_bracket_pairs",
+                        lambda *a: calls.append(1) or bracket_pairs(*a))
+    lie = llgen.lie_closure(gens)
+    # each round brackets the pairs of the current basis once; the last
+    # one has every bracket inside the span
+    assert len(calls) == rounds
+    assert (lie.basis, lie.closed) == reference_closure(gens)
+    # the closure keeps the last round's table: no pair is bracketed again
+    table = llgen.structure_constants(lie)
+    assert len(calls) == rounds
+    assert table == reference_table(lie.basis)
+    assert llgen.bracket_table_digest(lie) == reference_digest(lie) == \
+        llgen.bracket_table_digest(llgen.OperatorLieAlgebra(
+            lie.ambient, lie.basis, lie.closed))
+
+
+def test_closure_cap_stops_between_rounds():
+    gens = strict_upper_chain(5)
+    # a round that would start above the cap is not run
+    for cap, dim in ((3, 4), (6, 7), (9, 10)):
+        partial = llgen.lie_closure(gens, cap=cap)
+        assert not partial.closed and partial.dim == dim
+    assert llgen.lie_closure(gens, cap=10).closed
+
+
+_INPUTS = importlib.util.spec_from_file_location(
+    "perfbench_inputs",
+    Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+perfbench_inputs = importlib.util.module_from_spec(_INPUTS)
+_INPUTS.loader.exec_module(perfbench_inputs)
+
+
+def rebased_copy(alg, tmp_path, seed):
+    """``alg`` rewritten in the benchmark's seeded block change of basis."""
+    src = tmp_path / f"{alg.name}.algebra.json"
+    dst = tmp_path / f"{alg.name}-{seed}.algebra.json"
+    src.write_text(fileio.canonical_dumps(fileio.algebra_to_doc(alg)))
+    perfbench_inputs.rebased_algebra(
+        str(src), str(dst), perfbench_inputs.make_rng(seed, alg.name))
+    kind, out = fileio.load_document(str(dst))
+    assert kind == "algebra"
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_minimal_ideals_match_reference_rebased(tmp_path, seed):
+    # in the dense basis of a rebased model every seed meets several
+    # coordinates: the sparse adjoint growth must give the matrix census
+    for alg in (catalog.g2_family_algebra(3), llgen.product_model(3)[0]):
+        lie = llgen.lie_closure(llgen_generators(rebased_copy(alg, tmp_path,
+                                                              seed)))
+        assert lie.closed
+        got = [i.basis for i in llgen.minimal_ideals(lie)]
+        assert got == reference_minimal_ideals(lie)
+        assert llgen.structure_constants(lie) == reference_table(lie.basis)
