@@ -318,10 +318,8 @@ class DenseMatrix:
             rows = len(cols_data[0])
         elif rows is None:
             rows = 0
-        flat = []
-        for i in range(rows):
-            for col in cols_data:
-                flat.append(Scalar.of(col[i]))
+        flat = [x if type(x) is Scalar else Scalar(x)
+                for row in zip(*cols_data) for x in row]
         return cls(rows, len(cols_data), flat)
 
     @classmethod
@@ -390,9 +388,9 @@ class DenseMatrix:
                             for x in self.entries])
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.cols, self.rows,
-                           [self.at(i, j)
-                            for j in range(self.cols) for i in range(self.rows)])
+        e, c = self.entries, self.cols
+        return DenseMatrix(c, self.rows,
+                           [x for j in range(c) for x in e[j::c]])
 
     def conj(self) -> "DenseMatrix":
         return DenseMatrix(self.rows, self.cols,
@@ -426,8 +424,9 @@ class DenseMatrix:
     def submatrix(self, row_idx, col_idx) -> "DenseMatrix":
         row_idx = list(row_idx)
         col_idx = list(col_idx)
+        e, c = self.entries, self.cols
         return DenseMatrix(len(row_idx), len(col_idx),
-                           [self.at(i, j) for i in row_idx for j in col_idx])
+                           [e[i * c + j] for i in row_idx for j in col_idx])
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -448,8 +447,16 @@ class DenseMatrix:
 
 def _row_nonzeros(entries, n: int) -> list:
     """Per row of an n x n entry list, the (column, entry) of its nonzeros."""
-    return [[(j, x) for j, x in enumerate(entries[i * n:(i + 1) * n])
-             if x._a or x._b] for i in range(n)]
+    rows = [[] for _ in range(n)]
+    i = j = 0
+    for x in entries:
+        if x._a or x._b:
+            rows[i].append((j, x))
+        j += 1
+        if j == n:
+            i += 1
+            j = 0
+    return rows
 
 
 def entry_product(a, b, n: int, m: int, p: int) -> list:
@@ -576,12 +583,19 @@ class SpanBuilder:
         v, _ = _reduce(vector, self._rows)
         return vec_is_zero(v)
 
-    def add(self, vector) -> bool:
-        """Insert a vector; returns True when the span grew."""
+    def add(self, vector):
+        """Insert a vector.
+
+        Returns None when the vector is already in the span.  When the
+        span grows it returns the new echelon row as inserted, a tuple:
+        the vector's residual modulo the old span, scaled to pivot 1,
+        which is zero at every old pivot.  (Later insertions go on
+        reducing the stored row; the tuple keeps the residual.)
+        """
         v, _ = _reduce(vector, self._rows)
         support = _support(v)
         if not support:
-            return False
+            return None
         pivot = support[0]
         x = v[pivot]
         if x._b or x._a != x._d:     # x != 1
@@ -598,7 +612,7 @@ class SpanBuilder:
                 cols.update(support)
                 rsup[:] = [j for j in sorted(cols) if row[j]._a or row[j]._b]
         insort(self._rows, (pivot, v, support))   # pivots are distinct
-        return True
+        return tuple(v)
 
     def coordinates(self, vector):
         """Coefficients of ``vector`` in the canonical basis, or None."""

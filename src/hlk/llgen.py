@@ -172,11 +172,14 @@ def _ideal_coords(lie: OperatorLieAlgebra, seed) -> tuple:
     """Echelon coordinate basis of the smallest ideal containing ``seed``.
 
     Grows the ad-invariant span of the seed's coordinate vector and
-    stops as soon as it is all of ``lie``.
+    stops as soon as it is all of ``lie``.  Each vector that grew the
+    span is queued as its residual modulo the span before it, which
+    spans the same ideal with fewer nonzeros to sum over.
     """
     dim = lie.dim
     sb = SpanBuilder(dim)
-    todo = [seed] if sb.add(seed) else []
+    row = sb.add(seed)
+    todo = [row] if row else []
     while todo and sb.dim < dim:
         x = todo.pop()
         support = [(j, v) for j, v in enumerate(x) if v._a or v._b]
@@ -188,8 +191,9 @@ def _ideal_coords(lie: OperatorLieAlgebra, seed) -> tuple:
                     y[k] = muladd(y[k], c, v)
             if vec_is_zero(y):
                 continue
-            if sb.add(y):
-                todo.append(y)
+            row = sb.add(y)
+            if row:
+                todo.append(row)
                 if sb.dim == dim:
                     break
     return sb.basis

@@ -781,3 +781,25 @@ def test_scale_keeps_values_and_zeros(m, cop):
         [slots(c * x) for x in m.entries]
     assert all(x is ZERO for x, y in zip(got.entries, m.entries)
                if not y)
+
+
+@given(sparse_matrices())
+@settings(max_examples=100, deadline=None)
+def test_span_builder_add_returns_the_residual(m):
+    # add answers None for a vector in the span, and otherwise the new
+    # row as inserted: 1 at its pivot, 0 at every earlier pivot, and
+    # together with the old span it spans the new one
+    sb = SpanBuilder(m.cols)
+    for vector in m.row_lists():
+        before = sb.basis
+        old_pivots = [p for p, _, _ in sb._rows]
+        row = sb.add(vector)
+        if row is None:
+            assert sb.basis == before
+            continue
+        assert isinstance(row, tuple) and sb.dim == len(before) + 1
+        pivot = next(j for j, x in enumerate(row) if x)
+        assert row[pivot] == Scalar(1) and pivot not in old_pivots
+        assert all(not row[p] for p in old_pivots)
+        assert Subspace.from_vectors(m.cols, list(before) + [row]).basis \
+            == sb.basis
