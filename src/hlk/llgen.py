@@ -112,8 +112,8 @@ def _bracket_pairs(basis, echelon: SpanBuilder):
     ``echelon``, once.
 
     Returns the structure constants {(i, j): coordinates of [b_i, b_j]}
-    over all ordered pairs and the brackets outside the span.  When some
-    bracket is outside, the table is incomplete and comes back as None.
+    over all ordered pairs and the brackets outside the span; the table
+    is complete only when no bracket is outside.
     """
     dim = len(basis)
     zero = zero_vector(dim)
@@ -129,7 +129,7 @@ def _bracket_pairs(basis, echelon: SpanBuilder):
                 # [b_j, b_i] = -[b_i, b_j]
                 table[(i, j)] = coords
                 table[(j, i)] = vec_neg(coords)
-    return (None if outside else table), outside
+    return table, outside
 
 
 def lie_closure(generators, cap: int = 2000) -> OperatorLieAlgebra:
