@@ -17,8 +17,8 @@ workload's inputs are built once with PARENT_DIR's
 invocation on both sides back to back, the side that goes first
 alternating from one invocation to the next and from one repetition to
 the next, so a change of machine speed during a run falls on both sides
-alike.  A side's pass time is the sum of its invocations in one
-repetition.
+alike.  Each invocation is timed after a full garbage collection.  A
+side's pass time is the sum of its invocations in one repetition.
 
 Prints the median seconds of each invocation and of a whole pass on
 each side, the change in percent, the median of the paired
@@ -54,9 +54,12 @@ def load_main(checkout: Path, side: str, tmp: str):
 
 
 def run_one(main, inv, report: str):
-    """One invocation; returns its seconds and exit status."""
+    """One invocation; returns its seconds and exit status.  A full
+    collection runs first, so that a collection which earlier
+    invocations' garbage would set off does not land inside this one."""
     sink = io.StringIO()
     argv = inv.argv + ["--report", report]
+    gc.collect()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main(argv)
@@ -92,7 +95,6 @@ def compare(invs, main, work: str, reps: int):
         for side in SIDES:
             times[side].append([])
             codes[side].append([])
-        gc.collect()
         for k, inv in enumerate(invs):
             for side in (SIDES if (rep + k) % 2 == 0 else SIDES[::-1]):
                 seconds, status = run_one(

@@ -435,6 +435,8 @@ def load_document(path):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
+        # ValueError covers bad syntax, bytes that are not UTF-8 and
+        # integer literals past the interpreter's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     return parse_document(doc)

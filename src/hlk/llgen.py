@@ -3,12 +3,14 @@
 Bracket closures of {L_w, Lambda_w} families, the symmetric form phi on
 the even part of a g=2 dense-leaf model together with the so(phi)
 identification, ideal probes, and the finite stand-in for the
-product-foliation phenomenon (N commuting sl2 blocks).
+product-foliation phenomenon (N commuting sl2 blocks).  Every algebra,
+a closure or an ideal, is built by one routine that brackets its echelon
+basis in rounds and keeps the structure constants of the last round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebra import BigradedAlgebra
@@ -48,22 +50,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorLieAlgebra:
-    """A span of endomorphisms with echelon-canonical basis.
+    """A bracket-closed span of endomorphisms with echelon-canonical basis.
 
     ``basis`` is the reduced row echelon basis of the span (flattened
     matrices as rows), so the coordinates of a member are its entries at
-    the pivot columns.  The echelon span, the structure constants and
-    the adjoint matrices are computed once, on first use, unless the
-    constructor is handed the span (``echelon``) and the table
-    (``table``), as ``lie_closure`` does.
+    the pivot columns.  ``echelon`` is the echelon span of the basis and
+    ``table`` the structure constants, both handed in by ``_closure``,
+    which builds every instance; the adjoint matrices are read from the
+    table once, on first use.
     """
 
     ambient: int
     basis: tuple            # DenseMatrix members, canonical order
-    closed: bool
-    echelon: SpanBuilder | None = field(default=None, compare=False,
-                                        repr=False)
-    table: dict | None = field(default=None, compare=False, repr=False)
+    echelon: SpanBuilder = field(compare=False, repr=False)
+    table: dict = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -76,25 +76,12 @@ class OperatorLieAlgebra:
             sb.add(m.entries)
         return sb
 
-    @cached_property
-    def _echelon(self) -> SpanBuilder:
-        return self.span() if self.echelon is None else self.echelon
-
     def contains(self, mat: DenseMatrix) -> bool:
-        return self._echelon.contains(mat.entries)
+        return self.echelon.contains(mat.entries)
 
     def coordinates(self, mat: DenseMatrix):
         """Coordinates of ``mat`` in ``basis``, or None outside the span."""
-        return self._echelon.coordinates(mat.entries)
-
-    @cached_property
-    def _table(self) -> dict:
-        if self.table is not None:
-            return self.table
-        table, outside = _bracket_pairs(self.basis, self._echelon)
-        if outside:
-            raise ValueError("algebra is not bracket closed")
-        return table
+        return self.echelon.coordinates(mat.entries)
 
     @cached_property
     def _ad(self) -> tuple:
@@ -107,62 +94,60 @@ class OperatorLieAlgebra:
             for i in range(self.dim))
 
 
-def _bracket_pairs(basis, echelon: SpanBuilder):
+def _bracket_pairs(basis, span: SpanBuilder):
     """Bracket each pair i < j of ``basis``, the echelon basis of
-    ``echelon``, once.
+    ``span``, once.
 
     Returns the structure constants {(i, j): coordinates of [b_i, b_j]}
-    over all ordered pairs and the brackets outside the span; the table
-    is complete only when no bracket is outside.
+    over all ordered pairs when every bracket lies in the span.
+    Otherwise adds each bracket outside the span to it as it meets it,
+    and returns None.
     """
     dim = len(basis)
     zero = zero_vector(dim)
-    table, outside = {}, []
+    table = {(i, i): zero for i in range(dim)}
     for i in range(dim):
-        table[(i, i)] = zero
         for j in range(i + 1, dim):
-            c = basis[i].commutator(basis[j])
-            coords = echelon.coordinates(c.entries)
+            c = basis[i].commutator(basis[j]).entries
+            coords = None if table is None else span.coordinates(c)
             if coords is None:
-                outside.append(c)
-            elif not outside:
+                span.add(c)
+                table = None
+            else:
                 # [b_j, b_i] = -[b_i, b_j]
                 table[(i, j)] = coords
                 table[(j, i)] = vec_neg(coords)
-    return table, outside
+    return table
 
 
-def lie_closure(generators, cap: int = 2000) -> OperatorLieAlgebra:
+def _closure(n: int, span: SpanBuilder) -> OperatorLieAlgebra:
+    """Bracket closure of ``span`` (flattened n x n matrices), grown in
+    place by rounds that bracket each pair of the current echelon basis
+    once, until a round adds nothing and so yields the structure constants.
+    """
+    while True:
+        basis = tuple(DenseMatrix(n, n, row) for row in span.basis)
+        table = _bracket_pairs(basis, span)
+        if table is not None:
+            return OperatorLieAlgebra(n, basis, span, table)
+
+
+def lie_closure(generators) -> OperatorLieAlgebra:
     """Smallest bracket-closed span containing the generators.
 
-    Grows the span by rounds: each round brackets every pair of the
-    current echelon basis once and adds the brackets outside the span.
-    A round with nothing outside has the algebra's structure constants,
-    which the result keeps.  The echelon span makes the result
-    independent of generator enumeration order.  When a round would
-    start above ``cap`` the partial result is returned with
-    ``closed=False``.
+    The echelon span makes the result independent of generator
+    enumeration order.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("lie_closure needs at least one generator")
     n = generators[0].rows
+    sb = SpanBuilder(n * n)
     for g in generators:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must share one ambient dimension")
-    sb = SpanBuilder(n * n)
-    for g in generators:
         sb.add(g.entries)
-    while True:
-        basis = tuple(DenseMatrix(n, n, row) for row in sb.basis)
-        if sb.dim > cap:
-            return OperatorLieAlgebra(ambient=n, basis=basis, closed=False)
-        table, outside = _bracket_pairs(basis, sb)
-        if not outside:
-            return OperatorLieAlgebra(ambient=n, basis=basis, closed=True,
-                                      echelon=sb, table=table)
-        for c in outside:
-            sb.add(c.entries)
+    return _closure(n, sb)
 
 
 # -- ideals in structure-constant coordinates ------------------------------
@@ -202,17 +187,16 @@ def _ideal_coords(lie: OperatorLieAlgebra, seed) -> tuple:
 def _as_ideal(lie: OperatorLieAlgebra, rows) -> OperatorLieAlgebra:
     """The ideal with echelon coordinate basis ``rows``, as matrices."""
     if len(rows) == lie.dim:
-        return lie if lie.closed else replace(lie, closed=True)
-    # lie.basis is reduced echelon with an identity block at its pivot
-    # columns, so the images of reduced echelon coordinate rows are
-    # already the reduced echelon basis of the ideal
+        return lie
     n2 = lie.ambient * lie.ambient
     flat = entry_product([c for row in rows for c in row],
                          [x for b in lie.basis for x in b.entries],
                          len(rows), lie.dim, n2)
-    basis = tuple(DenseMatrix(lie.ambient, lie.ambient, flat[t:t + n2])
-                  for t in range(0, len(flat), n2))
-    return OperatorLieAlgebra(ambient=lie.ambient, basis=basis, closed=True)
+    sb = SpanBuilder(n2)
+    for t in range(0, len(flat), n2):
+        sb.add(flat[t:t + n2])
+    # an ideal is closed: one round, which yields its table
+    return _closure(lie.ambient, sb)
 
 
 def ideal_probe(lie: OperatorLieAlgebra, seed: DenseMatrix) -> OperatorLieAlgebra:
@@ -231,9 +215,9 @@ def ideal_probe(lie: OperatorLieAlgebra, seed: DenseMatrix) -> OperatorLieAlgebr
 def structure_constants(lie: OperatorLieAlgebra):
     """c[i][j] = coordinates of [b_i, b_j] in the canonical basis.
 
-    The table is computed once per algebra and shared by every caller.
+    The table is the one the closure built, shared by every caller.
     """
-    return lie._table
+    return lie.table
 
 
 def killing_form(lie: OperatorLieAlgebra) -> DenseMatrix:

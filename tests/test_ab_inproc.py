@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +53,35 @@ def test_sides_alternate_per_invocation(monkeypatch, tmp_path):
     assert times == {"parent": [[2.0] * 3] * 2, "change": [[1.0] * 3] * 2}
     summary = ab_inproc.summary([2.0, 4.0, 1.0], [1.0, 3.0, 1.5])
     assert summary["ratio"] == 0.75 and summary["wins"] == 2
+
+
+def test_collects_garbage_before_each_invocation(monkeypatch, tmp_path):
+    # a collection set off by earlier allocations landed on whichever
+    # timed invocation crossed the threshold
+    events = []
+    monkeypatch.setattr(ab_inproc, "gc", types.SimpleNamespace(
+        collect=lambda: events.append("collect")))
+
+    def fake_main(argv):
+        events.append("main")
+        return 0
+
+    class Inv:
+        argv = ["validate"]
+
+    for _ in range(3):
+        seconds, code = ab_inproc.run_one(fake_main, Inv(),
+                                          str(tmp_path / "r.json"))
+        assert code == 0 and seconds >= 0
+    assert events == ["collect", "main"] * 3
+    # the repetition loop makes no collection of its own
+    events.clear()
+
+    def fake_run(main, inv, report):
+        Path(report).write_text("{}", encoding="utf-8")
+        return 1.0, 0
+
+    monkeypatch.setattr(ab_inproc, "run_one", fake_run)
+    ab_inproc.compare([types.SimpleNamespace(label="a")],
+                      {"parent": None, "change": None}, str(tmp_path), 2)
+    assert events == []

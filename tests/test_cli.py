@@ -183,6 +183,27 @@ def test_malformed_algebra_is_input_error(catalog_dir, tmp_path, capsys,
         case.startswith("duplicate")
 
 
+NOT_JSON = {
+    # a RecursionError traceback and exit 1, read as a failed check
+    "nested-arrays": b"[" * 100000,
+    # exit 2, without the file's name
+    "not-utf8": b'{"kind": "\xff"}',
+    "long-integer": b"[" + b"7" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_JSON))
+def test_invalid_json_names_the_file(tmp_path, capsys, case):
+    bad = tmp_path / f"{case}.json"
+    bad.write_bytes(NOT_JSON[case])
+    with pytest.raises(fileio.InputError):
+        fileio.load_document(str(bad))
+    assert run(["validate", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {bad} is not valid JSON: ")
+    assert "Traceback" not in err
+
+
 MALFORMED_GK = {
     # a non-bool unitary was coerced by bool(): "no" loaded as unitary
     "unitary-string": ("sl2-ds-plus.module.json", _set("unitary", "no")),
@@ -596,6 +617,15 @@ SPECTRUM_MODULES = ("sl2-ds-plus.module.json", "sl2-ds-minus.module.json")
                  id="gkcoh-two-pairs"),
     # both spectrum errors used to come after the pair and module checks
     # had been printed
+    # a repeated module was checked twice, and analysed once under its
+    # name (exit 0)
+    pytest.param("gkcoh", ("sl2-trivial.module.json",), None,
+                 "duplicate module name 'sl2-trivial'",
+                 id="gkcoh-duplicate-module"),
+    pytest.param("assemble", ("sl2-ds-plus.module.json",) + SPECTRUM_MODULES
+                 + ("genus2.spectrum.json",), None,
+                 "duplicate module name 'sl2-ds-plus'",
+                 id="assemble-duplicate-module"),
     pytest.param("assemble", SPECTRUM_MODULES, (1, "multiplicity", -1),
                  "multiplicities must be nonnegative",
                  id="assemble-negative-multiplicity"),
@@ -619,6 +649,23 @@ def test_intake_error_writes_no_report(catalog_dir, tmp_path, capsys,
                 "--report", str(report)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"input error: {message}")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["lefschetz", "llgen"])
+def test_duplicate_algebra_name_is_input_error(catalog_dir, tmp_path, capsys,
+                                              command):
+    # two algebras of one name shared their check, summary and timing
+    # keys; the name counts, not the file
+    torus = catalog_dir / "torus.algebra.json"
+    copy_path = tmp_path / "copy.algebra.json"
+    copy_path.write_text(torus.read_text())
+    report = tmp_path / "report.json"
+    assert run([command, "--input", str(torus), "--input", str(copy_path),
+                "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: duplicate algebra name 'torus-g1'\n"
     assert not report.exists()
 
 

@@ -89,6 +89,13 @@ def reference_minimal_ideals(lie):
     return minimal
 
 
+def check_ideal(ideal):
+    """An ideal holds its basis and the structure constants of the
+    matrix-space reference."""
+    assert all(ideal.contains(b) for b in ideal.basis)
+    assert llgen.structure_constants(ideal) == reference_table(ideal.basis)
+
+
 def conjugated_product_closure(n_factors, rng):
     """product_closure(n_factors) conjugated by a random unitriangular P,
     so that its echelon basis no longer splits along the factors, and
@@ -125,7 +132,7 @@ def random_member(lie, rng):
 def test_closure_single_triple_is_sl2(g2k2):
     tri = lz.dual_lefschetz(g2k2, g2k2.kahler, mode="even")
     closed = llgen.lie_closure([tri.L, tri.Lambda])
-    assert closed.closed and closed.dim == 3
+    assert closed.dim == 3
     assert llgen.is_sl2_block(closed)
     assert closed.contains(tri.B)
 
@@ -133,19 +140,13 @@ def test_closure_single_triple_is_sl2(g2k2):
 def test_closure_zero_generator(g2k2):
     n = g2k2.n
     closed = llgen.lie_closure([DenseMatrix.zero(n, n)])
-    assert closed.dim == 0 and closed.closed
+    assert closed.dim == 0
 
 
 def test_closure_g2_k3_is_so5(g2k3):
     _, gens = even_triples(g2k3)
     closed = llgen.lie_closure(gens)
-    assert closed.closed and closed.dim == 10
-
-
-def test_closure_respects_cap(g2k3):
-    _, gens = even_triples(g2k3)
-    partial = llgen.lie_closure(gens, cap=4)
-    assert not partial.closed
+    assert closed.dim == 10
 
 
 @given(st.randoms())
@@ -216,7 +217,9 @@ def test_ideal_probe_zero_seed(g2k2):
     _, gens = even_triples(g2k2)
     closed = llgen.lie_closure(gens)
     n = closed.ambient
-    assert llgen.ideal_probe(closed, DenseMatrix.zero(n, n)).dim == 0
+    ideal = llgen.ideal_probe(closed, DenseMatrix.zero(n, n))
+    assert ideal.dim == 0 and llgen.structure_constants(ideal) == {}
+    check_ideal(ideal)
 
 
 def test_ideal_probe_rejects_outside_span(g2k2):
@@ -246,8 +249,8 @@ def test_ideal_probe_matches_commutator_closure(g2k2):
     proper = 0
     for lie, seed in cases:
         ideal = llgen.ideal_probe(lie, seed)
-        assert ideal.closed
         assert ideal.basis == reference_probe(lie, seed)
+        check_ideal(ideal)
         proper += 0 < ideal.dim < lie.dim
     assert proper >= 8
 
@@ -259,8 +262,10 @@ def test_minimal_ideals_match_reference(g2k2, g2k3):
                    llgen.lie_closure(even_triples(g2k3)[1]),
                    product_closure(2),
                    conjugated_product_closure(2, random.Random(7))[1]):
-        got = [i.basis for i in llgen.minimal_ideals(closed)]
-        assert got == reference_minimal_ideals(closed)
+        ideals = llgen.minimal_ideals(closed)
+        assert [i.basis for i in ideals] == reference_minimal_ideals(closed)
+        for ideal in ideals:
+            check_ideal(ideal)
 
 
 def test_killing_form_matches_ad_products(g2k2, g2k3):
@@ -320,7 +325,7 @@ def center_dimension(lie):
 def test_product_model_dimensions():
     for n in (1, 2, 3):
         closed = product_closure(n)
-        assert closed.closed and closed.dim == 3 * n
+        assert closed.dim == 3 * n
         ideals = llgen.minimal_ideals(closed)
         assert len(ideals) == n
         assert all(llgen.is_sl2_block(i) for i in ideals)
@@ -355,8 +360,8 @@ def test_spanning_family_stable_under_enlargement(g2k2):
 
 
 def reference_closure(generators):
-    """(basis, closed) of the pairwise worklist that the bracket rounds
-    replaced: each new member is bracketed once with every earlier one."""
+    """Basis of the pairwise worklist that the bracket rounds replaced:
+    each new member is bracketed once with every earlier one."""
     n = generators[0].rows
     sb = SpanBuilder(n * n)
     members = [g for g in generators if sb.add(g.entries)]
@@ -365,7 +370,7 @@ def reference_closure(generators):
             c = x.mul(y).sub(y.mul(x))
             if sb.add(c.entries):
                 members.append(c)
-    return tuple(DenseMatrix(n, n, row) for row in sb.basis), True
+    return tuple(DenseMatrix(n, n, row) for row in sb.basis)
 
 
 def reference_table(basis):
@@ -447,23 +452,12 @@ def test_closure_matches_worklist_reference(monkeypatch, label, gens, rounds):
     # each round brackets the pairs of the current basis once; the last
     # one has every bracket inside the span
     assert len(calls) == rounds
-    assert (lie.basis, lie.closed) == reference_closure(gens)
+    assert lie.basis == reference_closure(gens)
     # the closure keeps the last round's table: no pair is bracketed again
     table = llgen.structure_constants(lie)
     assert len(calls) == rounds
     assert table == reference_table(lie.basis)
-    assert llgen.bracket_table_digest(lie) == reference_digest(lie) == \
-        llgen.bracket_table_digest(llgen.OperatorLieAlgebra(
-            lie.ambient, lie.basis, lie.closed))
-
-
-def test_closure_cap_stops_between_rounds():
-    gens = strict_upper_chain(5)
-    # a round that would start above the cap is not run
-    for cap, dim in ((3, 4), (6, 7), (9, 10)):
-        partial = llgen.lie_closure(gens, cap=cap)
-        assert not partial.closed and partial.dim == dim
-    assert llgen.lie_closure(gens, cap=10).closed
+    assert llgen.bracket_table_digest(lie) == reference_digest(lie)
 
 
 _INPUTS = importlib.util.spec_from_file_location(
@@ -492,7 +486,8 @@ def test_minimal_ideals_match_reference_rebased(tmp_path, seed):
     for alg in (catalog.g2_family_algebra(3), llgen.product_model(3)[0]):
         lie = llgen.lie_closure(llgen_generators(rebased_copy(alg, tmp_path,
                                                               seed)))
-        assert lie.closed
-        got = [i.basis for i in llgen.minimal_ideals(lie)]
-        assert got == reference_minimal_ideals(lie)
+        ideals = llgen.minimal_ideals(lie)
+        assert [i.basis for i in ideals] == reference_minimal_ideals(lie)
+        for ideal in ideals:
+            check_ideal(ideal)
         assert llgen.structure_constants(lie) == reference_table(lie.basis)
