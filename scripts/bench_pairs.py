@@ -7,9 +7,12 @@ Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
 Runs ``perfbench/run.py --workload W --seed N --trace 0`` from each
 checkout, as that checkout has it, for seeds 1 to 10: the parent first
 on odd seeds, the change first on even ones, each run as long as the
-benchmark's ``run_seconds``.  For each end-to-end metric of
-PARENT_DIR/BENCHMARK.json it prints the per-seed pairs, each side's
-median and quartiles, the pairs the change wins and a verdict:
+benchmark's ``run_seconds``.  Each seed's line gives the two runs'
+end-to-end metrics and, for each side, whether the oracle found the run
+correct and the share of its invocations that failed.  For each
+end-to-end metric of PARENT_DIR/BENCHMARK.json it then prints the
+per-seed pairs, each side's median and quartiles, the pairs the change
+wins and a verdict:
 
   gain met / gain not met   for a ``--claim`` metric: the change wins at
                             least nine tenths of the pairs (ties count
@@ -25,8 +28,9 @@ median and quartiles, the pairs the change wins and a verdict:
   no regression             otherwise
 
 The last line of standard output is one JSON object with every run's
-values and each metric's verdict.  Exits 1 when a run fails or a claim
-is not met, or a metric regressed; 0 otherwise.
+values, ``correct`` and ``failed_share`` per side and seed, and each
+metric's verdict.  Exits 1 when a run fails or a claim is not met, or a
+metric regressed; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -79,6 +83,17 @@ def verdict(parent, change, better, bound, claimed, failed_more=False):
             "wins": wins, "pairs": len(parent), "verdict": word}
 
 
+def failed_share(run) -> float:
+    """The share of a run's invocations that failed."""
+    return run["failed"] / run["attempted"] if run["attempted"] else 0.0
+
+
+def run_status(run) -> str:
+    """A run's oracle verdict and failed share, as printed per seed."""
+    return (f"correct {str(run['correct']).lower()}, failed "
+            f"{run['failed']}/{run['attempted']} = {failed_share(run):.4f}")
+
+
 def run_one(checkout: Path, workload: str, seed: int):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
@@ -112,10 +127,12 @@ def main(argv=None) -> int:
             except RuntimeError as exc:
                 print(f"bench_pairs: {exc}", file=sys.stderr)
                 return 1
-        last = {side: rs[-1]["metrics"] for side, rs in runs.items()}
+        last = {side: rs[-1] for side, rs in runs.items()}
         print(f"seed {seed}: " + "  ".join(
-            f"{n} {last['parent'][n]['value']:.4g} -> "
-            f"{last['change'][n]['value']:.4g}" for n in last["parent"]),
+            f"{n} {last['parent']['metrics'][n]['value']:.4g} -> "
+            f"{last['change']['metrics'][n]['value']:.4g}"
+            for n in last["parent"]["metrics"]) + "  | " + ", ".join(
+            f"{side} {run_status(r)}" for side, r in last.items()),
             flush=True)
     failed = {side: [sum(r["failed"] for r in rs),
                      sum(r["attempted"] for r in rs)]
@@ -123,8 +140,12 @@ def main(argv=None) -> int:
     failed_more = failed["change"][0] * failed["parent"][1] > \
         failed["parent"][0] * failed["change"][1]
     out = {"workload": args.workload, "seeds": list(SEEDS),
-           "seconds": bench["run_seconds"],
-           "failed": failed, "metrics": {}}
+           "seconds": bench["run_seconds"], "failed": failed,
+           "correct": {side: [r["correct"] for r in rs]
+                       for side, rs in runs.items()},
+           "failed_share": {side: [failed_share(r) for r in rs]
+                            for side, rs in runs.items()},
+           "metrics": {}}
     ok = True
     print(f"\nworkload {args.workload}: {len(SEEDS)} pairs, odd seeds "
           f"parent first, {out['seconds']} s runs")

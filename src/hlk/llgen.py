@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isqrt, lcm
 
 from .algebra import BigradedAlgebra
 from .exactlin import (
@@ -22,8 +23,10 @@ from .exactlin import (
     ZERO,
     ONE,
     entry_product,
+    kernel,
     muladd,
     rank,
+    solve,
     unit_vector,
     vec_is_zero,
     vec_neg,
@@ -43,6 +46,7 @@ __all__ = [
     "killing_form",
     "killing_nondegenerate",
     "minimal_ideals",
+    "CensusError",
     "is_sl2_block",
     "bracket_table_digest",
 ]
@@ -246,20 +250,293 @@ def killing_nondegenerate(lie: OperatorLieAlgebra) -> bool:
     return rank(killing_form(lie)) == lie.dim
 
 
-def minimal_ideals(lie: OperatorLieAlgebra):
-    """Distinct minimal ideals among those generated by basis seeds."""
-    dim = lie.dim
-    ideals = list(dict.fromkeys(
-        _ideal_coords(lie, unit_vector(dim, k)) for k in range(dim)))
-    minimal = []
-    for cand in ideals:
-        space = Subspace(dim, cand)
-        proper_sub = any(
-            len(other) < len(cand) and all(space.contains(v) for v in other)
-            for other in ideals)
-        if not proper_sub:
-            minimal.append(cand)
-    return [_as_ideal(lie, rows) for rows in minimal]
+class CensusError(Exception):
+    """The census could not certify a decomposition into simple ideals."""
+
+
+def minimal_ideals(lie: OperatorLieAlgebra, triples):
+    """The simple ideals of ``lie``, the algebra generated by the sl2
+    ``triples`` (L_w, Lambda_w, B), read off the g_0-commutant on g_2.
+
+    ad B grades the algebra as g_-2 + g_0 + g_2 with g_2 = span{L_w},
+    and g_0 is spanned by the h_ab = [L_a, Lambda_b].  Every ideal is
+    graded, and a simple ideal meets g_2: one that did not would commute
+    with every L_w and Lambda_w (in an sl2 module (ad L_w)^2 is
+    injective on weight -2), so it would be central.  The simple ideals
+    therefore cut g_2 into g_0-submodules, and the commutant of g_0 on
+    g_2 has one idempotent per ideal.  A 1-dimensional commutant means
+    ``lie`` is simple.  Otherwise g_2 is split by the minimal
+    polynomials of commutant elements, factored exactly over Q(i), until
+    every piece has a commutant that is a field; each piece generates
+    one ideal.  Raises CensusError when a factorisation stays open or
+    the ideals do not sum directly to ``lie``.
+    """
+    if lie.dim == 0:
+        return []
+    n = lie.ambient
+    g2 = SpanBuilder(n * n)
+    for tri in triples:
+        g2.add(tri.L.entries)
+    l_basis = [DenseMatrix(n, n, row) for row in g2.basis]
+    m = len(l_basis)
+    actions = []
+    h_span = SpanBuilder(n * n)
+
+    def recorded():
+        for a, ta in enumerate(triples):
+            for b, tb in enumerate(triples):
+                if a == b:
+                    continue    # [L_a, Lambda_a] = -B acts on g_2 by -2
+                h = ta.L.commutator(tb.Lambda)
+                if not h_span.add(h.entries):
+                    continue    # ad h combines the earlier actions
+                cols = [g2.coordinates(h.commutator(x).entries)
+                        for x in l_basis]
+                if None in cols:
+                    raise CensusError("undetermined: [g_0, g_2] leaves "
+                                      "the span of the L_w")
+                actions.append(DenseMatrix.from_columns(cols, rows=m))
+                yield actions[-1]
+
+    commutant = _commutant(recorded(), m)
+    if len(commutant) == 1:
+        return [lie]
+    # a larger commutant consumed every action
+    pieces = _split([unit_vector(m, t) for t in range(m)], actions,
+                    commutant)
+    rows = []
+    l_cols = DenseMatrix.from_columns(g2.basis)
+    for piece in pieces:
+        coords = [lie.coordinates(DenseMatrix(n, n, l_cols.apply(v)))
+                  for v in piece]
+        if None in coords:
+            raise CensusError("the L_w are not in the algebra")
+        ideal = _ideal_coords(lie, coords[0])
+        if not all(Subspace(lie.dim, ideal).contains(c) for c in coords):
+            raise CensusError(
+                f"a piece of g_2 of dim {len(piece)} is not inside the "
+                f"ideal it generates")
+        rows.append(ideal)
+    dims = sorted(len(r) for r in rows)
+    if sum(dims) != lie.dim or \
+            rank(DenseMatrix.from_rows([v for r in rows for v in r])) \
+            != lie.dim:
+        raise CensusError(f"ideals of dims {dims} do not sum directly to "
+                          f"the algebra of dim {lie.dim}")
+    return [_as_ideal(lie, r) for r in rows]
+
+
+def _commutant(actions, d: int) -> list:
+    """Basis of the d x d matrices X with XA = AX for every A in
+    ``actions``, as DenseMatrix members; just the identity as soon as
+    the equations reach rank d^2 - 1."""
+    size = d * d
+    identity = DenseMatrix.identity(d)
+    if d == 1:
+        return [identity]
+    sb = SpanBuilder(size)
+    for act in actions:
+        e = act.entries
+        for i in range(d):
+            for j in range(d):
+                # (XA - AX)_ij = sum_k X_ik A_kj - A_ik X_kj
+                row = [ZERO] * size
+                for k in range(d):
+                    row[i * d + k] = row[i * d + k] + e[k * d + j]
+                    row[k * d + j] = row[k * d + j] - e[i * d + k]
+                if sb.add(row) and sb.dim == size - 1:
+                    return [identity]
+    rows = sb.basis
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    out = []
+    for f in sorted(set(range(size)) - set(pivots)):
+        v = [ZERO] * size
+        v[f] = ONE
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        out.append(DenseMatrix(d, d, v))
+    return out
+
+
+def _split(piece, actions, commutant=None) -> list:
+    """Split the g_0-submodule ``piece`` of g_2 (a list of independent
+    vectors in g_2 coordinates) into pieces whose commutant is a field.
+
+    ``actions`` are the matrices of g_0 on g_2; ``commutant``, when
+    given, is the commutant on ``piece`` in the coordinates of its
+    vectors.  An element c of the commutant with an eigenvalue t in Q(i)
+    of multiplicity k in its minimal polynomial splits the piece into
+    ker (c - t)^k and im (c - t)^k, both g_0-submodules.
+    """
+    d = len(piece)
+    if d == 1:
+        return [piece]
+    if commutant is None:
+        span = SpanBuilder(len(piece[0]))
+        for v in piece:
+            span.add(v)
+        piece = list(span.basis)
+        restricted = []
+        for act in actions:
+            cols = [span.coordinates(act.apply(v)) for v in piece]
+            if None in cols:
+                raise CensusError("undetermined: a piece of g_2 is not "
+                                  "g_0-invariant")
+            restricted.append(DenseMatrix.from_columns(cols, rows=d))
+        commutant = _commutant(restricted, d)
+    if len(commutant) == 1:
+        return [piece]
+    rootless = set()     # degrees of minimal polynomials with no root
+    for c in commutant:
+        poly = _minimal_polynomial(c)
+        if len(poly) < 3:
+            continue
+        root = _root(poly)
+        if root is None:
+            rootless.add(len(poly) - 1)
+            continue
+        k = 0
+        while True:
+            quotient, rest = _divide_linear(poly, root)
+            if rest:
+                break
+            poly, k = quotient, k + 1
+        if len(poly) == 1:
+            continue    # t is c's only eigenvalue: nothing to split
+        shifted = c.sub(DenseMatrix.identity(d).scale(root))
+        power = DenseMatrix.identity(d)
+        for _ in range(k):
+            power = power.mul(shifted)
+        ker = kernel(power).basis
+        image = Subspace.from_vectors(
+            d, [power.column(j) for j in range(d)]).basis
+        cols = DenseMatrix.from_columns(piece)
+        return [p for part in (ker, image)
+                for p in _split([cols.apply(v) for v in part], actions)]
+    if len(commutant) in rootless and len(commutant) <= 3:
+        # Q(i)[c] fills the commutant, and c's minimal polynomial has no
+        # root and degree 2 or 3, so is irreducible: a field
+        return [piece]
+    raise CensusError(
+        f"undetermined: a commutant of dim {len(commutant)} on a piece of "
+        f"g_2 of dim {d} is neither split nor shown to be a field")
+
+
+def _minimal_polynomial(c: DenseMatrix) -> list:
+    """Coefficients, lowest first, of the monic minimal polynomial of c:
+    the first power c^k that is a combination of the lower ones."""
+    d = c.rows
+    powers = [DenseMatrix.identity(d).entries]
+    while True:
+        top = DenseMatrix(d, d, powers[-1]).mul(c).entries
+        sol = solve(DenseMatrix.from_columns(powers, rows=d * d), top)
+        if sol is not None:
+            return [-x for x in sol] + [ONE]
+        powers.append(top)
+
+
+def _divide_linear(poly, t):
+    """Quotient and remainder of ``poly`` (lowest coefficient first) by
+    x - t, by synthetic division."""
+    acc = ZERO
+    quotient = []
+    for coeff in reversed(poly):
+        acc = muladd(coeff, acc, t)
+        quotient.append(acc)
+    rest = quotient.pop()
+    return quotient[::-1], rest
+
+
+def _root(poly):
+    """A root in Q(i) of the monic ``poly`` (lowest coefficient first,
+    degree >= 2), or None when it has none.
+
+    A quadratic has one exactly when its discriminant is a square in
+    Q(i).  Otherwise x -> y/D, D the common denominator, turns ``poly``
+    into a monic polynomial over Z[i], whose roots in Q(i) all lie in
+    Z[i] (the rational-root test); ``_gaussian_integer_roots`` finds
+    them all.
+    """
+    if not poly[0]:
+        return ZERO
+    deg = len(poly) - 1
+    if deg == 2:
+        p, q = poly[1], poly[0]
+        disc = p * p - Scalar(4) * q
+        # a square root of (a + b i)/d is one of (a + b i) d, over d
+        r = _gauss_sqrt(disc._a * disc._d, disc._b * disc._d)
+        if r is None:
+            return None
+        return (Scalar(*r) / Scalar(disc._d) - p) / Scalar(2)
+    den = 1
+    for c in poly:
+        den = lcm(den, c._d)
+    ints = []
+    for j, c in enumerate(poly):
+        c = c * Scalar(den ** (deg - j))
+        ints.append((c._a, c._b))
+    roots = _gaussian_integer_roots(ints)
+    return Scalar(*roots[0]) / Scalar(den) if roots else None
+
+
+def _gauss_sqrt(a: int, b: int):
+    """(x, y) with (x + y i)^2 = a + b i, or None when there is none."""
+    n = isqrt(a * a + b * b)
+    x, y = isqrt((n + a) // 2), isqrt((n - a) // 2)
+    if b < 0:
+        y = -y
+    return (x, y) if (x * x - y * y, 2 * x * y) == (a, b) else None
+
+
+def _horner(coeffs, x: int, y: int, mod=None):
+    """The value at x + y i of the polynomial with Gaussian-integer
+    coefficients (re, im), lowest first; reduced mod ``mod`` if given."""
+    re = im = 0
+    for a, b in reversed(coeffs):
+        re, im = re * x - im * y + a, re * y + im * x + b
+        if mod:
+            re, im = re % mod, im % mod
+    return re, im
+
+
+# primes p = 3 mod 4, for which Z[i]/p is the field F_p[i]
+_PRIMES = (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
+
+
+def _gaussian_integer_roots(ints) -> list:
+    """Every root in Z[i] of the monic polynomial with Gaussian-integer
+    coefficients ``ints``, pairs (re, im) lowest first.
+
+    A root y has |y| <= 1 + max |a_j| (Cauchy).  Modulo a prime p = 3
+    mod 4 at which every root is simple, each root of the polynomial in
+    F_p[i] lifts by Newton's iteration to a unique root modulo p^e, so
+    every root in Z[i] is the symmetric residue of one of those lifts
+    once p^e exceeds twice the bound; each candidate is checked exactly.
+    """
+    bound = 1 + max(isqrt(a * a + b * b) + 1 for a, b in ints[:-1])
+    deriv = [(j * a, j * b) for j, (a, b) in enumerate(ints)][1:]
+    for p in _PRIMES:
+        mod_roots = [(x, y) for x in range(p) for y in range(p)
+                     if _horner(ints, x, y, p) == (0, 0)]
+        if any(_horner(deriv, x, y, p) == (0, 0) for x, y in mod_roots):
+            continue    # a multiple root modulo p
+        out = []
+        for x, y in mod_roots:
+            m = p
+            while m <= 2 * bound:
+                m *= m
+                f, g = _horner(ints, x, y, m), _horner(deriv, x, y, m)
+                # 1/(u + v i) = (u - v i)/(u^2 + v^2), a unit mod p
+                inv = pow(g[0] * g[0] + g[1] * g[1], -1, m)
+                u, v = g[0] * inv, -g[1] * inv
+                x = (x - f[0] * u + f[1] * v) % m
+                y = (y - f[0] * v - f[1] * u) % m
+            x, y = (x - m if 2 * x > m else x), (y - m if 2 * y > m else y)
+            if _horner(ints, x, y) == (0, 0):
+                out.append((x, y))
+        return out
+    raise CensusError("undetermined: a minimal polynomial has a multiple "
+                      "root modulo every prime tried")
 
 
 def is_sl2_block(sub: OperatorLieAlgebra) -> bool:

@@ -22,6 +22,7 @@ from hlk.exactlin import (
     vec_is_zero,
     vec_scale,
 )
+from test_lefschetz import reference_lambda_by_solve, relations_hold
 
 SEED = 20260811
 
@@ -87,8 +88,9 @@ def test_criterion_2_sl2_triples():
     for alg in catalog_algebras():
         for w in lz.cone_check_family(alg, alg.kahler):
             tri = lz.dual_lefschetz(alg, w)
-            assert tri.Lambda == lz._lambda_by_solve(lz._context(alg, w))
-            assert tri.relations_hold()
+            ref_lam, _ = reference_lambda_by_solve(lz._context(alg, w))
+            assert tri.Lambda == ref_lam
+            assert relations_hold(tri)
             checked += 1
         if alg.g == 2:
             tri = lz.dual_lefschetz(alg, alg.kahler)
@@ -163,13 +165,11 @@ def test_criterion_5_so_phi():
 def test_criterion_6_product_model():
     for n in (1, 2, 3, 5):
         alg, family = llgen.product_model(n)
-        gens = []
-        for w in family:
-            tri = lz.dual_lefschetz(alg, w)
-            gens.extend([tri.L, tri.Lambda])
-        closed = llgen.lie_closure(gens)
+        triples = [lz.dual_lefschetz(alg, w) for w in family]
+        closed = llgen.lie_closure(
+            [x for tri in triples for x in (tri.L, tri.Lambda)])
         assert closed.dim == 3 * n, (n, closed.dim)
-        ideals = llgen.minimal_ideals(closed)
+        ideals = llgen.minimal_ideals(closed, triples)
         assert len(ideals) == n, (n, len(ideals))
         assert all(llgen.is_sl2_block(i) for i in ideals)
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,32 @@ def test_unclaimed_verdicts():
     v = verdict(PARENT, [p * 2 for p in PARENT], "higher", 0.25,
                 claimed=True)
     assert v["wins"] == 10 and v["verdict"] == "gain met"
+
+
+def test_main_reports_correct_and_failed_share(tmp_path, monkeypatch, capsys):
+    # canned runs: the parent fails 2 of 18 invocations on every seed,
+    # the change none, and the change is the faster
+    bench = {"run_seconds": 1, "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+
+    def run_one(checkout, workload, seed):
+        parent = checkout.name == "parent"
+        return {"correct": True, "attempted": 18, "failed": 2 if parent else 0,
+                "metrics": {"wall_s": {"value": 0.1 if parent else 0.08}}}
+
+    monkeypatch.setattr(bench_pairs, "run_one", run_one)
+    assert bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"), "--workload", "w",
+                             "--claim", "wall_s"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("seed 1: wall_s 0.1 -> 0.08  | "
+                        "parent correct true, failed 2/18 = 0.1111, "
+                        "change correct true, failed 0/18 = 0.0000")
+    out = json.loads(lines[-1])
+    assert out["correct"] == {"parent": [True] * 10, "change": [True] * 10}
+    assert out["failed_share"] == {"parent": [2 / 18] * 10,
+                                   "change": [0.0] * 10}
+    assert out["metrics"]["wall_s"]["verdict"] == "gain met"

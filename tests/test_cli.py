@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import shutil
 import random
 from fractions import Fraction
 
@@ -92,6 +93,27 @@ def test_validate_pass(catalog_dir, tmp_path):
     assert code == 0
     doc = json.loads(report.read_text())
     assert all(c["status"] in ("pass", "skip") for c in doc["checks"])
+
+
+def test_validate_rejects_two_inputs_of_one_report_key(catalog_dir, tmp_path,
+                                                      capsys):
+    # one file given from two directories: both would report, and time,
+    # as algebra:torus.algebra.json
+    other = tmp_path / "other"
+    other.mkdir()
+    shutil.copy(catalog_dir / "torus.algebra.json", other)
+    assert run(["validate",
+                "--input", str(catalog_dir / "torus.algebra.json"),
+                "--input", str(other / "torus.algebra.json")]) == 2
+    assert capsys.readouterr().err == \
+        "input error: duplicate input name 'algebra:torus.algebra.json'\n"
+    # two pair files of one pair name: a module would meet either
+    shutil.copy(catalog_dir / "sl2R.pair.json", other / "other.pair.json")
+    assert run(["validate",
+                "--input", str(catalog_dir / "sl2R.pair.json"),
+                "--input", str(other / "other.pair.json")]) == 2
+    assert capsys.readouterr().err == \
+        "input error: duplicate pair name 'sl2R'\n"
 
 
 def test_validate_broken_algebra(catalog_dir, tmp_path):
@@ -457,6 +479,25 @@ def test_llgen_stops_on_invalid_algebra(tmp_path):
 def test_llgen_large_even_part_skips(catalog_dir):
     assert run(["llgen",
                 "--input", str(catalog_dir / "k3-mock.algebra.json")]) == 0
+
+
+@pytest.mark.parametrize("model", ["torus", "g2-k3"])
+def test_llgen_census_skips_a_zero_algebra(tmp_path, model):
+    # no odd classes for L to act on: the closure is 0, and a census of
+    # it has nothing to show
+    args = ["torus"] if model == "torus" else ["g2-family", "--k", "3"]
+    assert run(["catalog", *args, "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / f"{model}.algebra.json"
+    report = tmp_path / "llgen.json"
+    assert run(["llgen", "--mode", "odd", "--input", str(path),
+                "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    base = doc["checks"][0]["name"].split(":")[0]
+    census = [c for c in doc["checks"] if c["name"] == f"{base}:ideal-census"]
+    assert census == [{"name": f"{base}:ideal-census", "status": "skip",
+                       "detail": "the algebra is zero"}]
+    assert doc["summary"][f"{base}:dimension"] == 0
+    assert doc["summary"][f"{base}:minimal-ideals"] == []
 
 
 def test_gkcoh_suite(catalog_dir, tmp_path):

@@ -157,12 +157,47 @@ def test_dual_lefschetz_explicit_g2_values(g2k2, k3, abelian):
         assert vec_is_zero(tri.Lambda.apply(alg.unit))
 
 
+def relations_hold(tri):
+    """The three sl2 relations, each formed from the matrices."""
+    return (tri.Lambda.commutator(tri.L) == tri.B
+            and tri.B.commutator(tri.L) == tri.L.scale(Scalar(-2))
+            and tri.B.commutator(tri.Lambda) == tri.Lambda.scale(Scalar(2)))
+
+
 def test_sl2_relations_and_solve_agreement(torus, g2k2, abelian):
     for alg in (torus, g2k2, abelian):
         for w in lz.cone_check_family(alg, alg.kahler):
             tri = lz.dual_lefschetz(alg, w)
-            assert tri.relations_hold()
-            assert tri.Lambda == lz._lambda_by_solve(lz._context(alg, w))
+            assert relations_hold(tri)
+            ref_lam, _ = reference_lambda_by_solve(lz._context(alg, w))
+            assert tri.Lambda == ref_lam
+
+
+def _perturbed_lambda(monkeypatch, pick):
+    """Patch the constructive Lambda to add 1 at the first position
+    (i, j), in row-major order, for which pick(deg i, deg j) holds."""
+    constructive = lz._lambda_constructive
+
+    def perturbed(ctx):
+        lam = constructive(ctx)
+        n, degs = lam.rows, ctx.degrees
+        k = next(k for k in range(n * n) if pick(degs[k // n], degs[k % n]))
+        entries = list(lam.entries)
+        entries[k] = entries[k] + Scalar(1)
+        return DenseMatrix(n, n, entries)
+
+    monkeypatch.setattr(lz, "_lambda_constructive", perturbed)
+
+
+@pytest.mark.parametrize("case", ["degree-minus-2-entry", "stray-entry"])
+def test_dual_lefschetz_rejects_a_wrong_lambda(monkeypatch, abelian, case):
+    if case == "degree-minus-2-entry":
+        # right degree, so only [Lambda, L] = B can catch it
+        _perturbed_lambda(monkeypatch, lambda di, dj: di == dj - 2)
+    else:
+        _perturbed_lambda(monkeypatch, lambda di, dj: di == dj + 1)
+    with pytest.raises(ArithmeticError):
+        lz.dual_lefschetz(abelian, abelian.kahler)
 
 
 def test_counting_operator_torus(torus):
@@ -468,9 +503,10 @@ def test_q_grams_match_entrywise_q(model):
 
 # -- reference: the dense Lambda oracle ---------------------------------------
 #
-# _lambda_by_solve builds its equations sparsely and solves the system
-# once.  The dense n^2-row scan with two row reductions that it replaced is
-# kept here as the reference.
+# The degree -2 solution of [Lambda, L] = B, from the dense n^2-row system
+# and two row reductions.  At run time dual_lefschetz checks its
+# constructive Lambda against the relation alone; this solve is the second
+# construction.
 
 
 def reference_lambda_by_solve(ctx):
@@ -505,15 +541,11 @@ def reference_lambda_by_solve(ctx):
     return DenseMatrix.from_rows(lam), len(pivots) == len(unknowns)
 
 
-def _solve_outcome(solver, ctx):
-    try:
-        return solver(ctx)
-    except lz.ConeError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
 def test_lambda_solve_matches_dense_reference(model):
+    # the solve has a unique solution on every cone class, the
+    # constructive Lambda; and none off the cone, where an sl2 triple
+    # would make L^k bijective
     alg = REFERENCE_MODELS[model]()
     for mode in ("full", "even"):
         if not lz.kahler_cone_membership(alg, alg.kahler, mode):
@@ -521,19 +553,17 @@ def test_lambda_solve_matches_dense_reference(model):
         for w in lz.cone_check_family(alg, alg.kahler, mode):
             ctx = lz._context(alg, w, mode)
             ref_lam, ref_unique = reference_lambda_by_solve(ctx)
-            assert lz._lambda_by_solve(ctx) == ref_lam
+            assert lz.dual_lefschetz(alg, w, mode).Lambda == ref_lam
             assert ref_unique
     # classes outside the cone: zero, and a basis class that fails it
     outside = [tuple(ZERO for _ in range(alg.n))]
     outside += [alg.basis_vector(k) for k in alg.degree_indices(2)
                 if not lz.kahler_cone_membership(alg, alg.basis_vector(k))]
     for w in outside:
-        ctx = lz._context(alg, w, "full")
-        expected = _solve_outcome(
-            lambda c: reference_lambda_by_solve(c)[0], ctx)
-        assert _solve_outcome(lz._lambda_by_solve, ctx) == expected
-    with pytest.raises(lz.ConeError):
-        lz._lambda_by_solve(lz._context(alg, outside[0], "full"))
+        with pytest.raises(lz.ConeError):
+            reference_lambda_by_solve(lz._context(alg, w, "full"))
+        with pytest.raises(lz.ConeError):
+            lz.dual_lefschetz(alg, w)
 
 
 # -- signature ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from hlk import catalog, fileio
 from hlk import lefschetz as lz
 from hlk import llgen
+from hlk.algebra import BigradedAlgebra
 from hlk.exactlin import (
     ZERO,
     DenseMatrix,
     Scalar,
     SpanBuilder,
+    inverse,
     kernel,
     kernel_image,
 )
@@ -28,13 +31,35 @@ def even_triples(alg, mode="even"):
     return family, gens
 
 
-def product_closure(n_factors):
+def product_triples(n_factors):
     alg, family = llgen.product_model(n_factors)
-    gens = []
-    for w in family:
-        tri = lz.dual_lefschetz(alg, w)
-        gens.extend([tri.L, tri.Lambda])
-    return llgen.lie_closure(gens)
+    return [lz.dual_lefschetz(alg, w) for w in family]
+
+
+def closure_of(triples):
+    return llgen.lie_closure([x for tri in triples
+                              for x in (tri.L, tri.Lambda)])
+
+
+def product_closure(n_factors):
+    return closure_of(product_triples(n_factors))
+
+
+def census(triples):
+    """The closure of ``triples`` and its minimal ideals."""
+    lie = closure_of(triples)
+    return lie, llgen.minimal_ideals(lie, triples)
+
+
+def g2_triples(alg):
+    family, _ = even_triples(alg)
+    return [lz.dual_lefschetz(alg, w, mode="even") for w in family]
+
+
+def conjugated_triples(triples, conj):
+    """Each triple with L, Lambda and B mapped by ``conj``."""
+    return [lz.SL2Triple(conj(t.L), conj(t.Lambda), conj(t.B), t.indices)
+            for t in triples]
 
 
 # -- matrix-space references for the coordinate layer ------------------------
@@ -75,7 +100,10 @@ def reference_killing(lie):
 
 
 def reference_minimal_ideals(lie):
-    """Minimal ideals among the reference probes of the basis members."""
+    """Minimal ideals among the reference probes of the basis members.
+
+    This seed census is right only in a basis whose members each lie in
+    one simple ideal; in general it depends on the basis."""
     ideals = list(dict.fromkeys(reference_probe(lie, b) for b in lie.basis))
     minimal = []
     for cand in ideals:
@@ -240,7 +268,7 @@ def test_ideal_probe_matches_commutator_closure(g2k2):
     # proper ideals whose echelon bases mix several basis members of
     # the algebra: members of one factor of a conjugated product model
     product, conjugated, conj = conjugated_product_closure(2, rng)
-    factors = llgen.minimal_ideals(product)
+    factors = llgen.minimal_ideals(product, product_triples(2))
     assert len(factors) == 2
     for _ in range(4):
         for factor in factors:
@@ -255,17 +283,44 @@ def test_ideal_probe_matches_commutator_closure(g2k2):
     assert proper >= 8
 
 
+def theory_ideals(model):
+    """The census theory gives, as perfbench/oracle.py encodes it: for
+    g2-kk so(k+2), which is sl2 + sl2 at k = 2 and simple otherwise; for
+    s1s2-N, N copies of sl2."""
+    if model.startswith("g2-k"):
+        m = int(model[4:]) + 2
+        return [3, 3] if m == 4 else [m * (m - 1) // 2]
+    return [3] * int(model[len("s1s2-N"):])
+
+
+def check_census(lie, ideals, want):
+    """The census has the dims ``want``; each ideal is generated, in the
+    matrix-space reference, by its first member (so it is an ideal with
+    no smaller ideal around that member) and has the reference table."""
+    assert sorted(i.dim for i in ideals) == want
+    for ideal in ideals:
+        assert reference_probe(lie, ideal.basis[0]) == ideal.basis
+        check_ideal(ideal)
+
+
 def test_minimal_ideals_match_reference(g2k2, g2k3):
-    # the conjugated product model shows the basis-dependent census: the
-    # coordinate census must give the same answer as the matrix one
-    for closed in (llgen.lie_closure(even_triples(g2k2)[1]),
-                   llgen.lie_closure(even_triples(g2k3)[1]),
-                   product_closure(2),
-                   conjugated_product_closure(2, random.Random(7))[1]):
-        ideals = llgen.minimal_ideals(closed)
-        assert [i.basis for i in ideals] == reference_minimal_ideals(closed)
-        for ideal in ideals:
-            check_ideal(ideal)
+    # theory gives every census; the seed census of the reference agrees
+    # where every basis member lies in one simple ideal
+    for triples, model in ((g2_triples(g2k2), "g2-k2"),
+                           (g2_triples(g2k3), "g2-k3"),
+                           (product_triples(2), "s1s2-N2")):
+        lie, ideals = census(triples)
+        check_census(lie, ideals, theory_ideals(model))
+        if model != "g2-k2":
+            assert {i.basis for i in ideals} == \
+                set(reference_minimal_ideals(lie))
+    # a conjugated product model, where no basis member isolates the
+    # second factor: the seed census misses it
+    _, conjugated, conj = conjugated_product_closure(2, random.Random(7))
+    lie, ideals = census(conjugated_triples(product_triples(2), conj))
+    assert lie.basis == conjugated.basis
+    check_census(lie, ideals, [3, 3])
+    assert [len(i) for i in reference_minimal_ideals(lie)] == [3]
 
 
 def test_killing_form_matches_ad_products(g2k2, g2k3):
@@ -326,15 +381,115 @@ def test_product_model_dimensions():
     for n in (1, 2, 3):
         closed = product_closure(n)
         assert closed.dim == 3 * n
-        ideals = llgen.minimal_ideals(closed)
+        ideals = llgen.minimal_ideals(closed, product_triples(n))
         assert len(ideals) == n
         assert all(llgen.is_sl2_block(i) for i in ideals)
         assert center_dimension(closed) == 0
 
 
+def random_invertible(n, rng):
+    """A random invertible n x n integer matrix, the identity with up to
+    two entries +-1 added to each row, and its inverse."""
+    while True:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in rng.sample(range(n), 2):
+                if j != i:
+                    rows[i][j] = rng.choice((-1, 1))
+        p = DenseMatrix.from_rows(rows)
+        p_inv = inverse(p)
+        if p_inv is not None:
+            return p, p_inv
+
+
+def test_product_model_census_is_basis_free():
+    # N sl2 ideals in every basis; in most of these no member of the
+    # closure's echelon basis isolates every factor, so a census of the
+    # ideals of basis seeds finds too few
+    rng = random.Random(20021104)
+    for n in range(1, 6):
+        triples = product_triples(n)
+        base = closure_of(triples)
+        for _ in range(20):
+            p, p_inv = random_invertible(2 * n, rng)
+
+            def conj(m):
+                return p.mul(m).mul(p_inv)
+
+            lie = llgen.lie_closure([conj(b) for b in base.basis])
+            ideals = llgen.minimal_ideals(lie, conjugated_triples(triples,
+                                                                  conj))
+            assert lie.dim == 3 * n
+            assert len(ideals) == n
+            assert all(llgen.is_sl2_block(i) for i in ideals)
+
+
+def test_census_of_the_zero_algebra_is_empty():
+    zero = DenseMatrix.zero(2, 2)
+    tri = lz.SL2Triple(zero, zero, zero, (0, 1))
+    assert llgen.minimal_ideals(llgen.lie_closure([zero]), [tri]) == []
+
+
+def g2k2_with_form(c):
+    """g2-k2 with f1 cup f1 = -c top: phi has discriminant a square in
+    Q(i) times c."""
+    alg = catalog.g2_family_algebra(2)
+    products = {key: dict(v) for key, v in alg._products.items()}
+    products[(2, 2)] = {3: Scalar(-c)}
+    return BigradedAlgebra(2, alg.names, alg.bidegrees, products,
+                           alg.conj_matrix, alg.nu, name=f"g2-k2-{c}",
+                           kahler=alg.kahler)
+
+
+@pytest.mark.parametrize("c, dims", [(1, [3, 3]), (4, [3, 3]), (-1, [3, 3]),
+                                     (2, [6]), (3, [6]), (-2, [6])])
+def test_census_reads_the_base_field(c, dims):
+    # so(4, phi) = sl2 + sl2 over Q(i) exactly when disc phi is a square
+    # in Q(i) (-1 is one); otherwise the commutant on g_2 is the field
+    # Q(i)(sqrt c) and so(4, phi) is simple over Q(i)
+    lie, ideals = census(g2_triples(g2k2_with_form(c)))
+    check_census(lie, ideals, dims)
+
+
+def test_factor_search_matches_sympy():
+    # the root search of the census against sympy's factorisation over
+    # Q(i): a root exactly when some factor is linear
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(5)
+
+    def gauss(top):
+        return Fraction(rng.randint(-top, top), rng.randint(1, top)) + \
+            sympy.I * Fraction(rng.randint(-top, top), rng.randint(1, top))
+
+    seen = set()
+    for _ in range(25):
+        poly = sympy.Integer(1)
+        for _ in range(rng.randint(0, 3)):
+            poly *= x - gauss(30)
+        for _ in range(rng.randint(0, 2)):
+            poly *= x ** rng.randint(2, 3) + rng.randint(-9, 9) * x + \
+                rng.randint(-9, 9)
+        coeffs = sympy.Poly(sympy.expand(poly), x).all_coeffs()[::-1]
+        if len(coeffs) < 3:
+            continue
+        ours = [Scalar(Fraction(str(sympy.re(c))), Fraction(str(sympy.im(c))))
+                for c in coeffs]
+        ours = [c / ours[-1] for c in ours]
+        factors = sympy.factor_list(poly, gaussian=True)[1]
+        linear = any(sympy.degree(f, x) == 1 for f, _ in factors)
+        root = llgen._root(ours)
+        assert (root is not None) == linear
+        if root is not None:
+            assert llgen._divide_linear(ours, root)[1] == ZERO
+        seen.add((linear, len(coeffs) > 3))
+    assert seen == {(False, False), (False, True), (True, False),
+                    (True, True)}
+
+
 def test_product_model_factor_ideal_is_proper():
     closed = product_closure(3)
-    ideals = llgen.minimal_ideals(closed)
+    ideals = llgen.minimal_ideals(closed, product_triples(3))
     assert all(i.dim == 3 for i in ideals)
     assert all(i.dim < closed.dim for i in ideals)
 
@@ -399,8 +554,8 @@ def reference_digest(lie):
     return h.hexdigest()
 
 
-def llgen_generators(alg):
-    """The L and Lambda of the spanning cone family that ``hlk llgen``
+def llgen_triples(alg):
+    """The sl2 triples of the spanning cone family that ``hlk llgen``
     brackets, with its fallback class when ``alg`` designates none."""
     mode = "even" if alg.g == 2 else "full"
     omega = alg.kahler
@@ -408,11 +563,12 @@ def llgen_generators(alg):
         omega = tuple(Scalar(int(k in alg.degree_indices(2)))
                       for k in range(alg.n))
     family, _ = lz.spanning_cone_family(alg, omega, mode=mode)
-    gens = []
-    for w in family:
-        tri = lz.dual_lefschetz(alg, w, mode=mode)
-        gens.extend([tri.L, tri.Lambda])
-    return gens
+    return [lz.dual_lefschetz(alg, w, mode=mode) for w in family]
+
+
+def llgen_generators(alg):
+    """The L and Lambda of ``llgen_triples``."""
+    return [x for tri in llgen_triples(alg) for x in (tri.L, tri.Lambda)]
 
 
 def strict_upper_chain(n):
@@ -481,13 +637,9 @@ def rebased_copy(alg, tmp_path, seed):
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_minimal_ideals_match_reference_rebased(tmp_path, seed):
-    # in the dense basis of a rebased model every seed meets several
-    # coordinates: the sparse adjoint growth must give the matrix census
+    # in the dense basis of a rebased model every basis member meets
+    # several simple ideals: the census must still give theory's answer
     for alg in (catalog.g2_family_algebra(3), llgen.product_model(3)[0]):
-        lie = llgen.lie_closure(llgen_generators(rebased_copy(alg, tmp_path,
-                                                              seed)))
-        ideals = llgen.minimal_ideals(lie)
-        assert [i.basis for i in ideals] == reference_minimal_ideals(lie)
-        for ideal in ideals:
-            check_ideal(ideal)
+        lie, ideals = census(llgen_triples(rebased_copy(alg, tmp_path, seed)))
+        check_census(lie, ideals, theory_ideals(alg.name))
         assert llgen.structure_constants(lie) == reference_table(lie.basis)

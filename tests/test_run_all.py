@@ -19,9 +19,8 @@ compare_reports = load_script("compare_reports")
 
 # sha256 of fileio.canonical_dumps of each run_all report, reduced by
 # compare_reports.load_reports (no timings, input paths as file names).
-# llgen-g2-k2 pins today's census [6], which is known to be wrong
-# (ROADMAP item 1: so(4) = [3,3]); the census fix updates that digest in
-# a declared change.
+# llgen-g2-k2 pins the census [3, 3]: so(4) = sl2 + sl2 over Q(i), as
+# disc phi is a square there.  (The seed census it replaced read [6].)
 REPORT_DIGESTS = {
     "assemble-genus2.json":
         "0644fac627ccd6ca457b2682babca0757779572c9510a769e09a23706a6721b4",
@@ -44,7 +43,7 @@ REPORT_DIGESTS = {
     "lefschetz-torus.json":
         "cd5206d842ef5f2e95fce5b67c8b0c6489c7bcefd9cac616acee39b259179f8c",
     "llgen-g2-k2.json":
-        "75ba22d94f539ad0ff6a0a20446ce11213a79e0238ebeb8f95860c8f188cac18",
+        "6d2ed1169f56961146f36f27ea8e262619025ad77ba567bd4529e1df2780fe3b",
     "llgen-g2-k3.json":
         "4262a4f61d751b6054fcda698833be7cc274195190554ff35e90f94496e73624",
     "llgen-g2-k4.json":
