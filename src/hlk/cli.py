@@ -31,8 +31,6 @@ from . import llgen
 from .algebra import validate_algebra
 from .exactlin import Scalar, hermitian_definiteness, kernel
 
-LARGE_EVEN_PART = 12
-
 
 class Report:
     def __init__(self, command: str):
@@ -357,14 +355,6 @@ def cmd_llgen(args, report: Report, loaded):
             continue
         report.doc["summary"][f"{base}:family"] = \
             [{"base": nm, "shift": s} for nm, s in record]
-        even_dim = sum(1 for k in range(alg.n)
-                       if alg.degree_of_index(k) % 2 == 0)
-        ambient = even_dim if mode == "even" else alg.n
-        if ambient > LARGE_EVEN_PART and not args.force_large:
-            report.skip(f"{base}:closure",
-                        f"ambient dimension {ambient} > {LARGE_EVEN_PART}; "
-                        "pass --force-large to run")
-            continue
         triples = [lz.dual_lefschetz(alg, w, mode=mode) for w in family]
         gens = []
         for tri in triples:
@@ -587,8 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     llg = sub.add_parser("llgen", help="operator Lie algebra battery")
     common(llg)
     llg.add_argument("--mode", default=None, choices=["full", "even", "odd"])
-    llg.add_argument("--force-large", action="store_true",
-                     help="run closures on large even parts")
     llg.set_defaults(func=cmd_llgen)
 
     gkc = sub.add_parser("gkcoh", help="relative Lie algebra cohomology")

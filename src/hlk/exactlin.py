@@ -37,7 +37,6 @@ __all__ = [
     "vec_add",
     "vec_sub",
     "vec_scale",
-    "vec_neg",
     "vec_conj",
     "vec_is_zero",
     "zero_vector",
@@ -262,10 +261,6 @@ def vec_add(a, b):
 
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_neg(a):
-    return tuple(_mk(-x._a, -x._b, x._d) if x._a or x._b else x for x in a)
 
 
 def vec_scale(c: Scalar, a):

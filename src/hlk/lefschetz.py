@@ -202,7 +202,7 @@ class _Context:
                 "Lefschetz level basis does not span; class not in cone")
         inv = inverse(m_mat)
         if inv is None:
-            raise ValueError("matrix is singular")
+            raise ArithmeticError("Lefschetz level basis is singular")
         return columns, inv, labels
 
 

@@ -11,7 +11,6 @@ basis in rounds and keeps the structure constants of the last round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import isqrt, lcm
 
 from .algebra import BigradedAlgebra
@@ -29,8 +28,6 @@ from .exactlin import (
     solve,
     unit_vector,
     vec_is_zero,
-    vec_neg,
-    zero_vector,
 )
 
 __all__ = [
@@ -60,8 +57,7 @@ class OperatorLieAlgebra:
     matrices as rows), so the coordinates of a member are its entries at
     the pivot columns.  ``echelon`` is the echelon span of the basis and
     ``table`` the structure constants, both handed in by ``_closure``,
-    which builds every instance; the adjoint matrices are read from the
-    table once, on first use.
+    which builds every instance.
     """
 
     ambient: int
@@ -87,29 +83,19 @@ class OperatorLieAlgebra:
         """Coordinates of ``mat`` in ``basis``, or None outside the span."""
         return self.echelon.coordinates(mat.entries)
 
-    @cached_property
-    def _ad(self) -> tuple:
-        """ad(b_i) by sparse columns: ``_ad[i][j]`` lists the (k, c(i, j)_k)
-        with c(i, j)_k nonzero, where [b_i, b_j] = sum_k c(i, j)_k b_k."""
-        table = structure_constants(self)
-        return tuple(
-            tuple([(k, c) for k, c in enumerate(table[(i, j)])
-                   if c._a or c._b] for j in range(self.dim))
-            for i in range(self.dim))
-
 
 def _bracket_pairs(basis, span: SpanBuilder):
     """Bracket each pair i < j of ``basis``, the echelon basis of
     ``span``, once.
 
-    Returns the structure constants {(i, j): coordinates of [b_i, b_j]}
-    over all ordered pairs when every bracket lies in the span.
-    Otherwise adds each bracket outside the span to it as it meets it,
-    and returns None.
+    Returns the structure constants when every bracket lies in the span,
+    sparse like an algebra's products: {(i, j): {k: c}} with
+    [b_i, b_j] = sum_k c b_k, holding only the nonzero c and only the
+    pairs with a nonzero bracket.  Otherwise adds each bracket outside
+    the span to it as it meets it, and returns None.
     """
     dim = len(basis)
-    zero = zero_vector(dim)
-    table = {(i, i): zero for i in range(dim)}
+    table = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             c = basis[i].commutator(basis[j]).entries
@@ -117,10 +103,12 @@ def _bracket_pairs(basis, span: SpanBuilder):
             if coords is None:
                 span.add(c)
                 table = None
-            else:
+                continue
+            col = {k: x for k, x in enumerate(coords) if x._a or x._b}
+            if col:
                 # [b_j, b_i] = -[b_i, b_j]
-                table[(i, j)] = coords
-                table[(j, i)] = vec_neg(coords)
+                table[(i, j)] = col
+                table[(j, i)] = {k: -x for k, x in col.items()}
     return table
 
 
@@ -166,17 +154,18 @@ def _ideal_coords(lie: OperatorLieAlgebra, seed) -> tuple:
     spans the same ideal with fewer nonzeros to sum over.
     """
     dim = lie.dim
+    table = structure_constants(lie)
     sb = SpanBuilder(dim)
     row = sb.add(seed)
     todo = [row] if row else []
     while todo and sb.dim < dim:
         x = todo.pop()
         support = [(j, v) for j, v in enumerate(x) if v._a or v._b]
-        for ad in lie._ad:
-            # ad_i x = sum_j x_j ad_i e_j over the nonzero x_j
+        for i in range(dim):
+            # ad_i x = sum_j x_j [b_i, b_j] over the nonzero x_j
             y = [ZERO] * dim
             for j, v in support:
-                for k, c in ad[j]:
+                for k, c in table.get((i, j), {}).items():
                     y[k] = muladd(y[k], c, v)
             if vec_is_zero(y):
                 continue
@@ -217,7 +206,8 @@ def ideal_probe(lie: OperatorLieAlgebra, seed: DenseMatrix) -> OperatorLieAlgebr
 
 
 def structure_constants(lie: OperatorLieAlgebra):
-    """c[i][j] = coordinates of [b_i, b_j] in the canonical basis.
+    """{(i, j): {k: c}} with [b_i, b_j] = sum_k c b_k in the canonical
+    basis, nonzero c only; a pair with a zero bracket is absent.
 
     The table is the one the closure built, shared by every caller.
     """
@@ -232,15 +222,16 @@ def killing_form(lie: OperatorLieAlgebra) -> DenseMatrix:
     """
     dim = lie.dim
     table = structure_constants(lie)
-    nonzero = [[(k, l, x) for l, col in enumerate(ad) for k, x in col]
-               for ad in lie._ad]
+    nonzero = [[] for _ in range(dim)]
+    for (i, l), col in table.items():
+        nonzero[i].extend((k, l, x) for k, x in col.items())
     entries = [ZERO] * (dim * dim)
     for i in range(dim):
         for j in range(i, dim):
             tr = ZERO
             for k, l, x in nonzero[i]:
-                y = table[(j, k)][l]
-                if y._a or y._b:
+                y = table.get((j, k), {}).get(l)
+                if y is not None:
                     tr = muladd(tr, x, y)
             entries[i * dim + j] = entries[j * dim + i] = tr
     return DenseMatrix(dim, dim, entries)
@@ -364,9 +355,10 @@ def _split(piece, actions, commutant=None) -> list:
 
     ``actions`` are the matrices of g_0 on g_2; ``commutant``, when
     given, is the commutant on ``piece`` in the coordinates of its
-    vectors.  An element c of the commutant with an eigenvalue t in Q(i)
-    of multiplicity k in its minimal polynomial splits the piece into
-    ker (c - t)^k and im (c - t)^k, both g_0-submodules.
+    vectors.  An element c of the commutant whose minimal polynomial has
+    a simple root t in Q(i) (``_root`` finds no other) and degree >= 2
+    splits the piece into ker (c - t) and im (c - t), both nonzero
+    g_0-submodules.
     """
     d = len(piece)
     if d == 1:
@@ -395,21 +387,10 @@ def _split(piece, actions, commutant=None) -> list:
         if root is None:
             rootless.add(len(poly) - 1)
             continue
-        k = 0
-        while True:
-            quotient, rest = _divide_linear(poly, root)
-            if rest:
-                break
-            poly, k = quotient, k + 1
-        if len(poly) == 1:
-            continue    # t is c's only eigenvalue: nothing to split
         shifted = c.sub(DenseMatrix.identity(d).scale(root))
-        power = DenseMatrix.identity(d)
-        for _ in range(k):
-            power = power.mul(shifted)
-        ker = kernel(power).basis
+        ker = kernel(shifted).basis
         image = Subspace.from_vectors(
-            d, [power.column(j) for j in range(d)]).basis
+            d, [shifted.column(j) for j in range(d)]).basis
         cols = DenseMatrix.from_columns(piece)
         return [p for part in (ker, image)
                 for p in _split([cols.apply(v) for v in part], actions)]
@@ -435,39 +416,16 @@ def _minimal_polynomial(c: DenseMatrix) -> list:
         powers.append(top)
 
 
-def _divide_linear(poly, t):
-    """Quotient and remainder of ``poly`` (lowest coefficient first) by
-    x - t, by synthetic division."""
-    acc = ZERO
-    quotient = []
-    for coeff in reversed(poly):
-        acc = muladd(coeff, acc, t)
-        quotient.append(acc)
-    rest = quotient.pop()
-    return quotient[::-1], rest
-
-
 def _root(poly):
-    """A root in Q(i) of the monic ``poly`` (lowest coefficient first,
-    degree >= 2), or None when it has none.
+    """A simple root in Q(i) of the monic ``poly`` (lowest coefficient
+    first, degree >= 1), or None when it has no root; raises CensusError
+    when its roots cannot be shown simple.
 
-    A quadratic has one exactly when its discriminant is a square in
-    Q(i).  Otherwise x -> y/D, D the common denominator, turns ``poly``
-    into a monic polynomial over Z[i], whose roots in Q(i) all lie in
-    Z[i] (the rational-root test); ``_gaussian_integer_roots`` finds
-    them all.
+    x -> y/D, D the common denominator, turns ``poly`` into a monic
+    polynomial over Z[i], whose roots in Q(i) all lie in Z[i] (the
+    rational-root test); ``_gaussian_integer_roots`` finds them all.
     """
-    if not poly[0]:
-        return ZERO
     deg = len(poly) - 1
-    if deg == 2:
-        p, q = poly[1], poly[0]
-        disc = p * p - Scalar(4) * q
-        # a square root of (a + b i)/d is one of (a + b i) d, over d
-        r = _gauss_sqrt(disc._a * disc._d, disc._b * disc._d)
-        if r is None:
-            return None
-        return (Scalar(*r) / Scalar(disc._d) - p) / Scalar(2)
     den = 1
     for c in poly:
         den = lcm(den, c._d)
@@ -477,15 +435,6 @@ def _root(poly):
         ints.append((c._a, c._b))
     roots = _gaussian_integer_roots(ints)
     return Scalar(*roots[0]) / Scalar(den) if roots else None
-
-
-def _gauss_sqrt(a: int, b: int):
-    """(x, y) with (x + y i)^2 = a + b i, or None when there is none."""
-    n = isqrt(a * a + b * b)
-    x, y = isqrt((n + a) // 2), isqrt((n - a) // 2)
-    if b < 0:
-        y = -y
-    return (x, y) if (x * x - y * y, 2 * x * y) == (a, b) else None
 
 
 def _horner(coeffs, x: int, y: int, mod=None):
@@ -552,9 +501,10 @@ def bracket_table_digest(lie: OperatorLieAlgebra) -> str:
     h = hashlib.sha256()
     for i in range(lie.dim):
         for j in range(lie.dim):
-            # "c_0,c_1,...,c_last,;" for each pair
-            h.update("".join([f"{c}," if c._a or c._b else "0,"
-                              for c in table[(i, j)]]).encode() + b";")
+            # "c_0,c_1,...,c_last,;" for each pair, "0," for a zero c_k
+            col = table.get((i, j), {})
+            h.update("".join([f"{col[k]}," if k in col else "0,"
+                              for k in range(lie.dim)]).encode() + b";")
     return h.hexdigest()
 
 

@@ -1,14 +1,17 @@
+import argparse
 import copy
 import hashlib
 import json
+import re
 import shutil
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hlk import fileio
-from hlk.cli import main
+from hlk.cli import build_parser, main
 from hlk.exactlin import DenseMatrix, Scalar
 from hlk.gkcoh import AdmissibleModule
 
@@ -476,9 +479,24 @@ def test_llgen_stops_on_invalid_algebra(tmp_path):
     assert checks[0]["detail"].startswith("graded-commutativity")
 
 
-def test_llgen_large_even_part_skips(catalog_dir):
-    assert run(["llgen",
-                "--input", str(catalog_dir / "k3-mock.algebra.json")]) == 0
+def test_llgen_g2_k11_runs_every_check(tmp_path):
+    # an even part of dim 13, past the size gate that once skipped the
+    # closure and every later check with exit 0
+    assert run(["catalog", "g2-family", "--k", "11",
+                "--out-dir", str(tmp_path)]) == 0
+    report = tmp_path / "llgen.json"
+    assert run(["llgen", "--input", str(tmp_path / "g2-k11.algebra.json"),
+                "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert [(c["name"], c["status"], c["detail"]) for c in doc["checks"]] == [
+        ("g2-k11:closure", "pass", "dimension 78 (mode even)"),
+        ("g2-k11:family-stability", "pass",
+         "an extra cone class stays inside the closure"),
+        ("g2-k11:so-phi", "pass", "dim 78 vs so dim 78, annihilators True"),
+        ("g2-k11:killing-nondegenerate", "pass", ""),
+        ("g2-k11:lambda-kernel", "pass", "ker Lambda|H2 = ker L|H2"),
+        ("g2-k11:ideal-census", "pass", "1 minimal ideal(s), dims [78]")]
+    assert doc["summary"]["g2-k11:minimal-ideals"] == [78]
 
 
 @pytest.mark.parametrize("model", ["torus", "g2-k3"])
@@ -889,6 +907,34 @@ def test_internal_invariant_failure_exits_3(catalog_dir, monkeypatch,
                 "--input", str(catalog_dir / "torus.algebra.json")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and "Traceback" not in err
+
+
+def test_singular_lefschetz_basis_is_internal_error(catalog_dir, monkeypatch,
+                                                    capsys):
+    # no input makes the Lefschetz basis of a cone class singular: it
+    # is an internal error, not an input error
+    from hlk import lefschetz as lz
+
+    monkeypatch.setattr(lz, "inverse", lambda m: None)
+    assert run(["lefschetz",
+                "--input", str(catalog_dir / "torus.algebra.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "Traceback" not in err
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parsers = [build_parser()]
+    options = set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    options -= {"-h", "--help"}
+    missing = sorted(o for o in options
+                     if not re.search(re.escape(o) + r"(?![\w-])", readme))
+    assert missing == []
 
 
 @pytest.mark.parametrize("case", ["report-dir-missing", "out-dir-is-file"])

@@ -19,6 +19,7 @@ from hlk.exactlin import (
     inverse,
     kernel,
     kernel_image,
+    unit_vector,
 )
 
 
@@ -65,6 +66,15 @@ def conjugated_triples(triples, conj):
 # -- matrix-space references for the coordinate layer ------------------------
 
 
+def dense_table(lie):
+    """The sparse structure constants written out: the coordinate tuple
+    of [b_i, b_j] for every ordered pair, zeros included."""
+    table = llgen.structure_constants(lie)
+    return {(i, j): tuple(table.get((i, j), {}).get(k, ZERO)
+                          for k in range(lie.dim))
+            for i in range(lie.dim) for j in range(lie.dim)}
+
+
 def reference_probe(lie, seed):
     """Echelon basis of the smallest ideal containing seed, grown by
     n x n commutators with the basis."""
@@ -85,7 +95,7 @@ def reference_probe(lie, seed):
 def reference_killing(lie):
     """tr(ad_i ad_j) from dense products of the adjoint matrices."""
     dim = lie.dim
-    table = llgen.structure_constants(lie)
+    table = dense_table(lie)
     ad = [DenseMatrix.from_columns([table[(i, j)] for j in range(dim)],
                                    rows=dim) for i in range(dim)]
     entries = []
@@ -121,7 +131,7 @@ def check_ideal(ideal):
     """An ideal holds its basis and the structure constants of the
     matrix-space reference."""
     assert all(ideal.contains(b) for b in ideal.basis)
-    assert llgen.structure_constants(ideal) == reference_table(ideal.basis)
+    assert dense_table(ideal) == reference_table(ideal.basis)
 
 
 def conjugated_product_closure(n_factors, rng):
@@ -334,7 +344,10 @@ def test_structure_constants_are_cached(g2k2):
     closed = llgen.lie_closure(even_triples(g2k2)[1])
     table = llgen.structure_constants(closed)
     assert llgen.structure_constants(closed) is table
-    for (i, j), coords in table.items():
+    # one sparse table: only nonzero brackets, only nonzero coordinates
+    assert all(col and all(not c.is_zero() for c in col.values())
+               for col in table.values())
+    for (i, j), coords in dense_table(closed).items():
         bracket = closed.basis[i].commutator(closed.basis[j])
         assert closed.coordinates(bracket) == coords
 
@@ -371,7 +384,7 @@ def test_lambda_kernel_property(g2k3):
 
 def center_dimension(lie):
     """Dimension of {x in L : [x, L] = 0}, from the structure constants."""
-    table = llgen.structure_constants(lie)
+    table = dense_table(lie)
     rows = [[table[(k, j)][t] for k in range(lie.dim)]
             for j in range(lie.dim) for t in range(lie.dim)]
     return kernel(DenseMatrix.from_rows(rows)).dim if rows else 0
@@ -481,10 +494,34 @@ def test_factor_search_matches_sympy():
         root = llgen._root(ours)
         assert (root is not None) == linear
         if root is not None:
-            assert llgen._divide_linear(ours, root)[1] == ZERO
+            value = ZERO
+            for c in reversed(ours):
+                value = value * root + c
+            assert value == ZERO
         seen.add((linear, len(coeffs) > 3))
     assert seen == {(False, False), (False, True), (True, False),
                     (True, True)}
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [0, 0]], [[1, 1], [0, 1]],
+                                  [[2, 1], [0, 2]]])
+def test_split_of_a_nilpotent_action_is_undetermined(rows):
+    # g_0 acting by a Jordan block: the commutant {a + b N} is no field,
+    # and no element of it has a simple root to split by
+    with pytest.raises(llgen.CensusError, match="undetermined"):
+        llgen._split([unit_vector(2, 0), unit_vector(2, 1)],
+                     [DenseMatrix.from_rows(rows)])
+
+
+@pytest.mark.parametrize("poly", [
+    pytest.param([0, 0, 1], id="x^2"),
+    pytest.param([2, -3, 0, 1], id="(x-1)^2(x+2)"),
+    pytest.param([Scalar(Fraction(-1, 4)), Scalar(0, -1), 1],
+                 id="(x-i/2)^2"),
+])
+def test_root_of_a_repeated_linear_factor_is_undetermined(poly):
+    with pytest.raises(llgen.CensusError, match="undetermined"):
+        llgen._root([Scalar.of(c) for c in poly])
 
 
 def test_product_model_factor_ideal_is_proper():
@@ -543,7 +580,7 @@ def reference_digest(lie):
     """The table digest hashed one entry at a time."""
     import hashlib
 
-    table = llgen.structure_constants(lie)
+    table = dense_table(lie)
     h = hashlib.sha256()
     for i in range(lie.dim):
         for j in range(lie.dim):
@@ -610,7 +647,7 @@ def test_closure_matches_worklist_reference(monkeypatch, label, gens, rounds):
     assert len(calls) == rounds
     assert lie.basis == reference_closure(gens)
     # the closure keeps the last round's table: no pair is bracketed again
-    table = llgen.structure_constants(lie)
+    table = dense_table(lie)
     assert len(calls) == rounds
     assert table == reference_table(lie.basis)
     assert llgen.bracket_table_digest(lie) == reference_digest(lie)
@@ -642,4 +679,4 @@ def test_minimal_ideals_match_reference_rebased(tmp_path, seed):
     for alg in (catalog.g2_family_algebra(3), llgen.product_model(3)[0]):
         lie, ideals = census(llgen_triples(rebased_copy(alg, tmp_path, seed)))
         check_census(lie, ideals, theory_ideals(alg.name))
-        assert llgen.structure_constants(lie) == reference_table(lie.basis)
+        assert dense_table(lie) == reference_table(lie.basis)
