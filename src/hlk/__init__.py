@@ -7,3 +7,13 @@ per-representation diamonds into a global one.
 """
 
 __version__ = "0.1.0"
+
+# hashlib loads OpenSSL's libcrypto (about 3.5 MB and 3 ms per process);
+# the interpreter's builtin module computes the same digests
+try:
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256

@@ -16,12 +16,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import os
 import sys
 import time
 
-from . import __version__
+from . import __version__, sha256
 from . import assembler as asm
 from . import catalog
 from . import fileio
@@ -43,10 +42,11 @@ class Report:
             "timings": {},
         }
 
-    def add_input(self, path: str):
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        self.doc["inputs"].append({"path": str(path), "sha256": digest})
+    def add_input(self, path: str, data: bytes):
+        """Record ``path`` with the digest of ``data``, the bytes read
+        from it and parsed."""
+        self.doc["inputs"].append(
+            {"path": str(path), "sha256": sha256(data).hexdigest()})
 
     def check(self, name: str, ok, detail=""):
         status = "pass" if ok else "fail"
@@ -605,8 +605,9 @@ def main(argv=None) -> int:
         report = Report(args.command)
         loaded = []
         for path in args.input:
-            kind, obj = fileio.load_document(path)
-            report.add_input(path)
+            data = fileio.read_input(path)
+            kind, obj = fileio.decode_document(path, data)
+            report.add_input(path, data)
             loaded.append((kind, obj, path))
         args.func(args, report, loaded)
         report.write(args.report)

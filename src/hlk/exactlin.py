@@ -399,19 +399,8 @@ class DenseMatrix:
         n = self.rows
         if self.cols != n or other.rows != n or other.cols != n:
             raise ValueError("commutator needs square matrices of one size")
-        a = _row_nonzeros(self.entries, n)
-        b = _row_nonzeros(other.entries, n)
-        out = [ZERO] * (n * n)
-        for i in range(n):
-            o = i * n
-            for k, x in a[i]:
-                for j, y in b[k]:
-                    out[o + j] = muladd(out[o + j], x, y)
-            for k, y in b[i]:
-                y = -y
-                for j, x in a[k]:
-                    out[o + j] = muladd(out[o + j], y, x)
-        return DenseMatrix(n, n, out)
+        return DenseMatrix(n, n, _commutator(
+            _row_nonzeros(self.entries, n), _row_nonzeros(other.entries, n), n))
 
     def is_zero_matrix(self) -> bool:
         return all(x.is_zero() for x in self.entries)
@@ -452,6 +441,23 @@ def _row_nonzeros(entries, n: int) -> list:
             i += 1
             j = 0
     return rows
+
+
+def _commutator(a, b, n: int) -> list:
+    """The entry list of AB - BA for n x n matrices A and B given by
+    their ``_row_nonzeros`` lists ``a`` and ``b``, both products
+    accumulated into one list."""
+    out = [ZERO] * (n * n)
+    for i in range(n):
+        o = i * n
+        for k, x in a[i]:
+            for j, y in b[k]:
+                out[o + j] = muladd(out[o + j], x, y)
+        for k, y in b[i]:
+            y = -y
+            for j, x in a[k]:
+                out[o + j] = muladd(out[o + j], y, x)
+    return out
 
 
 def entry_product(a, b, n: int, m: int, p: int) -> list:

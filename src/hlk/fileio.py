@@ -23,6 +23,8 @@ __all__ = [
     "canonical_dumps",
     "detect_kind",
     "load_document",
+    "read_input",
+    "decode_document",
     "parse_document",
     "algebra_to_doc",
     "algebra_from_doc",
@@ -429,14 +431,27 @@ def parse_document(doc):
     return kind, spectrum_from_doc(doc)
 
 
-def load_document(path):
+def read_input(path) -> bytes:
+    """The bytes of the file at ``path``; an unreadable file is an
+    InputError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def decode_document(path, data: bytes):
+    """(kind, object) of the document whose UTF-8 JSON bytes, read from
+    ``path``, are ``data``."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
     except (RecursionError, ValueError) as exc:
         # ValueError covers bad syntax, bytes that are not UTF-8 and
         # integer literals past the interpreter's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     return parse_document(doc)
+
+
+def load_document(path):
+    return decode_document(path, read_input(path))

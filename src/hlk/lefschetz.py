@@ -5,8 +5,8 @@ and the unitary "Frobenius" check.
 All operations are exact.  Each (class, mode) has one context, kept on
 the algebra and freed with it, that caches the powers of L, the
 primitive basis of each degree, the Lefschetz basis {L^s xi} with its
-inverse (read by Lambda, by the primitive decomposition and by Q) and,
-in full mode, the Gram matrix of Q on each degree.
+inverse (read by Lambda and by Q) and, in full mode, the Gram matrix of
+Q on each degree.
 """
 
 from __future__ import annotations
@@ -39,11 +39,8 @@ __all__ = [
     "HodgeFiltration",
     "SignatureResult",
     "lefschetz_operator",
-    "counting_operator",
     "weil_operator",
     "kahler_cone_membership",
-    "primitive_subspace",
-    "primitive_decompose",
     "dual_lefschetz",
     "polarization_form",
     "polarization_gram",
@@ -75,12 +72,6 @@ def lefschetz_operator(a: BigradedAlgebra, w) -> DenseMatrix:
                 for k, c in entry.items():
                     entries[k * n + j] = muladd(entries[k * n + j], c, w[i])
     return DenseMatrix(n, n, entries)
-
-
-def counting_operator(a: BigradedAlgebra) -> DenseMatrix:
-    """Diagonal operator acting by g - r on the degree-r component."""
-    return DenseMatrix.diagonal(
-        [Scalar(a.g - a.degree_of_index(k)) for k in range(a.n)])
 
 
 def weil_operator(a: BigradedAlgebra) -> DenseMatrix:
@@ -218,34 +209,6 @@ def _context(a: BigradedAlgebra, w, mode: str = "full") -> _Context:
 def kahler_cone_membership(a: BigradedAlgebra, w, mode: str = "full") -> bool:
     """True iff L_w^k is bijective on every required degree pair."""
     return _context(a, w, mode).in_cone()
-
-
-def primitive_subspace(a: BigradedAlgebra, w, r: int) -> Subspace:
-    """ker L^(g-r+1) inside degree r; the zero space for r > g."""
-    ctx = _context(a, w, "full")
-    ctx.require_cone()
-    # full mode: local coordinates are global ones
-    return Subspace.from_vectors(a.n, ctx.primitive_local(r))
-
-
-def primitive_decompose(a: BigradedAlgebra, w, x):
-    """List of (s, x_s), descending in s, with x = sum_s L^s x_s and x_s
-    primitive: the coordinates of x in the Lefschetz basis, grouped by
-    level s."""
-    ctx = _context(a, w, "full")
-    x = tuple(x)
-    if vec_is_zero(x):
-        return []
-    if a.degree_of_vector(x) is None:
-        raise ValueError("primitive decomposition needs a homogeneous input")
-    ctx.require_cone()
-    _, inv, labels = ctx.levels
-    out = {}
-    for c, (_, s, xi) in zip(inv.apply(x), labels):
-        if not c.is_zero():
-            out[s] = vec_add(out.get(s, zero_vector(a.n)), vec_scale(c, xi))
-    return [(s, v) for s, v in sorted(out.items(), reverse=True)
-            if not vec_is_zero(v)]
 
 
 @dataclass(frozen=True)

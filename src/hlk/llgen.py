@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt, lcm
 
+from . import sha256
 from .algebra import BigradedAlgebra
 from .exactlin import (
     DenseMatrix,
@@ -21,6 +22,8 @@ from .exactlin import (
     Subspace,
     ZERO,
     ONE,
+    _commutator,
+    _row_nonzeros,
     entry_product,
     kernel,
     muladd,
@@ -84,9 +87,9 @@ class OperatorLieAlgebra:
         return self.echelon.coordinates(mat.entries)
 
 
-def _bracket_pairs(basis, span: SpanBuilder):
+def _bracket_pairs(n: int, basis, span: SpanBuilder):
     """Bracket each pair i < j of ``basis``, the echelon basis of
-    ``span``, once.
+    ``span`` as n x n matrices, once.
 
     Returns the structure constants when every bracket lies in the span,
     sparse like an algebra's products: {(i, j): {k: c}} with
@@ -95,10 +98,12 @@ def _bracket_pairs(basis, span: SpanBuilder):
     the span to it as it meets it, and returns None.
     """
     dim = len(basis)
+    # each member's row nonzeros, listed once for all its pairs
+    rows = [_row_nonzeros(m.entries, n) for m in basis]
     table = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            c = basis[i].commutator(basis[j]).entries
+            c = _commutator(rows[i], rows[j], n)
             coords = None if table is None else span.coordinates(c)
             if coords is None:
                 span.add(c)
@@ -119,7 +124,7 @@ def _closure(n: int, span: SpanBuilder) -> OperatorLieAlgebra:
     """
     while True:
         basis = tuple(DenseMatrix(n, n, row) for row in span.basis)
-        table = _bracket_pairs(basis, span)
+        table = _bracket_pairs(n, basis, span)
         if table is not None:
             return OperatorLieAlgebra(n, basis, span, table)
 
@@ -495,10 +500,8 @@ def is_sl2_block(sub: OperatorLieAlgebra) -> bool:
 
 def bracket_table_digest(lie: OperatorLieAlgebra) -> str:
     """Stable hash of the structure constants, for reports."""
-    import hashlib
-
     table = structure_constants(lie)
-    h = hashlib.sha256()
+    h = sha256()
     for i in range(lie.dim):
         for j in range(lie.dim):
             # "c_0,c_1,...,c_last,;" for each pair, "0," for a zero c_k

@@ -1,10 +1,16 @@
 import argparse
+import builtins
 import copy
 import hashlib
+import importlib.util
 import json
+import os
 import re
 import shutil
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -979,6 +985,80 @@ def test_report_determinism(catalog_dir, tmp_path):
                     "--input", str(catalog_dir / "torus.algebra.json"),
                     "--report", str(rp)]) == 0
     assert stripped_report(r1) == stripped_report(r2)
+
+
+# catalog inputs of one run of each subcommand that reads inputs
+SUBCOMMAND_INPUTS = {
+    "validate": ["torus.algebra.json", "sl2R.pair.json"],
+    "lefschetz": ["torus.algebra.json"],
+    "llgen": ["g2-k2.algebra.json"],
+    "gkcoh": ["sl2R.pair.json", "sl2-trivial.module.json"],
+    "assemble": ["sl2R.pair.json", "sl2-trivial.module.json",
+                 "sl2-ds-plus.module.json", "sl2-ds-minus.module.json",
+                 "genus2.spectrum.json"],
+}
+
+
+def subcommand_argv(catalog_dir, command):
+    return [command, *sum((["--input", str(catalog_dir / f)]
+                           for f in SUBCOMMAND_INPUTS[command]), [])]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_INPUTS))
+def test_each_input_is_read_once(catalog_dir, monkeypatch, command):
+    # a second read to hash the file could see bytes that were never parsed
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    assert run(subcommand_argv(catalog_dir, command)) == 0
+    monkeypatch.undo()
+    inputs = [str(catalog_dir / f) for f in SUBCOMMAND_INPUTS[command]]
+    assert {path: opened[path] for path in inputs} == \
+        {path: 1 for path in inputs}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_INPUTS))
+def test_input_digests_are_sha256_of_the_file(catalog_dir, tmp_path,
+                                               command):
+    report = tmp_path / "report.json"
+    assert run([*subcommand_argv(catalog_dir, command),
+                "--report", str(report)]) == 0
+    inputs = json.loads(report.read_text())["inputs"]
+    assert [entry["path"] for entry in inputs] == \
+        [str(catalog_dir / f) for f in SUBCOMMAND_INPUTS[command]]
+    for entry in inputs:
+        data = Path(entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# runs one subcommand and prints whether OpenSSL's hash module was loaded
+HASHLIB_PROBE = ("import sys\n"
+                 "from hlk.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print('_hashlib' in sys.modules)\n"
+                 "sys.exit(code)\n")
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+    reason="the interpreter has no builtin SHA-256 module")
+@pytest.mark.parametrize("command", ["catalog", *sorted(SUBCOMMAND_INPUTS)])
+def test_no_subcommand_loads_openssl(catalog_dir, tmp_path, command):
+    if command == "catalog":
+        argv = ["catalog", "genus2-suite", "--out-dir", str(tmp_path)]
+    else:
+        argv = [*subcommand_argv(catalog_dir, command),
+                "--report", str(tmp_path / "report.json")]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", HASHLIB_PROBE, *argv],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_kindless_document_accepted(catalog_dir, tmp_path):

@@ -11,6 +11,7 @@ from hlk.algebra import BigradedAlgebra, validate_algebra
 from hlk.exactlin import (
     DenseMatrix,
     Scalar,
+    Subspace,
     ZERO,
     ONE,
     hermitian_definiteness,
@@ -20,11 +21,53 @@ from hlk.exactlin import (
     vec_add,
     vec_is_zero,
     vec_scale,
+    zero_vector,
 )
 
 
 def half_i():
     return Scalar(0, Fraction(1, 2))
+
+
+# -- the counting operator and the primitive decomposition -------------------
+#
+# No CLI route reads these; they read the production Lefschetz context
+# (its primitive bases and its Lefschetz basis with inverse), which the
+# tests below check against independent constructions.
+
+
+def counting_operator(a: BigradedAlgebra) -> DenseMatrix:
+    """Diagonal operator acting by g - r on the degree-r component."""
+    return DenseMatrix.diagonal(
+        [Scalar(a.g - a.degree_of_index(k)) for k in range(a.n)])
+
+
+def primitive_subspace(a: BigradedAlgebra, w, r: int) -> Subspace:
+    """ker L^(g-r+1) inside degree r; the zero space for r > g."""
+    ctx = lz._context(a, w, "full")
+    ctx.require_cone()
+    # full mode: local coordinates are global ones
+    return Subspace.from_vectors(a.n, ctx.primitive_local(r))
+
+
+def primitive_decompose(a: BigradedAlgebra, w, x):
+    """List of (s, x_s), descending in s, with x = sum_s L^s x_s and x_s
+    primitive: the coordinates of x in the Lefschetz basis, grouped by
+    level s."""
+    ctx = lz._context(a, w, "full")
+    x = tuple(x)
+    if vec_is_zero(x):
+        return []
+    if a.degree_of_vector(x) is None:
+        raise ValueError("primitive decomposition needs a homogeneous input")
+    ctx.require_cone()
+    _, inv, labels = ctx.levels
+    out = {}
+    for c, (_, s, xi) in zip(inv.apply(x), labels):
+        if not c.is_zero():
+            out[s] = vec_add(out.get(s, zero_vector(a.n)), vec_scale(c, xi))
+    return [(s, v) for s, v in sorted(out.items(), reverse=True)
+            if not vec_is_zero(v)]
 
 
 # -- L, cone membership -------------------------------------------------------
@@ -104,19 +147,19 @@ def test_cone_data_is_freed_with_its_algebra():
 
 
 def test_primitive_subspace_examples(torus, k3):
-    assert lz.primitive_subspace(torus, torus.kahler, 0).dim == 1
-    assert lz.primitive_subspace(torus, torus.kahler, torus.g + 1).dim == 0
-    assert lz.primitive_subspace(k3, k3.kahler, 2).dim == 21
+    assert primitive_subspace(torus, torus.kahler, 0).dim == 1
+    assert primitive_subspace(torus, torus.kahler, torus.g + 1).dim == 0
+    assert primitive_subspace(k3, k3.kahler, 2).dim == 21
 
 
 def test_primitive_decompose_primitive_input(k3):
     e = k3.basis_vector("f1")
-    dec = lz.primitive_decompose(k3, k3.kahler, e)
+    dec = primitive_decompose(k3, k3.kahler, e)
     assert dec == [(0, e)]
 
 
 def test_primitive_decompose_omega(k3):
-    dec = lz.primitive_decompose(k3, k3.kahler, k3.kahler)
+    dec = primitive_decompose(k3, k3.kahler, k3.kahler)
     assert len(dec) == 1
     s, piece = dec[0]
     assert s == 1 and piece == k3.unit
@@ -124,7 +167,7 @@ def test_primitive_decompose_omega(k3):
 
 def test_primitive_decompose_mixed(k3):
     x = vec_add(k3.kahler, k3.basis_vector("f1"))
-    dec = lz.primitive_decompose(k3, k3.kahler, x)
+    dec = primitive_decompose(k3, k3.kahler, x)
     assert dec == [(1, k3.unit), (0, k3.basis_vector("f1"))]
 
 
@@ -134,7 +177,7 @@ def test_primitive_decompose_roundtrip(abelian):
     for k in range(abelian.n):
         x = abelian.basis_vector(k)
         total = tuple(ZERO for _ in range(abelian.n))
-        for s, piece in lz.primitive_decompose(abelian, omega, x):
+        for s, piece in primitive_decompose(abelian, omega, x):
             lifted = piece
             for _ in range(s):
                 lifted = l_op.apply(lifted)
@@ -201,10 +244,12 @@ def test_dual_lefschetz_rejects_a_wrong_lambda(monkeypatch, abelian, case):
 
 
 def test_counting_operator_torus(torus):
-    b = lz.counting_operator(torus)
+    b = counting_operator(torus)
     degrees = [torus.degree_of_index(k) for k in range(torus.n)]
     for k, d in enumerate(degrees):
         assert b.at(k, k) == Scalar(torus.g - d)
+    # the B of the production sl2 triple, in full mode
+    assert lz._context(torus, torus.kahler, "full").B == b
 
 
 def test_dual_lefschetz_rejects_non_cone(g2k2):
@@ -338,7 +383,7 @@ def test_hodge_gram_positive_definite(torus, abelian, g2k2):
 
 def test_primitive_gram_positive_definite(k3):
     omega = k3.kahler
-    prim = lz.primitive_subspace(k3, omega, 2)
+    prim = primitive_subspace(k3, omega, 2)
     rows = [[lz.hodge_inner_product(k3, omega, a, b) for b in prim.basis]
             for a in prim.basis]
     assert hermitian_definiteness(DenseMatrix.from_rows(rows))
@@ -456,12 +501,12 @@ def test_decompose_matches_level_induction(model):
             xs += [random_combination(alg, r, rng) for _ in range(3)]
             for x in xs:
                 ref = reference_decompose(ctx, x)
-                assert lz.primitive_decompose(alg, w, x) == \
+                assert primitive_decompose(alg, w, x) == \
                     sorted(ref.items(), reverse=True)
         # the context keeps no per-vector cache
         sizes = {k: len(v) for k, v in vars(ctx).items()
                  if isinstance(v, dict)}
-        lz.primitive_decompose(alg, w, random_combination(alg, alg.g, rng))
+        primitive_decompose(alg, w, random_combination(alg, alg.g, rng))
         assert sizes == {k: len(v) for k, v in vars(ctx).items()
                          if isinstance(v, dict)}
 
