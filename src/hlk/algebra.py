@@ -20,7 +20,12 @@ from .exactlin import (
     ZERO,
     ONE,
     SpanBuilder,
-    muladd,
+    _bilinear,
+    _dense,
+    _left_index,
+    _nonzero,
+    _sparse_sum,
+    _table,
     rank,
     solve,
     vec_add,
@@ -53,16 +58,8 @@ class BigradedAlgebra:
         if len(self.bidegrees) != n:
             raise ValueError("bidegree count does not match basis size")
         self.n = n
-        self._products = {}
-        for (i, j), entry in products.items():
-            cleaned = {k: Scalar.of(c) for k, c in entry.items()
-                       if not Scalar.of(c).is_zero()}
-            if cleaned:
-                self._products[(i, j)] = cleaned
-        # the nonzero products e_i cup e_j by left factor i: (j, {k: c})
-        self._by_left = {}
-        for (i, j), entry in sorted(self._products.items()):
-            self._by_left.setdefault(i, []).append((j, entry))
+        self._products = _table(products)
+        self._by_left = _left_index(self._products)
         self.conj_matrix = conj
         self.nu = tuple(Scalar.of(x) for x in nu)
         if len(self.nu) != n:
@@ -112,19 +109,9 @@ class BigradedAlgebra:
 
     # -- algebra operations -------------------------------------------
 
-    def _mul_sparse(self, x: dict, y: dict) -> dict:
-        """Product of two sparse vectors {index: nonzero coefficient},
-        read from the product table; cancelled coefficients are dropped."""
-        return _sparse_sum((xi * y[j], entry)
-                           for i, xi in x.items()
-                           for j, entry in self._by_left.get(i, ())
-                           if j in y)
-
     def mulvec(self, x, y) -> tuple:
-        out = [ZERO] * self.n
-        for k, c in self._mul_sparse(_nonzero(x), _nonzero(y)).items():
-            out[k] = c
-        return tuple(out)
+        return _dense(_bilinear(self._by_left, _nonzero(x), _nonzero(y)),
+                      self.n)
 
     def conj_vec(self, x) -> tuple:
         return self.conj_matrix.apply(vec_conj(x))
@@ -142,7 +129,8 @@ class BigradedAlgebra:
 
     def pairing(self, x, y) -> Scalar:
         """The cup pairing nu(x cup y)."""
-        return self._nu_sparse(self._mul_sparse(_nonzero(x), _nonzero(y)))
+        return self._nu_sparse(_bilinear(self._by_left, _nonzero(x),
+                                         _nonzero(y)))
 
     @cached_property
     def pairing_gram(self) -> DenseMatrix:
@@ -185,7 +173,8 @@ class BigradedAlgebra:
         us = _nonzero(u)
         for k in range(self.n):
             ek = {k: ONE}
-            if self._mul_sparse(ek, us) != ek or self._mul_sparse(us, ek) != ek:
+            if _bilinear(self._by_left, ek, us) != ek or \
+                    _bilinear(self._by_left, us, ek) != ek:
                 raise ValueError("algebra has no two-sided unit")
         return tuple(u)
 
@@ -213,19 +202,6 @@ class BigradedAlgebra:
                 f"degree {r} has no conjugation-fixed basis; conjugation "
                 "may not preserve this degree")
         return chosen
-
-
-def _nonzero(vec) -> dict:
-    return {k: x for k, x in enumerate(vec) if x}
-
-
-def _sparse_sum(terms) -> dict:
-    """sum of c * v over (c, v) pairs of sparse vectors; zeros dropped."""
-    out = {}
-    for c, vec in terms:
-        for k, x in vec.items():
-            out[k] = muladd(out.get(k, ZERO), c, x)
-    return {k: x for k, x in out.items() if x}
 
 
 @dataclass(frozen=True)
@@ -342,7 +318,7 @@ def validate_algebra(a: BigradedAlgebra) -> ValidationReport:
         for j in range(n):
             lhs = _sparse_sum((c.conjugate(), cols[t])
                               for t, c in table.get((i, j), {}).items())
-            if lhs != a._mul_sparse(cols[i], cols[j]):
+            if lhs != _bilinear(a._by_left, cols[i], cols[j]):
                 rep.add("conjugation-multiplicative",
                         f"conj({a.names[i]} cup {a.names[j]}) != "
                         f"conj({a.names[i]}) cup conj({a.names[j]})")

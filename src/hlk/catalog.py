@@ -171,9 +171,9 @@ def sl2_pair() -> ReductivePair:
     """
     two = Scalar(2)
     brackets = {
-        (0, 1): (ZERO, ZERO, -two),   # [W, A] = -2S
-        (0, 2): (ZERO, two, ZERO),    # [W, S] = 2A
-        (1, 2): (two, ZERO, ZERO),    # [A, S] = 2W
+        (0, 1): {2: -two},    # [W, A] = -2S
+        (0, 2): {1: two},     # [W, S] = 2A
+        (1, 2): {0: two},     # [A, S] = 2W
     }
     b = DenseMatrix.diagonal([Scalar(-2), Scalar(2), Scalar(2)])
     z0 = (Scalar(Fraction(1, 2)), ZERO, ZERO)
@@ -185,20 +185,10 @@ def sl2_product_pair() -> ReductivePair:
     """sl2(R) x sl2(R), blockwise."""
     single = sl2_pair()
     dim = 6
-    brackets = {}
-    for (i, j), vec in single.brackets.items():
-        for blk in (0, 3):
-            lifted = [ZERO] * dim
-            for t, v in enumerate(vec):
-                lifted[t + blk] = v
-            brackets[(i + blk, j + blk)] = tuple(lifted)
-    b_entries = []
-    for i in range(dim):
-        for j in range(dim):
-            if i // 3 == j // 3:
-                b_entries.append(single.b_form.at(i % 3, j % 3))
-            else:
-                b_entries.append(ZERO)
+    brackets = {(i + blk, j + blk): {k + blk: c for k, c in col.items()}
+                for (i, j), col in single.brackets.items() for blk in (0, 3)}
+    b_entries = [single.b_form.at(i % 3, j % 3) if i // 3 == j // 3 else ZERO
+                 for i in range(dim) for j in range(dim)]
     half = Scalar(Fraction(1, 2))
     z0 = (half, ZERO, ZERO, half, ZERO, ZERO)
     return ReductivePair(["W1", "A1", "S1", "W2", "A2", "S2"], brackets,

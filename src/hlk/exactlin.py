@@ -479,6 +479,57 @@ def entry_product(a, b, n: int, m: int, p: int) -> list:
     return out
 
 
+# -- sparse vectors and structure-constant tables ---------------------------
+# A sparse vector is {index: nonzero entry}.  A table of structure
+# constants, cup product or Lie bracket, is {(i, j): {k: c}} with
+# e_i e_j = sum_k c e_k, holding only nonzero c and nonzero products.
+
+
+def _nonzero(vec) -> dict:
+    """The sparse vector of the nonzero entries of a Scalar vector."""
+    return {k: x for k, x in enumerate(vec) if x._a or x._b}
+
+
+def _dense(x: dict, n: int) -> tuple:
+    """The length-n vector of the sparse vector ``x``."""
+    return tuple(x.get(k, ZERO) for k in range(n))
+
+
+def _sparse_sum(terms) -> dict:
+    """sum of c * v over (c, v) pairs of sparse vectors; zeros dropped."""
+    out = {}
+    get = out.get
+    for c, vec in terms:
+        for k, x in vec.items():
+            out[k] = muladd(get(k, ZERO), c, x)
+    return {k: x for k, x in out.items() if x._a or x._b}
+
+
+def _table(pairs) -> dict:
+    """The table of ``pairs`` {(i, j): {k: number}}, in their order, as
+    Scalars with zero constants and empty pairs dropped."""
+    out = {ij: {k: x for k, x in ((k, Scalar.of(c)) for k, c in col.items())
+                if x} for ij, col in pairs.items()}
+    return {ij: col for ij, col in out.items() if col}
+
+
+def _left_index(table) -> dict:
+    """{i: [(j, {k: c})]}: ``table`` by left factor, in (i, j) order."""
+    out = {}
+    for (i, j), col in sorted(table.items()):
+        out.setdefault(i, []).append((j, col))
+    return out
+
+
+def _bilinear(index, x: dict, y: dict) -> dict:
+    """The product of sparse vectors x and y under the structure
+    constants ``index``, a table's ``_left_index``."""
+    return _sparse_sum((xi * yj, col)
+                       for i, xi in x.items()
+                       for j, col in index.get(i, ())
+                       if (yj := y.get(j)) is not None)
+
+
 def rref(row_vectors):
     """Reduced row echelon form of a list of vectors.
 
@@ -493,7 +544,7 @@ def rref(row_vectors):
         span.add(row)
         if span.dim == span.ambient:
             break
-    return list(span.basis), [p for p, _, _ in span._rows]
+    return list(span.basis), span.pivots
 
 
 def rank(m: DenseMatrix) -> int:
@@ -626,6 +677,10 @@ class SpanBuilder:
     def basis(self) -> tuple:
         return tuple(tuple(row) for _, row, _ in self._rows)
 
+    @property
+    def pivots(self) -> list:
+        return [p for p, _, _ in self._rows]
+
 
 def solve(a: DenseMatrix, b):
     """Canonical solution of a x = b, or None when inconsistent.
@@ -663,20 +718,24 @@ def inverse(m: DenseMatrix):
     return DenseMatrix.from_rows([row[n:] for row in rows])
 
 
-def kernel(a: DenseMatrix) -> Subspace:
-    """Kernel of a matrix as a canonical Subspace."""
-    rows, pivots = rref(a.row_lists())
-    pivot_set = set(pivots)
-    kernel_vectors = []
-    for f in range(a.cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * a.cols
+def _null_vectors(rows, pivots, cols: int) -> list:
+    """The null space basis of reduced echelon ``rows`` with pivot
+    columns ``pivots``: per free column f, ascending, the vector with 1
+    at f and -row[f] at each row's pivot."""
+    out = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [ZERO] * cols
         v[f] = ONE
         for row, p in zip(rows, pivots):
             v[p] = -row[f]
-        kernel_vectors.append(tuple(v))
-    return Subspace.from_vectors(a.cols, kernel_vectors)
+        out.append(tuple(v))
+    return out
+
+
+def kernel(a: DenseMatrix) -> Subspace:
+    """Kernel of a matrix as a canonical Subspace."""
+    rows, pivots = rref(a.row_lists())
+    return Subspace.from_vectors(a.cols, _null_vectors(rows, pivots, a.cols))
 
 
 def kernel_image(a: DenseMatrix):

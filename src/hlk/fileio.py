@@ -243,17 +243,13 @@ def algebra_from_doc(doc) -> BigradedAlgebra:
 
 def pair_to_doc(p: ReductivePair) -> dict:
     constants = []
-    for i in range(p.dim):
-        for j in range(i + 1, p.dim):
-            vec = p.bracket_basis(i, j)
-            for k, c in enumerate(vec):
-                if c.is_zero():
-                    continue
-                if not c.is_real():
-                    raise InputError("pair structure constants must be real")
-                constants.append({"i": i, "j": j, "k": k,
-                                  "num": c.re.numerator,
-                                  "den": c.re.denominator})
+    for (i, j), col in sorted(p.brackets.items()):
+        for k, c in sorted(col.items()) if i < j else ():
+            if not c.is_real():
+                raise InputError("pair structure constants must be real")
+            constants.append({"i": i, "j": j, "k": k,
+                              "num": c.re.numerator,
+                              "den": c.re.denominator})
     return {
         "kind": "pair",
         "name": p.name,
@@ -279,9 +275,10 @@ def pair_from_doc(doc) -> ReductivePair:
                    for key in ("i", "j", "k"))
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise InputError("structure constant index out of range")
-        vec = list(brackets.get((i, j), (ZERO,) * dim))
-        vec[k] = vec[k] + _real_parse(sc)
-        brackets[(i, j)] = tuple(vec)
+        col = brackets.setdefault((i, j), {})
+        if k in col:
+            raise InputError(f"duplicate structure constant ({i}, {j}, {k})")
+        col[k] = _real_parse(sc)
     b = DenseMatrix.from_rows(
         [[_real_parse(x) for x in _typed(row, list, "pair B row")]
          for row in _get(doc, "B", "pair", list)])
@@ -308,23 +305,17 @@ def pair_from_doc(doc) -> ReductivePair:
 
 def module_to_doc(m: AdmissibleModule) -> dict:
     gen_order = {g.name: t for t, g in enumerate(m.generators)}
-    weight_docs = []
-    for w in m.sorted_weights:
-        actions = []
-        for (gname, from_w), mat in sorted(
-                m.actions.items(),
-                key=lambda kv: (gen_order[kv[0][0]], kv[0][1])):
-            gen = m.gen_by_name[gname]
-            if from_w + gen.shift != w:
-                continue
-            actions.append({"generator": gname, "from_weight": from_w,
-                            "matrix": _matrix_doc(mat)})
-        weight_docs.append({
-            "weight": w,
-            "dim": m.weights[w],
-            "form": _matrix_doc(m.forms[w]),
-            "actions": actions,
-        })
+    # each block under its target weight, by generator then source weight
+    by_target = {}
+    for (gname, from_w), mat in sorted(
+            m.actions.items(), key=lambda kv: (gen_order[kv[0][0]], kv[0][1])):
+        by_target.setdefault(from_w + m.gen_by_name[gname].shift, []).append(
+            {"generator": gname, "from_weight": from_w,
+             "matrix": _matrix_doc(mat)})
+    weight_docs = [{"weight": w, "dim": m.weights[w],
+                    "form": _matrix_doc(m.forms[w]),
+                    "actions": by_target.get(w, [])}
+                   for w in m.sorted_weights]
     return {
         "kind": "module",
         "name": m.name,

@@ -32,9 +32,14 @@ from .exactlin import (
     kernel,
     quotient_cohomology,
     solve,
+    _bilinear,
+    _dense,
+    _left_index,
+    _nonzero,
+    _sparse_sum,
+    _table,
     unit_vector,
     vec_is_zero,
-    zero_vector,
 )
 
 __all__ = [
@@ -71,8 +76,9 @@ class WindowError(ValueError):
 class ReductivePair:
     """Structure constants of g1 with Cartan split k1 (+) p1.
 
-    ``brackets`` maps (i, j) -> coefficient vector of [e_i, e_j]; only
-    nonzero pairs need to be given, antisymmetry is filled in.
+    ``brackets`` is a table {(i, j): {k: c}} with [e_i, e_j] =
+    sum_k c e_k; only nonzero pairs need to be given, and a pair (j, i)
+    not given is filled in as minus (i, j).
     """
 
     def __init__(self, names, brackets, k_indices, p_indices, b_form, z0,
@@ -84,30 +90,16 @@ class ReductivePair:
         self.b_form = b_form
         self.z0 = tuple(Scalar.of(x) for x in z0)
         self.name = name
-        table = {}
-        for (i, j), vec in brackets.items():
-            table[(i, j)] = tuple(Scalar.of(x) for x in vec)
-        for (i, j), vec in list(table.items()):
-            if (j, i) not in table:
-                table[(j, i)] = tuple(-x for x in vec)
-        self.brackets = table
-
-    def bracket_basis(self, i: int, j: int) -> tuple:
-        return self.brackets.get((i, j), zero_vector(self.dim))
+        table = dict(brackets)
+        for (i, j), col in brackets.items():
+            if (j, i) not in brackets:
+                table[(j, i)] = {k: -c for k, c in col.items()}
+        self.brackets = _table(table)
+        self._by_left = _left_index(self.brackets)
 
     def bracket(self, x, y) -> tuple:
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                c = xi * yj
-                for k, v in enumerate(self.bracket_basis(i, j)):
-                    if not v.is_zero():
-                        out[k] = out[k] + c * v
-        return tuple(out)
+        return _dense(_bilinear(self._by_left, _nonzero(x), _nonzero(y)),
+                      self.dim)
 
     def ad(self, x) -> DenseMatrix:
         cols = [self.bracket(x, unit_vector(self.dim, j))
@@ -126,45 +118,37 @@ def validate_pair(pair: ReductivePair) -> ValidationReport:
     if k_set | p_set != set(range(n)) or k_set & p_set:
         rep.add("cartan-partition", "k and p indices do not partition the basis")
         return rep
+    def col(i, j):
+        return pair.brackets.get((i, j), {})
 
     for i in range(n):
         for j in range(n):
-            lhs = pair.bracket_basis(i, j)
-            rhs = tuple(-x for x in pair.bracket_basis(j, i))
-            if lhs != rhs:
+            if col(i, j) != {k: -c for k, c in col(j, i).items()}:
                 rep.add("antisymmetry",
                         f"[{pair.names[i]},{pair.names[j]}] != "
                         f"-[{pair.names[j]},{pair.names[i]}]")
 
+    # [[e_i, e_j], e_k] = sum_t c(i, j)_t [e_t, e_k], cyclically summed
     for i in range(n):
-        ei = pair.basis_vector(i)
         for j in range(n):
-            ej = pair.basis_vector(j)
             for k in range(n):
-                ek = pair.basis_vector(k)
-                total = [ZERO] * n
-                for term in (pair.bracket(pair.bracket(ei, ej), ek),
-                             pair.bracket(pair.bracket(ej, ek), ei),
-                             pair.bracket(pair.bracket(ek, ei), ej)):
-                    total = [a + b for a, b in zip(total, term)]
-                if not vec_is_zero(tuple(total)):
+                if _sparse_sum((c, col(t, z))
+                               for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
+                               for t, c in col(x, y).items()):
                     rep.add("jacobi",
                             f"Jacobi fails on ({pair.names[i]},"
                             f"{pair.names[j]},{pair.names[k]})")
 
-    def support_in(vec, allowed):
-        return all(x.is_zero() for t, x in enumerate(vec) if t not in allowed)
-
     for i in pair.k_indices:
         for j in pair.k_indices:
-            if not support_in(pair.bracket_basis(i, j), k_set):
+            if not k_set.issuperset(col(i, j)):
                 rep.add("cartan-kk", "[k,k] leaves k")
         for j in pair.p_indices:
-            if not support_in(pair.bracket_basis(i, j), p_set):
+            if not p_set.issuperset(col(i, j)):
                 rep.add("cartan-kp", "[k,p] leaves p")
     for i in pair.p_indices:
         for j in pair.p_indices:
-            if not support_in(pair.bracket_basis(i, j), k_set):
+            if not k_set.issuperset(col(i, j)):
                 rep.add("cartan-pp", "[p,p] leaves k")
 
     b = pair.b_form
@@ -209,10 +193,11 @@ def validate_pair(pair: ReductivePair) -> ValidationReport:
         except ValueError:
             rep.add("b-p-positive", "B restricted to p is not symmetric")
 
-    if not support_in(pair.z0, k_set):
+    z0 = _nonzero(pair.z0)
+    if not k_set.issuperset(z0):
         rep.add("z0-location", "z0 is not in k")
     for i in pair.k_indices:
-        if not vec_is_zero(pair.bracket(pair.z0, pair.basis_vector(i))):
+        if _bilinear(pair._by_left, z0, {i: ONE}):
             rep.add("z0-central", f"[z0, {pair.names[i]}] != 0")
     ad_z0 = pair.ad(pair.z0)
     sq = ad_z0.mul(ad_z0)

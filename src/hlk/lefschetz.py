@@ -127,11 +127,12 @@ class _Context:
     # -- cone membership --------------------------------------------------
 
     def required_ks(self):
+        # k >= 1 of the mode's parity: L^0, the identity, is bijective
         g = self.a.g
         if self.mode == "full":
-            return list(range(0, g + 1))
+            return list(range(1, g + 1))
         parity = g % 2 if self.mode == "even" else (g + 1) % 2
-        return [k for k in range(0, g + 1) if k % 2 == parity]
+        return [k for k in range(1, g + 1) if k % 2 == parity]
 
     def in_cone(self) -> bool:
         if self._in_cone is None:

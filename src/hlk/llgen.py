@@ -11,6 +11,7 @@ basis in rounds and keeps the structure constants of the last round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isqrt, lcm
 
 from . import sha256
@@ -23,14 +24,18 @@ from .exactlin import (
     ZERO,
     ONE,
     _commutator,
+    _dense,
+    _left_index,
+    _nonzero,
+    _null_vectors,
     _row_nonzeros,
+    _sparse_sum,
     entry_product,
     kernel,
     muladd,
     rank,
     solve,
     unit_vector,
-    vec_is_zero,
 )
 
 __all__ = [
@@ -86,6 +91,10 @@ class OperatorLieAlgebra:
         """Coordinates of ``mat`` in ``basis``, or None outside the span."""
         return self.echelon.coordinates(mat.entries)
 
+    @cached_property
+    def _by_left(self) -> dict:
+        return _left_index(self.table)
+
 
 def _bracket_pairs(n: int, basis, span: SpanBuilder):
     """Bracket each pair i < j of ``basis``, the echelon basis of
@@ -109,7 +118,7 @@ def _bracket_pairs(n: int, basis, span: SpanBuilder):
                 span.add(c)
                 table = None
                 continue
-            col = {k: x for k, x in enumerate(coords) if x._a or x._b}
+            col = _nonzero(coords)
             if col:
                 # [b_j, b_i] = -[b_i, b_j]
                 table[(i, j)] = col
@@ -159,22 +168,18 @@ def _ideal_coords(lie: OperatorLieAlgebra, seed) -> tuple:
     spans the same ideal with fewer nonzeros to sum over.
     """
     dim = lie.dim
-    table = structure_constants(lie)
     sb = SpanBuilder(dim)
     row = sb.add(seed)
     todo = [row] if row else []
     while todo and sb.dim < dim:
-        x = todo.pop()
-        support = [(j, v) for j, v in enumerate(x) if v._a or v._b]
+        x = _nonzero(todo.pop())
         for i in range(dim):
             # ad_i x = sum_j x_j [b_i, b_j] over the nonzero x_j
-            y = [ZERO] * dim
-            for j, v in support:
-                for k, c in table.get((i, j), {}).items():
-                    y[k] = muladd(y[k], c, v)
-            if vec_is_zero(y):
+            y = _sparse_sum((v, col) for j, col in lie._by_left.get(i, ())
+                            if (v := x.get(j)) is not None)
+            if not y:
                 continue
-            row = sb.add(y)
+            row = sb.add(_dense(y, dim))
             if row:
                 todo.append(row)
                 if sb.dim == dim:
@@ -227,14 +232,14 @@ def killing_form(lie: OperatorLieAlgebra) -> DenseMatrix:
     """
     dim = lie.dim
     table = structure_constants(lie)
-    nonzero = [[] for _ in range(dim)]
-    for (i, l), col in table.items():
-        nonzero[i].extend((k, l, x) for k, x in col.items())
     entries = [ZERO] * (dim * dim)
     for i in range(dim):
+        # the nonzero (ad b_i)[k][l] = c(i, l)_k as (k, l, c)
+        ad_i = [(k, l, x) for l, col in lie._by_left.get(i, ())
+                for k, x in col.items()]
         for j in range(i, dim):
             tr = ZERO
-            for k, l, x in nonzero[i]:
+            for k, l, x in ad_i:
                 y = table.get((j, k), {}).get(l)
                 if y is not None:
                     tr = muladd(tr, x, y)
@@ -342,16 +347,8 @@ def _commutant(actions, d: int) -> list:
                     row[k * d + j] = row[k * d + j] - e[i * d + k]
                 if sb.add(row) and sb.dim == size - 1:
                     return [identity]
-    rows = sb.basis
-    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-    out = []
-    for f in sorted(set(range(size)) - set(pivots)):
-        v = [ZERO] * size
-        v[f] = ONE
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        out.append(DenseMatrix(d, d, v))
-    return out
+    return [DenseMatrix(d, d, v)
+            for v in _null_vectors(sb.basis, sb.pivots, size)]
 
 
 def _split(piece, actions, commutant=None) -> list:

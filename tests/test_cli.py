@@ -281,6 +281,10 @@ MALFORMED_GK = {
     "duplicate-pair-basis-name": ("sl2R.pair.json", _dup(["basis", 0])),
     "duplicate-k-index": ("sl2R.pair.json", _dup(["k_indices", 0])),
     "duplicate-p-index": ("sl2R.pair.json", _dup(["p_indices", 0])),
+    # a repeated structure constant was summed: [W, A] = -2S written as
+    # two -1 entries validated with exit 0
+    "duplicate-structure-constant": ("sl2R.pair.json",
+                                     _dup(["structure_constants", 0])),
     # a z0 of the wrong length loaded, and validated with exit 0
     "z0-short": ("sl2R.pair.json", lambda doc: doc["z0"].pop()),
     "z0-long": ("sl2R.pair.json",

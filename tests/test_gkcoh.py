@@ -106,9 +106,9 @@ def b_invariance_mutants(rng):
             b[rng.randrange(n * n)] = rng.choice(values)
         else:
             i, j = rng.randrange(n), rng.randrange(n)
-            vec = list(base.bracket_basis(i, j))
-            vec[rng.randrange(n)] = rng.choice(values)
-            brackets[(i, j)] = tuple(vec)
+            col = dict(base.brackets.get((i, j), {}))
+            col[rng.randrange(n)] = rng.choice(values)
+            brackets[(i, j)] = col
         out.append(ReductivePair(base.names, brackets, base.k_indices,
                                  base.p_indices, DenseMatrix(n, n, b),
                                  base.z0))
@@ -124,6 +124,94 @@ def test_b_invariance_matches_literal_sums():
         assert got == want, pair.names
         failing += bool(want)
     assert failing >= 10
+
+
+def reference_bracket_checks(pair) -> list:
+    """(code, detail) of the antisymmetry, Jacobi, Cartan and z0 checks,
+    from dense bracket vectors summed term by term over the table, in
+    the order validate_pair reports them."""
+    n = pair.dim
+    names = pair.names
+
+    def bracket(x, y):
+        out = [ZERO] * n
+        for (i, j), col in pair.brackets.items():
+            for k, c in col.items():
+                out[k] = out[k] + x[i] * y[j] * c
+        return tuple(out)
+
+    def zero(v):
+        return all(x == ZERO for x in v)
+
+    e = [unit_vector(n, i) for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if bracket(e[i], e[j]) != tuple(-x for x in bracket(e[j], e[i])):
+                out.append(("antisymmetry", f"[{names[i]},{names[j]}] != "
+                                            f"-[{names[j]},{names[i]}]"))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                total = [ZERO] * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    term = bracket(bracket(e[a], e[b]), e[c])
+                    total = [s + t for s, t in zip(total, term)]
+                if not zero(total):
+                    out.append(("jacobi", f"Jacobi fails on ({names[i]},"
+                                          f"{names[j]},{names[k]})"))
+
+    def inside(v, allowed):
+        return all(x == ZERO for t, x in enumerate(v) if t not in allowed)
+
+    ks, ps = set(pair.k_indices), set(pair.p_indices)
+    for i in pair.k_indices:
+        for j in pair.k_indices:
+            if not inside(bracket(e[i], e[j]), ks):
+                out.append(("cartan-kk", "[k,k] leaves k"))
+        for j in pair.p_indices:
+            if not inside(bracket(e[i], e[j]), ps):
+                out.append(("cartan-kp", "[k,p] leaves p"))
+    for i in pair.p_indices:
+        for j in pair.p_indices:
+            if not inside(bracket(e[i], e[j]), ks):
+                out.append(("cartan-pp", "[p,p] leaves k"))
+    if not inside(pair.z0, ks):
+        out.append(("z0-location", "z0 is not in k"))
+    for i in pair.k_indices:
+        if not zero(bracket(pair.z0, e[i])):
+            out.append(("z0-central", f"[z0, {names[i]}] != 0"))
+    return out
+
+
+BRACKET_CODES = {"antisymmetry", "jacobi", "cartan-kk", "cartan-kp",
+                 "cartan-pp", "z0-location", "z0-central"}
+
+
+def test_bracket_checks_match_dense_sums():
+    # the b-invariance mutants, [W, A] with a component in k, and z0
+    # moved off k or off the centre
+    pairs = b_invariance_mutants(random.Random("bracket-checks"))
+    sl2 = pairs[0]
+    brackets = dict(sl2.brackets)
+    brackets[(0, 1)] = {0: ONE, 2: Scalar(-2)}
+    pairs.append(ReductivePair(sl2.names, brackets, sl2.k_indices,
+                               sl2.p_indices, sl2.b_form, sl2.z0))
+    for base in pairs[:2]:
+        for shift in (1, base.dim - 1):
+            z0 = list(base.z0)
+            z0[shift] = ONE
+            pairs.append(ReductivePair(base.names, base.brackets,
+                                       base.k_indices, base.p_indices,
+                                       base.b_form, z0))
+    codes = set()
+    for pair in pairs:
+        got = [(v.code, v.detail) for v in gkcoh.validate_pair(pair).violations
+               if v.code in BRACKET_CODES]
+        want = reference_bracket_checks(pair)
+        assert got == want, pair.names
+        codes.update(code for code, _ in want)
+    assert codes == BRACKET_CODES, codes
 
 
 def test_split_p_dims(sl2, sl2_split):

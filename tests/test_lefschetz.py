@@ -7,6 +7,7 @@ import pytest
 
 from hlk import catalog
 from hlk import lefschetz as lz
+from hlk import llgen
 from hlk.algebra import BigradedAlgebra, validate_algebra
 from hlk.exactlin import (
     DenseMatrix,
@@ -141,6 +142,58 @@ def test_cone_data_is_freed_with_its_algebra():
     del alg
     gc.collect()
     assert ref() is None
+
+
+def reference_in_cone(a, w, mode) -> bool:
+    """Cone membership from powers of the full Lefschetz matrix: L^k
+    bijective from H^(g-k) onto H^(g+k) for every k of the mode's
+    parity, k = 0 included.  L raises the degree by 2, so it preserves
+    the parity of degrees and the powers restrict to each parity."""
+    g = a.g
+    parity = {"full": None, "even": g % 2, "odd": (g + 1) % 2}[mode]
+    lw = lz.lefschetz_operator(a, w)
+    power = DenseMatrix.identity(a.n)
+    for k in range(g + 1):
+        if parity is None or k % 2 == parity:
+            src, dst = a.degree_indices(g - k), a.degree_indices(g + k)
+            if len(src) != len(dst):
+                return False
+            if src and len(rref(power.submatrix(dst, src).row_lists())[0]) \
+                    != len(src):
+                return False
+        power = power.mul(lw)
+    return True
+
+
+def test_cone_membership_matches_reference_from_k_zero(monkeypatch):
+    # every class the two cone families try, in every mode, on every
+    # catalog model
+    seen = []
+    membership = lz.kahler_cone_membership
+
+    def recording(a, w, mode="full"):
+        got = membership(a, w, mode)
+        seen.append((a, w, mode, got))
+        return got
+
+    monkeypatch.setattr(lz, "kahler_cone_membership", recording)
+    models = [catalog.torus_algebra(), catalog.abelian_surface_algebra(),
+              catalog.k3_algebra()] + \
+        [catalog.g2_family_algebra(k) for k in range(2, 7)] + \
+        [llgen.product_model(n)[0] for n in (3, 5)]
+    for alg in models:
+        omega = alg.kahler or tuple(
+            ONE if alg.degree_of_index(k) == 2 else ZERO
+            for k in range(alg.n))
+        for mode in ("full", "even", "odd"):
+            for family in (lz.cone_check_family, lz.spanning_cone_family):
+                try:
+                    family(alg, omega, mode)
+                except lz.ConeError:
+                    pass
+    assert {got for *_, got in seen} == {True, False}
+    for a, w, mode, got in seen:
+        assert got == reference_in_cone(a, w, mode), (a.name, mode, w)
 
 
 # -- primitive theory ---------------------------------------------------------
