@@ -26,10 +26,10 @@ from .exactlin import (
     SpanBuilder,
     ZERO,
     ONE,
-    entry_product,
     hermitian_definiteness,
     inverse,
     kernel,
+    muladd,
     quotient_cohomology,
     solve,
     _bilinear,
@@ -96,6 +96,13 @@ class ReductivePair:
                 table[(j, i)] = {k: -c for k, c in col.items()}
         self.brackets = _table(table)
         self._by_left = _left_index(self.brackets)
+        # values computed once per pair and split (see _per_split)
+        self._split_constants = {}
+
+    @cached_property
+    def b_inverse(self) -> DenseMatrix | None:
+        """B^-1, or None when B is degenerate."""
+        return inverse(self.b_form)
 
     def bracket(self, x, y) -> tuple:
         return _dense(_bilinear(self._by_left, _nonzero(x), _nonzero(y)),
@@ -241,6 +248,50 @@ def split_p(pair: ReductivePair) -> PSplit:
     return PSplit(plus=tuple(plus), minus=tuple(minus))
 
 
+def _per_split(compute):
+    """compute(pair, split), kept on the pair for each split object, so
+    that every module over them shares one value; an error is raised
+    again on every call."""
+    def cached(pair, split):
+        key = (compute.__name__, id(split))
+        hit = pair._split_constants.get(key)
+        if hit is None or hit[0] is not split:
+            hit = pair._split_constants[key] = (split, compute(pair, split))
+        return hit[1]
+    return cached
+
+
+@_per_split
+def _k_action(pair: ReductivePair, split: PSplit) -> dict:
+    """ad-action of each k-basis element on the slots of p+ (+) p-:
+    {k index: [{slot: coefficient} per slot]}."""
+    d = split.dim
+    sides = [("+", 0, split.plus), ("-", d, split.minus)]
+    columns = [DenseMatrix.from_columns(v, rows=pair.dim) for _, _, v in sides]
+    k_act = {}
+    for ki in pair.k_indices:
+        h = pair.basis_vector(ki)
+        table = []
+        for (sign, first, vectors), m in zip(sides, columns):
+            for u in vectors:
+                coords = solve(m, pair.bracket(h, u))
+                if coords is None:
+                    raise ValueError(
+                        f"[k, p{sign}] is not contained in p{sign}")
+                table.append({first + b: c for b, c in enumerate(coords) if c})
+        k_act[ki] = table
+    return k_act
+
+
+@_per_split
+def _omega_gram(pair: ReductivePair, split: PSplit) -> DenseMatrix:
+    """omega0(x, y) = -1/2 B(x, [z0, y]) on the slots: -1/2 S^T B ad(z0) S,
+    the columns of S the slots."""
+    s = DenseMatrix.from_columns(split.plus + split.minus, rows=pair.dim)
+    return s.transpose().mul(pair.b_form).mul(pair.ad(pair.z0)).mul(s) \
+        .scale(Scalar(Fraction(-1, 2)))
+
+
 # -- admissible weight-windowed modules -------------------------------------
 
 
@@ -256,11 +307,17 @@ class AdmissibleModule:
     calculus.
 
     rho(x) is sum_k c_k A_k for the expansion x = sum_k c_k gamma_k in
-    the module's generators, where A_k(w) is the stored block of
-    generator k from weight w to w + shift_k.  Every operator here works
-    on those blocks, so its cost follows the weight spaces it touches,
-    not the window.  The generator inverse, the expansions and the
-    blocks are read once per module, whichever check or phase asks.
+    the module's generators.  Each A_k is one sparse operator on the flat
+    window basis, {column: {row: entry}} with nonzero entries only, read
+    off the stored blocks A_k(w) (generator k from weight w to
+    w + shift_k) on first use; the weight forms are one sparse Hermitian
+    operator of the same shape.  Every operator here works on their
+    nonzeros, so its cost follows the entries it touches, not the
+    window.  A block that cannot be used (a window exit, a weight
+    outside the window, a missing or misshapen block) raises only when a
+    computation reads that generator from that weight.  The generator
+    inverse, the expansions and the operators are built once per module,
+    whichever check or phase asks.
     """
 
     def __init__(self, name, pair_name, window, weights, forms, generators,
@@ -282,10 +339,11 @@ class AdmissibleModule:
             self.offsets[w] = off
             off += self.weights[w]
         self.total_dim = off
+        self.columns = {w: range(self.offsets[w], self.offsets[w] + d)
+                        for w, d in self.weights.items()}
         self.gen_by_name = {g.name: g for g in self.generators}
         self._gamma_inv = None
         self._expanded = {}
-        self._blocks = {}
         self.interior_weights = _interior_weights(self)
 
     def slice_of(self, w: int):
@@ -313,74 +371,154 @@ class AdmissibleModule:
             coeffs = self._expanded[x] = self.gamma_inv(len(x)).apply(x)
         return coeffs
 
-    def block(self, k: int, w: int):
-        """A_k(w) for a present weight w, or None when weight w + shift_k
-        carries no space.  WindowError when that weight or w is outside
-        the window or the block is missing; ValueError when the stored
-        block has the wrong shape."""
-        key = (k, w)
-        if key in self._blocks:
-            return self._blocks[key]
-        gen = self.generators[k]
-        target = w + gen.shift
-        if abs(target) > self.window:
-            raise WindowError(
-                f"applying {gen.name} from weight {w} exits the window")
-        rows, cols = self.weights.get(target, 0), self.weights.get(w, 0)
-        block = self.actions.get((gen.name, w)) if rows else None
-        if rows and abs(w) > self.window:
-            raise WindowError(f"weight {w} is outside the stored window")
-        if rows and block is None:
-            raise WindowError(
-                f"action block ({gen.name}, from weight {w}) is missing")
-        if block is not None and (block.rows, block.cols) != (rows, cols):
-            raise ValueError(
-                f"action block ({gen.name}, {w}) has shape "
-                f"{block.rows}x{block.cols}, expected {rows}x{cols}")
-        self._blocks[key] = block
-        return block
+    @cached_property
+    def _operators(self) -> tuple:
+        """(the operator of each generator, its faults): the faults of
+        generator k map each weight w it cannot be read from to the type
+        and message of the error, checked in the order a stored block
+        is checked."""
+        ops, faults = [], []
+        weights, offsets, window = self.weights, self.offsets, self.window
+        for gen in self.generators:
+            name, op, bad = gen.name, {}, {}
+            for w, cols in weights.items():
+                target = w + gen.shift
+                if abs(target) > window:
+                    bad[w] = (WindowError, f"applying {name} from weight "
+                              f"{w} exits the window")
+                    continue
+                rows = weights.get(target)
+                if rows is None:
+                    continue
+                block = self.actions.get((name, w))
+                if abs(w) > window:
+                    bad[w] = (WindowError,
+                              f"weight {w} is outside the stored window")
+                elif block is None:
+                    bad[w] = (WindowError, f"action block ({name}, from "
+                              f"weight {w}) is missing")
+                elif block.rows != rows or block.cols != cols:
+                    bad[w] = (ValueError, (
+                        f"action block ({name}, {w}) has shape "
+                        f"{block.rows}x{block.cols}, expected {rows}x{cols}"))
+                else:
+                    lo, tlo = offsets[w], offsets[target]
+                    for t, x in enumerate(block.entries):
+                        if x:
+                            i, j = divmod(t, cols)
+                            op.setdefault(lo + j, {})[tlo + i] = x
+            ops.append(op)
+            faults.append(bad)
+        return ops, faults
 
-    def _word_sums(self, terms, w: int) -> dict:
-        """sum of c * A_k1 ... A_kr over the terms (c, (k1, ..., kr)), on
-        weight w, as {target weight: row-major entry list}.  Each word
-        is composed on entry lists; it drops out once its product is
-        zero, without reading the blocks left of that point."""
+    def operator(self, k: int, w: int) -> dict:
+        """A_k, to be read from weight w: WindowError when that weight's
+        image leaves the window, w lies outside it or its block is
+        missing; ValueError when the stored block has the wrong shape."""
+        ops, faults = self._operators
+        fault = faults[k].get(w)
+        if fault is not None:
+            raise fault[0](fault[1])
+        return ops[k]
+
+    @cached_property
+    def form_operator(self) -> dict:
+        """The weight-space forms as one operator on the flat basis."""
         out = {}
-        cols = self.weights.get(w, 0)
-        for c, word in terms:
-            prod, at = None, w
-            for k in reversed(word):
-                step = self.block(k, at)
-                if step is None:
-                    break
-                prod = step.entries if prod is None else entry_product(
-                    step.entries, prod, step.rows, step.cols, cols)
-                at += self.generators[k].shift
-                if not any(prod):
-                    break
-            else:
-                if c != ONE:
-                    prod = [c * x for x in prod]
-                total = out.get(at)
-                out[at] = prod if total is None else \
-                    [x + y for x, y in zip(total, prod)]
+        for w in self.sorted_weights:
+            lo, hi = self.slice_of(w)
+            form = self.forms[w]
+            for j in range(hi - lo):
+                out[lo + j] = {lo + i: x for i in range(hi - lo)
+                               if (x := form.at(i, j))}
         return out
+
+    def words(self, terms, weights) -> dict:
+        """sum of c * A_k1 ... A_kr e_j over the terms (c, (k1, ..., kr)),
+        for every column j of the ascending ``weights``, as {j: sparse
+        vector}.  A word drops out of a weight once its image there is
+        zero, and reads no generator left of that point there.  Of the
+        generators it reads from a weight they cannot be read from (see
+        ``operator``), the first in the order weight, term, letter raises
+        its error."""
+        ops, faults = self._operators
+        spans = {w: self.columns[w] for w in weights}
+        sums = {j: {} for span in spans.values() for j in span}
+        first = None
+        for t, (c, word) in enumerate(terms):
+            # the letters in the order they apply; letter p of the word is
+            # read from weight w + shift of each source weight w
+            letters, shift = [], 0
+            for p, k in enumerate(reversed(word)):
+                letters.append(ops[k])
+                for u, fault in faults[k].items():
+                    w = u - shift
+                    if w in spans and (first is None or (w, t, p) < first[0]) \
+                            and any(_chain(letters[:p], j) for j in spans[w]):
+                        first = (w, t, p), fault
+                shift += self.generators[k].shift
+            *inner, last = letters
+            head, rest = (inner[0], inner[1:]) if inner else (None, ())
+            # how the last letter's input picks up c: not at all (c is
+            # in the unit vector, or 1), negated, or multiplied
+            scale = 0 if head is None or c == ONE else 1 if c == -ONE else 2
+            for j in sums:
+                if head is None:
+                    entries = ((j, c),)
+                else:
+                    vec = head.get(j)
+                    for op in rest:
+                        if not vec:
+                            break
+                        vec = _sparse_sum((x, op[s]) for s, x in vec.items()
+                                          if s in op)
+                    if not vec:
+                        continue
+                    entries = vec.items()
+                acc = sums[j]
+                for s, x in entries:
+                    col = last.get(s)
+                    if col is None:
+                        continue
+                    if scale:
+                        x = -x if scale == 1 else c * x
+                    for r, a in col.items():
+                        _add_to(acc, r, a, x)
+        if first is not None:
+            raise first[1][0](first[1][1])
+        return sums
 
     def apply(self, x, vec) -> tuple:
         """rho(x) on a flat windowed vector, from the weights where it
         is nonzero."""
         terms = [(c, (k,)) for k, c in enumerate(self.expand(x)) if c]
-        out = [ZERO] * self.total_dim
-        for w in self.sorted_weights:
-            piece = vec[slice(*self.slice_of(w))]
-            if vec_is_zero(piece):
-                continue
-            for target, e in self._word_sums(terms, w).items():
-                tlo, _ = self.slice_of(target)
-                for t, val in enumerate(entry_product(
-                        e, piece, self.weights[target], len(piece), 1)):
-                    out[tlo + t] = out[tlo + t] + val
-        return tuple(out)
+        images = self.words(terms, [
+            w for w in self.sorted_weights
+            if any(vec[j] for j in self.columns[w])])
+        return _dense(_sparse_sum((v, images[j]) for j, v in enumerate(vec)
+                                  if v), self.total_dim)
+
+
+def _add_to(vec: dict, r: int, a: Scalar, x: Scalar):
+    """vec[r] += a * x on a sparse vector, dropping a zero sum."""
+    y = vec.get(r)
+    if y is None:
+        vec[r] = a if x is ONE else a * x
+    elif (y := muladd(y, a, x)):
+        vec[r] = y
+    else:
+        del vec[r]
+
+
+def _chain(ops, j: int) -> dict:
+    """The image of the unit vector e_j under the operators ``ops``
+    applied in turn (e_j itself for none); empty once it is zero."""
+    if not ops:
+        return {j: ONE}
+    vec = ops[0].get(j, {})
+    for op in ops[1:]:
+        vec = _sparse_sum((x, op[t]) for t, x in vec.items() if t in op)
+    return vec
 
 
 def _block_matrix(row_sizes: dict, col_sizes: dict, blocks: dict) -> DenseMatrix:
@@ -409,10 +547,15 @@ def _interior_weights(module: AdmissibleModule) -> list:
     """Present weights from which every one- and two-step composition of
     generator shifts stays inside the window."""
     shifts = [g.shift for g in module.generators]
+    if not shifts:
+        return list(module.sorted_weights)
+    # the extreme compositions are the largest and the smallest shifts,
+    # taken once or twice
+    top = max(max(shifts), 2 * max(shifts))
+    bottom = min(min(shifts), 2 * min(shifts))
     w = module.window
     return [n for n in module.sorted_weights
-            if all(abs(n + s) <= w for s in shifts)
-            and all(abs(n + s + t) <= w for s in shifts for t in shifts)]
+            if n + top <= w and n + bottom >= -w]
 
 
 def validate_module(pair: ReductivePair, split: PSplit,
@@ -484,8 +627,9 @@ def validate_module(pair: ReductivePair, split: PSplit,
         return rep
 
     interior = module.interior_weights
+    gamma_inv = module.gamma_inv(n)
 
-    # bracket compatibility on interior weights, as block products:
+    # bracket compatibility on the interior columns, as sparse products:
     # A_i A_j - A_j A_i - sum_k c_k A_k = 0 for [gi, gj] = sum_k c_k gk.
     # When [gj, gi] expands to exactly minus [gi, gj], the (j, i)
     # identity is minus the (i, j) one and fails at the same weights.
@@ -494,45 +638,78 @@ def validate_module(pair: ReductivePair, split: PSplit,
         for j, gj in enumerate(module.generators):
             if i == j:
                 continue
-            lie = lies[(i, j)] = module.expand(
+            lie = lies[(i, j)] = gamma_inv.apply(
                 pair.bracket(gi.coords, gj.coords))
             if (j, i) in bad and lie == tuple(-c for c in lies[(j, i)]):
                 bad[(i, j)] = bad[(j, i)]
             else:
                 terms = [(ONE, (i, j)), (-ONE, (j, i))] + \
                     [(-c, (k,)) for k, c in enumerate(lie) if c]
+                images = module.words(terms, interior)
                 bad[(i, j)] = [w for w in interior if any(
-                    any(e) for e in module._word_sums(terms, w).values())]
+                    images[t] for t in module.columns[w])]
             for w in bad[(i, j)]:
                 rep.add("bracket-compatibility",
                         f"rho([{gi.name},{gj.name}]) mismatch at weight {w}")
 
-    # unitarity: rho(x)* = -rho(conj x), blockwise against the stored
-    # forms: M^H F_target = -F_w N on entry lists
+    # unitarity: rho(x)* = -rho(conj x) against the Hermitian forms F.
+    # When the part of conj(g_j) that leads back is a g_i whose own part
+    # is a g_j, with conj(a) a' = 1, the identity for g_j is the adjoint
+    # of the one for g_i and fails on the reversed blocks.
     if not module.unitary:
         return rep
-    for i, g in enumerate(module.generators):
-        # the generators of rho(conj x) that lead back to the source weight
-        back = [(c, (k,)) for k, c in enumerate(
-                    module.expand(tuple(z.conjugate() for z in g.coords)))
-                if c and module.generators[k].shift == -g.shift]
-        for w in module.sorted_weights:
-            target = w + g.shift
-            if abs(target) > module.window or module.weights.get(target, 0) == 0:
-                continue
-            r, c = module.weights[target], module.weights[w]
-            m = module.block(i, w).entries
-            m_h = [m[t * c + s].conjugate()
-                   for s in range(c) for t in range(r)]
-            lhs = entry_product(m_h, module.forms[target].entries, c, r, r)
-            n_back = module._word_sums(back, target).get(w)
-            rhs = [ZERO] * (c * r) if n_back is None else [
-                -x for x in entry_product(module.forms[w].entries, n_back,
-                                          c, c, r)]
-            if lhs != rhs:
-                rep.add("unitarity",
-                        f"{g.name} is not skew-adjoint from weight {w}")
+    backs = [[(c, k) for k, c in enumerate(
+                 gamma_inv.apply(tuple(z.conjugate() for z in g.coords)))
+              if c and module.generators[k].shift == -g.shift]
+             for g in module.generators]
+    unitary_bad = {}
+    for j, g in enumerate(module.generators):
+        mirror = backs[j][0][1] if len(backs[j]) == 1 else None
+        if mirror in unitary_bad and len(backs[mirror]) == 1 and \
+                backs[mirror][0][1] == j and \
+                backs[mirror][0][0].conjugate() * backs[j][0][0] == ONE:
+            shift = module.generators[mirror].shift
+            unitary_bad[j] = [w + shift for w in unitary_bad[mirror]]
+        else:
+            unitary_bad[j] = _unitarity_failures(module, j, backs[j])
+        for w in unitary_bad[j]:
+            rep.add("unitarity",
+                    f"{g.name} is not skew-adjoint from weight {w}")
     return rep
+
+
+def _unitarity_failures(module: AdmissibleModule, i: int, back) -> list:
+    """The source weights of the blocks where A_i^H F = -F N fails, N the
+    combination ``back`` ([(c, k)]) of the generators leading back; each
+    block is checked column by column of its target weight, as
+    A_i^H F e_t + F N e_t = 0."""
+    forms = module.form_operator
+    shift = module.generators[i].shift
+    out = []
+    for w in module.sorted_weights:
+        target = w + shift
+        if abs(target) > module.window or module.weights.get(target, 0) == 0:
+            continue
+        # the rows of A_i from weight w, conjugated: u -> [(s, a)]
+        op, adjoint = module.operator(i, w), {}
+        for s in module.columns[w]:
+            for u, a in op.get(s, {}).items():
+                adjoint.setdefault(u, []).append((s, a.conjugate()))
+        ops = [(c, module.operator(k, target)) for c, k in back]
+        for t in module.columns[target]:
+            acc = {}
+            for u, f in forms[t].items():
+                for s, a in adjoint.get(u, ()):
+                    _add_to(acc, s, f, a)
+            for c, op in ops:
+                for v, n in op.get(t, {}).items():
+                    n = c * n
+                    for s, f in forms[v].items():
+                        _add_to(acc, s, f, n)
+            if acc:
+                out.append(w)
+                break
+    return out
 
 
 # -- the relative complex ---------------------------------------------------
@@ -585,8 +762,8 @@ class RelativeComplex:
         """d: C^n -> C^(n+1) in the block bases, for n = 0 .. 2d."""
         out = []
         for n in range(2 * self.p_dim + 1):
-            src = {k: self.dim(*k) for k in _total_blocks(self, n)}
-            dst = {k: self.dim(*k) for k in _total_blocks(self, n + 1)}
+            src = {k: self.dim(*k) for k in _degree_keys(self, n)}
+            dst = {k: self.dim(*k) for k in _degree_keys(self, n + 1)}
             blocks = {}
             for p, q in src:
                 for tkey, mat in (((p + 1, q), self.d_plus[(p, q)]),
@@ -615,41 +792,22 @@ def build_complex(pair: ReductivePair, split: PSplit,
     bidegree; the differential is the action-only alternating sum, the
     bracket terms being absent for a symmetric pair.
     """
-    module.gamma_inv(pair.dim)     # a bad generator basis fails first
+    gamma_inv = module.gamma_inv(pair.dim)   # a bad basis fails first
     d = split.dim
     dv = module.total_dim
     slots = split.plus + split.minus
 
-    # ad-action of each k-basis element on p+ (+) p-: slot -> {slot: coeff}
-    sides = [("+", 0, split.plus), ("-", d, split.minus)]
-    columns = [DenseMatrix.from_columns(v, rows=pair.dim) for _, _, v in sides]
-    k_act = {}
-    for ki in pair.k_indices:
-        h = pair.basis_vector(ki)
-        table = []
-        for (sign, first, vectors), m in zip(sides, columns):
-            for u in vectors:
-                coords = solve(m, pair.bracket(h, u))
-                if coords is None:
-                    raise ValueError(
-                        f"[k, p{sign}] is not contained in p{sign}")
-                table.append({first + b: c for b, c in enumerate(coords) if c})
-        k_act[ki] = table
+    k_act = _k_action(pair, split)
 
-    # rows of rho(k) as {column: coefficient}, read off its weight blocks
+    # rows of rho(k) as {column: coefficient}, read off its operators
     rho_k = {}
     for ki in pair.k_indices:
         terms = [(c, (k,)) for k, c in
-                 enumerate(module.expand(pair.basis_vector(ki))) if c]
+                 enumerate(gamma_inv.column(ki)) if c]
         rows = rho_k[ki] = [{} for _ in range(dv)]
-        for w in module.sorted_weights:
-            lo, _ = module.slice_of(w)
-            cols = module.weights[w]
-            for target, e in module._word_sums(terms, w).items():
-                tlo, _ = module.slice_of(target)
-                for t, c in enumerate(e):
-                    if c:
-                        rows[tlo + t // cols][lo + t % cols] = c
+        for j, col in module.words(terms, module.sorted_weights).items():
+            for r, c in col.items():
+                rows[r][j] = c
 
     wedges, bases, spans = {}, {}, {}
     for p in range(d + 1):
@@ -674,12 +832,15 @@ def build_complex(pair: ReductivePair, split: PSplit,
                             key, sgn = res
                             moved[key] = moved.get(key, ZERO) + Scalar(sgn) * c
                     # rho(h) f(xi) - f(ad_h xi) = 0, one row per V-coordinate
+                    base = wt * dv
+                    offsets = [(wpos[key] * dv, c) for key, c in moved.items()
+                               if c]
                     for vout, rk_row in enumerate(rho_k[ki]):
-                        row = {wt * dv + vin: c for vin, c in rk_row.items()}
-                        for key, c in moved.items():
-                            col = wpos[key] * dv + vout
-                            row[col] = row.get(col, ZERO) - c
-                        row = {t: x for t, x in row.items() if x}
+                        row = {base + vin: c for vin, c in rk_row.items()}
+                        for off, c in offsets:
+                            x = row.pop(off + vout, ZERO) - c
+                            if x:
+                                row[off + vout] = x
                         if row:
                             rows.append(row)
             bases[(p, q)] = _blockwise_kernel(rows, ambient)
@@ -706,10 +867,15 @@ def build_complex(pair: ReductivePair, split: PSplit,
 def _blockwise_kernel(rows, ambient: int) -> tuple:
     """Reduced echelon basis of the kernel of the sparse system ``rows``
     ({column: coefficient} each) on Q(i)^ambient, one connected block of
-    columns at a time.  The blocks share no coordinate, so the union of
-    their kernels' reduced echelon bases, in pivot order, is the reduced
-    echelon basis of the whole kernel."""
-    root = list(range(ambient))
+    columns at a time.  A row in one unknown forces it to 0, which drops
+    it from every other row; the other rows join their columns into
+    blocks, and a column in no row is free.  The blocks share no
+    coordinate, so the union of their kernels' reduced echelon bases,
+    in pivot order, is the reduced echelon basis of the whole kernel."""
+    zero = {c for row in rows if len(row) == 1 for c in row}
+    rows = [r for row in rows if len(row) > 1
+            and (r := {c: x for c, x in row.items() if c not in zero})]
+    root = {c: c for row in rows for c in row}
 
     def find(c):
         while root[c] != c:
@@ -718,18 +884,19 @@ def _blockwise_kernel(rows, ambient: int) -> tuple:
         return c
 
     for row in rows:
-        first, *rest = row.keys()
+        first, *rest = row
         for c in rest:
             root[find(c)] = find(first)
     columns, equations = {}, {}
-    for c in range(ambient):
+    for c in sorted(root):
         columns.setdefault(find(c), []).append(c)
     for row in rows:
         equations.setdefault(find(next(iter(row))), []).append(row)
-    basis = []
+    basis = [unit_vector(ambient, c) for c in range(ambient)
+             if c not in zero and c not in root]
     for r, cols in columns.items():
-        eqs = equations.get(r, [])
-        if eqs and len(cols) == 1:
+        eqs = equations[r]
+        if len(cols) == 1:
             continue    # a nonzero equation in one unknown forces it to 0
         local = DenseMatrix(len(eqs), len(cols),
                             [row.get(c, ZERO) for row in eqs for c in cols])
@@ -812,7 +979,7 @@ def cohomology_bigraded(cx: RelativeComplex) -> dict:
     return out
 
 
-def _total_blocks(cx: RelativeComplex, n: int):
+def _degree_keys(cx: RelativeComplex, n: int):
     """Ordered (p,q) keys of total degree n."""
     return [(p, n - p) for p in range(max(0, n - cx.p_dim),
                                       min(cx.p_dim, n) + 1)]
@@ -832,25 +999,31 @@ def _cochain_grams(module: AdmissibleModule, cx: RelativeComplex) -> dict:
     dim ker(Laplacian) = dim H).
     """
     dv = cx.v_total
-    forms = [(module.slice_of(w), module.forms[w])
-             for w in module.sorted_weights]
+    forms = module.form_operator
+
+    def inner(fa: dict, image: dict) -> Scalar:
+        acc = ZERO
+        for t, x in fa.items():
+            y = image.get(t)
+            if y is not None:
+                acc = muladd(acc, x.conjugate(), y)
+        return acc
+
     grams = {}
     for key, basis in cx.bases.items():
-        # the V-side form, one weight block of one wedge at a time
-        pieces = [(wt * dv + lo, wt * dv + hi, form)
-                  for wt in range(len(cx.wedges[key]))
-                  for (lo, hi), form in forms]
-
-        def inner(fa, fb):
-            acc = ZERO
-            for lo, hi, form in pieces:
-                if not vec_is_zero(fa[lo:hi]):
-                    for x, y in zip(fa[lo:hi], form.apply(fb[lo:hi])):
-                        acc = acc + x.conjugate() * y
-            return acc
-
-        grams[key] = DenseMatrix(len(basis), len(basis),
-                                 [inner(fa, fb) for fa in basis for fb in basis])
+        # F applied to each basis cochain, one wedge's values at a time:
+        # coordinate t is value v of the wedge at t - v, and F[r, v] x
+        # goes to that wedge's value r
+        sparse = [_nonzero(f) for f in basis]
+        images = []
+        for f in sparse:
+            pieces = []
+            for t, x in f.items():
+                v = t % dv
+                pieces.append((x, {t - v + r: y for r, y in forms[v].items()}))
+            images.append(_sparse_sum(pieces))
+        grams[key] = DenseMatrix(len(basis), len(basis), [
+            inner(fa, image) for fa in sparse for image in images])
     return grams
 
 
@@ -860,7 +1033,7 @@ def laplacian_kernel_dims(module: AdmissibleModule,
     grams = _cochain_grams(module, cx)
     total_gram = []
     for n in range(2 * cx.p_dim + 1):
-        sizes = {k: cx.dim(*k) for k in _total_blocks(cx, n)}
+        sizes = {k: cx.dim(*k) for k in _degree_keys(cx, n)}
         total_gram.append(
             _block_matrix(sizes, sizes, {(k, k): grams[k] for k in sizes}))
     tds = cx.total_differentials
@@ -911,18 +1084,19 @@ def casimir_action(pair: ReductivePair,
     composition of generator shifts stays inside the window; if no
     present weight is interior the window is too small.
     """
-    module.gamma_inv(pair.dim)     # a bad generator basis fails first
-    b_inv = inverse(pair.b_form)
+    gamma_inv = module.gamma_inv(pair.dim)   # a bad basis fails first
+    b_inv = pair.b_inverse
     if b_inv is None:
         raise ValueError("B is degenerate")
     interior_weights = module.interior_weights
     if module.sorted_weights and not interior_weights:
         raise WindowError("window too small for any Casimir composition")
-    # C = sum_kl M_kl A_k A_l, M_kl = sum_i expand(e_i)_k expand(e^i)_l
+    # C = sum_kl M_kl A_k A_l, M_kl = sum_i expand(e_i)_k expand(e^i)_l,
+    # expand(e_i) being column i of the generator inverse
     coeffs = {}
     for i in range(pair.dim):
-        left = module.expand(pair.basis_vector(i))
-        right = module.expand(b_inv.column(i))
+        left = gamma_inv.column(i)
+        right = gamma_inv.apply(b_inv.column(i))
         for k, a in enumerate(left):
             for l, b in enumerate(right):
                 if a and b:
@@ -930,15 +1104,13 @@ def casimir_action(pair: ReductivePair,
     terms = [(c, word) for word, c in coeffs.items() if c]
     scalars = {}
     non_scalar = []
+    images = module.words(terms, interior_weights)
     for n in interior_weights:
-        blocks = module._word_sums(terms, n)
-        dim_n = module.weights[n]
-        diag = blocks.pop(n, None) or [ZERO] * (dim_n * dim_n)
-        # off-weight components must cancel (C is central)
-        first = diag[0]
-        if not any(any(b) for b in blocks.values()) and all(
-                x == (first if t % (dim_n + 1) == 0 else ZERO)
-                for t, x in enumerate(diag)):
+        # a scalar: every column of weight n is that multiple of itself
+        # (off-weight components cancel, as C is central)
+        span = module.columns[n]
+        first = images[span[0]].get(span[0], ZERO)
+        if all(images[j] == ({j: first} if first else {}) for j in span):
             scalars[n] = first
         else:
             non_scalar.append(n)
@@ -988,10 +1160,7 @@ def lefschetz_on_complex(pair: ReductivePair, split: PSplit,
     """
     if not cx.differential_is_zero():
         raise ValueError("Lefschetz operator requires the d = 0 branch")
-    # omega0(x, y) on the slots: -1/2 S^T B ad(z0) S, columns of S the slots
-    s = DenseMatrix.from_columns(split.plus + split.minus, rows=pair.dim)
-    w_gram = s.transpose().mul(pair.b_form).mul(pair.ad(pair.z0)).mul(s) \
-        .scale(Scalar(Fraction(-1, 2)))
+    w_gram = _omega_gram(pair, split)
 
     def two_form(w):
         # wedge-with-a-2-form sign (-1)^(a+b+1), 0-based

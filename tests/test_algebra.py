@@ -1,7 +1,7 @@
 import functools
 import random
 
-from hlk import algebra, catalog, llgen
+from hlk import algebra, catalog, exactlin, llgen
 from hlk.algebra import BigradedAlgebra, ValidationReport, validate_algebra
 from hlk.exactlin import (
     DenseMatrix,
@@ -317,10 +317,17 @@ def test_validate_matches_dense_reference():
 def test_validate_visits_only_nonzero_products(monkeypatch):
     # associativity over all n^3 triples made 4478 sparse sums on the
     # abelian surface and 6494 on k3-mock
+    # both bindings: the conjugation-multiplicative products sum through
+    # exactlin._bilinear, which reads exactlin's own
     calls = []
-    sparse_sum = algebra._sparse_sum
-    monkeypatch.setattr(algebra, "_sparse_sum",
-                        lambda terms: calls.append(1) or sparse_sum(terms))
+    sparse_sum = exactlin._sparse_sum
+
+    def counting(terms):
+        calls.append(1)
+        return sparse_sum(terms)
+
+    monkeypatch.setattr(algebra, "_sparse_sum", counting)
+    monkeypatch.setattr(exactlin, "_sparse_sum", counting)
     for build, limit in ((catalog.abelian_surface_algebra, 1500),
                          (catalog.k3_algebra, 2000)):
         calls.clear()

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import hlk
 
@@ -16,3 +18,20 @@ def test_every_export_resolves():
             if not hasattr(module, name):
                 missing.append(f"hlk.{info.name}.{name}")
     assert checked and not missing
+
+
+def test_no_absolute_hlk_imports():
+    # scripts/ab_inproc.py loads two copies of the package under other
+    # names; an absolute import inside one would load the other copy
+    absolute = []
+    for path in sorted(Path(hlk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            absolute += [f"{path.name}:{node.lineno}" for name in names
+                         if name == "hlk" or name.startswith("hlk.")]
+    assert not absolute

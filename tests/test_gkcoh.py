@@ -388,6 +388,37 @@ def test_interior_weights_computed_once(sl2, sl2_split, monkeypatch):
     assert module.interior_weights == ref_interior_weights(module)
 
 
+def test_pair_constants_computed_once(sl2_modules, monkeypatch):
+    # B^-1, ad(k) on p+ (+) p- and the omega0 Gram are computed once per
+    # pair and split, however many modules are analysed over them
+    pair = catalog.sl2_pair()
+    split = gkcoh.split_p(pair)
+    solved, inverted = [], []
+    solve, inverse = gkcoh.solve, gkcoh.inverse
+
+    def counting_solve(m, v):
+        solved.append(v)
+        return solve(m, v)
+
+    def counting_inverse(m):
+        inverted.append(m is pair.b_form)
+        return inverse(m)
+
+    monkeypatch.setattr(gkcoh, "solve", counting_solve)
+    monkeypatch.setattr(gkcoh, "inverse", counting_inverse)
+    for module in sl2_modules.values():
+        gkcoh.analyze_module(pair, split, module)
+    assert len(solved) == len(pair.k_indices) * 2 * split.dim
+    assert sum(inverted) == 1
+    assert gkcoh._omega_gram(pair, split) is gkcoh._omega_gram(pair, split)
+    # a degenerate B fails on every module, not only the first
+    flat = ReductivePair(pair.names, pair.brackets, pair.k_indices,
+                         pair.p_indices, DenseMatrix.zero(3, 3), pair.z0)
+    for module in sl2_modules.values():
+        with pytest.raises(ValueError, match="B is degenerate"):
+            gkcoh.casimir_action(flat, module)
+
+
 # -- Casimir and dichotomy ----------------------------------------------------
 
 
@@ -1140,7 +1171,7 @@ def sl2_inputs(window):
     }
 
 
-@pytest.mark.parametrize("window", [6, 96])
+@pytest.mark.parametrize("window", [2, 4, 6, 96])
 def test_block_operators_match_references_catalog(sl2, sl2_split, window):
     mods = sl2_inputs(window)
     if window == 96:
@@ -1264,15 +1295,127 @@ def reference_combination(module, terms, w) -> dict:
 @given(word_combinations())
 @settings(max_examples=150, deadline=None)
 def test_block_words_match_dense_references(sl2, sl2_split, case):
+    # the operators' word sums on the columns of weight w, as flat
+    # vectors, against the dense block products placed in the window
     module, terms, w = case
-    cols = module.weights[w]
-    assert {at: DenseMatrix(module.weights[at], cols, e)
-            for at, e in module._word_sums(terms, w).items()} == \
-        reference_combination(module, terms, w)
+    lo, hi = module.slice_of(w)
+    want = [[ZERO] * module.total_dim for _ in range(lo, hi)]
+    for at, block in reference_combination(module, terms, w).items():
+        tlo, _ = module.slice_of(at)
+        for i in range(block.rows):
+            for j in range(block.cols):
+                want[j][tlo + i] = block.at(i, j)
+    got = module.words(terms, [w])
+    assert list(got) == list(range(lo, hi))
+    assert all(x for img in got.values() for x in img.values())
+    assert [[got[j].get(t, ZERO) for t in range(module.total_dim)]
+            for j in range(lo, hi)] == want
     got = gkcoh.casimir_action(sl2, module)
     want = reference_casimir(sl2, sl2_split, module)
     assert (got.scalars, got.non_scalar, got.interior) == \
         (want.scalars, want.non_scalar, want.interior)
+
+
+def block_read(module, k, w):
+    """The stored block A_k(w) as the block-by-block code read it: None
+    when weight w + shift carries no space; the window exit, the weight
+    outside the window, the missing and the misshapen block raise, in
+    that order."""
+    gen = module.generators[k]
+    target = w + gen.shift
+    if abs(target) > module.window:
+        raise gkcoh.WindowError(
+            f"applying {gen.name} from weight {w} exits the window")
+    rows, cols = module.weights.get(target, 0), module.weights.get(w, 0)
+    block = module.actions.get((gen.name, w)) if rows else None
+    if rows and abs(w) > module.window:
+        raise gkcoh.WindowError(f"weight {w} is outside the stored window")
+    if rows and block is None:
+        raise gkcoh.WindowError(
+            f"action block ({gen.name}, from weight {w}) is missing")
+    if block is not None and (block.rows, block.cols) != (rows, cols):
+        raise ValueError(
+            f"action block ({gen.name}, {w}) has shape "
+            f"{block.rows}x{block.cols}, expected {rows}x{cols}")
+    return block
+
+
+def reference_words(module, terms, weights) -> dict:
+    """The word sums weight by weight, term by term and letter by
+    letter, on whole blocks: a word drops out of a weight once its block
+    product there is zero, and the first block read that fails raises.
+    As flat columns {j: sparse vector}."""
+    out = {}
+    for w in weights:
+        lo, hi = module.slice_of(w)
+        total = {}
+        for c, word in terms:
+            prod, at = None, w
+            for k in reversed(word):
+                block = block_read(module, k, at)
+                if block is None:
+                    break
+                prod = block if prod is None else block.mul(prod)
+                at += module.generators[k].shift
+                if prod.is_zero_matrix():
+                    break
+            else:
+                prev = total.get(at)
+                prod = prod.scale(c)
+                total[at] = prod if prev is None else prev.add(prod)
+        for j in range(hi - lo):
+            col = {}
+            for at, m in total.items():
+                tlo, _ = module.slice_of(at)
+                col.update({tlo + i: x for i in range(m.rows)
+                            if (x := m.at(i, j))})
+            out[lo + j] = col
+    return out
+
+
+@st.composite
+def faulty_words(draw):
+    """sl2R's generators on weights -6..6 of dim 1-2 or absent, window 4,
+    so weights +-6 lie outside it and e, f exit it; each block may be
+    missing, misshapen or zero.  Terms of words up to length 3 and an
+    ascending set of present weights."""
+    weights = {w: d for w in range(-6, 7, 2)
+               if (d := draw(st.integers(1 if w == 0 else 0, 2)))}
+    gens = catalog.sl2_trivial_module().generators
+    actions = {}
+    for g in gens:
+        for w, d in weights.items():
+            r = weights.get(w + g.shift, 0)
+            kind = draw(st.sampled_from(["block", "block", "block", "zero",
+                                         "missing", "misshapen"]))
+            if kind == "missing":
+                continue
+            rows = r + 1 if kind == "misshapen" else r
+            if rows == 0:
+                continue
+            actions[(g.name, w)] = DenseMatrix(rows, d, draw(st.lists(
+                st.sampled_from(WORD_ENTRIES if kind == "block" else [ZERO]),
+                min_size=rows * d, max_size=rows * d)))
+    module = AdmissibleModule(
+        name="faulty", pair_name="", window=4, weights=weights, forms={},
+        generators=gens, actions=actions, unitary=False)
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from(WORD_ENTRIES[3:]),
+        st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)),
+        min_size=1, max_size=4))
+    chosen = draw(st.lists(st.sampled_from(sorted(weights)), min_size=1,
+                           unique=True))
+    return module, terms, sorted(chosen)
+
+
+@given(faulty_words())
+@settings(max_examples=300, deadline=None)
+def test_word_faults_match_block_reads(case):
+    # the operators raise what the first failing block read raised, and
+    # only when that block is read: a zero product reads no further
+    module, terms, weights = case
+    assert outcome(module.words, terms, weights) == \
+        outcome(reference_words, module, terms, weights)
 
 
 def test_module_checks_make_no_matrix_products(sl2, sl2_split, monkeypatch):
