@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlk import catalog, gkcoh
+from hlk import catalog, gkcoh, reductive
 from hlk.algebra import ValidationReport
 from hlk.exactlin import (DenseMatrix, Scalar, SpanBuilder, ZERO, ONE,
                           hermitian_definiteness, inverse, kernel, rref,
@@ -394,7 +394,7 @@ def test_pair_constants_computed_once(sl2_modules, monkeypatch):
     pair = catalog.sl2_pair()
     split = gkcoh.split_p(pair)
     solved, inverted = [], []
-    solve, inverse = gkcoh.solve, gkcoh.inverse
+    solve, inverse = reductive.solve, reductive.inverse
 
     def counting_solve(m, v):
         solved.append(v)
@@ -404,8 +404,8 @@ def test_pair_constants_computed_once(sl2_modules, monkeypatch):
         inverted.append(m is pair.b_form)
         return inverse(m)
 
-    monkeypatch.setattr(gkcoh, "solve", counting_solve)
-    monkeypatch.setattr(gkcoh, "inverse", counting_inverse)
+    monkeypatch.setattr(reductive, "solve", counting_solve)
+    monkeypatch.setattr(reductive, "inverse", counting_inverse)
     for module in sl2_modules.values():
         gkcoh.analyze_module(pair, split, module)
     assert len(solved) == len(pair.k_indices) * 2 * split.dim
